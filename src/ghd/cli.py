@@ -15,14 +15,13 @@ record (for CI gating), 64 on usage errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .bits import ball_volume, hamming_distance, log2_ball_volume, random_pair_at_distance
 from .covering import det_complexity_bounds
 from .experiments import load_config, normalize_protocol, run_experiment
-from .streaming import ExactBitmapF0, encode_streams, ghd_via_streaming, space_lower_bound, write_stream_fixture
+from .streaming import ExactBitmapF0, encode_streams, ghd_via_streaming, space_lower_bound, stream_gap, write_stream_fixture
 
 __all__ = ["main"]
 
@@ -110,7 +109,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_demo_stream(args) -> int:
     n, c, passes = args.n, args.c, args.passes
-    gap = math.ceil(n * (c - 1.0))
+    gap = stream_gap(n, c)
     x, _ = random_pair_at_distance(n, 0, args.seed)
     far_x, far_y = random_pair_at_distance(n, gap, args.seed + 1)
 

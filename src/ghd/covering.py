@@ -16,6 +16,11 @@ n, :func:`random_covering_code` samples codewords until a sampled-point audit
 passes; its size is within the same envelope with statistical confidence
 only.
 
+:func:`audit_covering` is exhaustive for n <= 20: it marks the radius-r ball
+around every codeword in a 2**n bitmap, O(|C| * V2(n, r)) work.  Beyond that
+it checks sampled points.  For n <= 16 the nearest-codeword table is filled by
+the same expansion, in balls of growing radius.
+
 Cost bounds reported by :func:`det_complexity_bounds`:
 
 * lower: ``n - log2(V2(n, floor(gap/2)))`` — counting argument, no protocol
@@ -76,6 +81,14 @@ def popcount_table(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.uint8)
 
 
+def _ball_offsets(n: int, radius: int) -> np.ndarray:
+    """The radius-r Hamming ball around 0 (words of popcount <= r), ascending.
+
+    ``c ^ _ball_offsets(n, r)`` is the ball around codeword c.
+    """
+    return np.flatnonzero(popcount_table(n) <= radius).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class CoveringCode:
     """An ordered codeword set with its transmission index width."""
@@ -108,18 +121,23 @@ class CoveringCode:
         if self.n > 16:
             return None
         size = 1 << self.n
-        if self.radius == 0 and self.size == size:
-            return np.arange(size, dtype=np.int64)
-        table = popcount_table(self.n)
-        words = np.arange(size, dtype=np.int64)
-        best_dist = np.full(size, np.iinfo(np.uint8).max, dtype=np.uint8)
-        best_idx = np.zeros(size, dtype=np.int64)
-        for i, c in enumerate(self.codewords):
-            dist = table[words ^ c]
-            better = dist < best_dist  # strict: ties stay with the lowest index
-            best_dist[better] = dist[better]
-            best_idx[better] = i
-        return best_idx
+        codewords = np.array(self.codewords, dtype=np.int64)
+        unset = self.size  # never a codeword index
+        best = np.full(size, unset, dtype=np.int64)
+        # Growing balls: a word still open at distance d lies at distance
+        # exactly d from every codeword whose radius-d ball reaches it, so its
+        # nearest codeword is the lowest index among those hits.
+        for d in range(self.n + 1):
+            offsets = _ball_offsets(self.n, d)
+            still_open = best == unset
+            rows = max(1, size // len(offsets))
+            for start in range(0, self.size, rows):
+                chunk = (codewords[start : start + rows, None] ^ offsets).ravel()
+                hit = np.flatnonzero(still_open[chunk])  # row i is codeword start + i
+                np.minimum.at(best, chunk[hit], start + hit // len(offsets))
+            if not (best == unset).any():
+                break
+        return best
 
     def nearest_index(self, word: int) -> int:
         """Index of the closest codeword, ties broken by lowest index."""
@@ -158,7 +176,7 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
         # each word only covers itself; greedy picks them in word order
         return CoveringCode(n, 0, tuple(range(size)))
 
-    offsets = np.flatnonzero(popcount_table(n) <= radius).astype(np.int64)
+    offsets = _ball_offsets(n, radius)
     gain = np.full(size, len(offsets), dtype=np.int64)
     uncovered = np.ones(size, dtype=bool)
     remaining = size
@@ -273,15 +291,13 @@ def audit_covering(
     """
     n, r = code.n, code.radius
     if n <= _EXHAUSTIVE_AUDIT_MAX_N:
-        if r == 0:
-            return set(code.codewords) == set(range(1 << n))
-        table = popcount_table(n)
-        words = np.arange(1 << n, dtype=np.int64)
+        offsets = _ball_offsets(n, r)
+        codewords = np.array(code.codewords, dtype=np.int64)
         covered = np.zeros(1 << n, dtype=bool)
-        for c in code.codewords:
-            covered |= table[words ^ c] <= r
-            if covered.all():
-                return True
+        # each chunk's index array holds at most 2**n entries
+        rows = max(1, (1 << n) // len(offsets))
+        for start in range(0, len(codewords), rows):
+            covered[codewords[start : start + rows, None] ^ offsets] = True
         return bool(covered.all())
     rng = random.Random(seed)
     if n <= 64:
@@ -416,13 +432,20 @@ def load_code(path: str | Path, validate: bool = True) -> CoveringCode:
     if not lines:
         raise ValueError(f"empty code file: {path}")
     header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"malformed header in {path}: {lines[0]!r}")
-    n, radius, size = (int(v) for v in header)
-    rows = [row.strip() for row in lines[1:] if row.strip()]
+    try:
+        n, radius, size = (int(v) for v in header)
+    except ValueError:
+        raise ValueError(f"{path}, line 1: malformed header {lines[0]!r}") from None
+    rows = [(lineno, row.strip()) for lineno, row in enumerate(lines[1:], start=2) if row.strip()]
     if len(rows) != size:
         raise ValueError(f"{path}: header declares {size} codewords, found {len(rows)}")
-    code = CoveringCode(n, radius, tuple(int(row, 16) for row in rows))
+    codewords = []
+    for lineno, row in rows:
+        try:
+            codewords.append(int(row, 16))
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno}: not a hex codeword: {row!r}") from None
+    code = CoveringCode(n, radius, tuple(codewords))
     if validate and not audit_covering(code):
         raise CodeConstructionError(f"{path}: loaded code fails its covering audit")
     return code

@@ -51,7 +51,7 @@ from .covering import (
     load_code,
     save_code,
 )
-from .streaming import ExactBitmapF0, ghd_via_streaming
+from .streaming import ExactBitmapF0, ghd_via_streaming, stream_gap
 
 __all__ = [
     "ExperimentConfig",
@@ -384,7 +384,7 @@ def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) ->
         raise ValueError("c must lie strictly between 1 and 2")
     if p < 1:
         raise ValueError("p must be >= 1")
-    gap = math.ceil(n * (c - 1.0))
+    gap = stream_gap(n, c)
     record["t"] = gap
 
     def make() -> ExactBitmapF0:

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -61,6 +63,7 @@ __all__ = [
     "RunMeter",
     "ghd_via_streaming",
     "streaming_protocol",
+    "stream_gap",
     "SpaceBound",
     "space_lower_bound",
     "CounterexampleReport",
@@ -68,6 +71,17 @@ __all__ = [
     "write_stream_fixture",
     "read_stream_fixture",
 ]
+
+
+@lru_cache(maxsize=256)
+def stream_gap(n: int, approx_factor: float) -> int:
+    """The promise gap ``ceil(n * (approx_factor - 1))``, computed exactly.
+
+    The factor is read as the decimal it prints as, so ``1.1`` means 11/10:
+    in float arithmetic ``10 * (1.1 - 1.0)`` exceeds 1 and the ceiling would
+    come out one too large.  Cached because every protocol run asks for it.
+    """
+    return math.ceil(n * (Fraction(str(approx_factor)) - 1))
 
 
 @dataclass(frozen=True)
@@ -259,7 +273,7 @@ def streaming_protocol(
     def bob(y: BitString, reader: StreamReader):
         machine = algorithm_factory()
         n = y.length
-        gap = math.ceil(n * (approx_factor - 1.0))
+        gap = stream_gap(n, approx_factor)
         tokens = [n * y.bit(i - 1) + i for i in range(1, n + 1)]
         passes = machine.passes
         for pass_index in range(passes):
@@ -300,7 +314,7 @@ def ghd_via_streaming(
     if x.length != y.length:
         raise ValueError("inputs must have equal length")
     n = x.length
-    gap = math.ceil(n * (approx_factor - 1.0))
+    gap = stream_gap(n, approx_factor)
 
     meter = RunMeter()
     protocol = streaming_protocol(algorithm_factory, approx_factor, meter)
@@ -385,7 +399,7 @@ def space_lower_bound(n: int, approx_factor: float, passes: int) -> SpaceBound:
         raise ValueError("approx_factor must lie strictly between 1 and 2")
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    gap = math.ceil(n * (approx_factor - 1.0))
+    gap = stream_gap(n, approx_factor)
     precursor = (n - log2_ball_volume(n, gap // 2)) / (2.0 * passes)
     asymptotic = n * (2.0 - approx_factor) ** 2 / passes
     return SpaceBound(gap, precursor, asymptotic)
@@ -413,7 +427,7 @@ def search_counterexample(
     finding an erring pair is then expected.  Not finding one is inconclusive
     and reported as such (found=False).
     """
-    gap = math.ceil(n * (approx_factor - 1.0))
+    gap = stream_gap(n, approx_factor)
     for trial in range(trials):
         trial_seed = derive_seed(seed, trial)
         if trial % 2 == 0:

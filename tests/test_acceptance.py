@@ -27,7 +27,7 @@ from ghd.sketch import (
     sketch_protocol,
     sketch_statistics,
 )
-from ghd.streaming import ExactBitmapF0, encode_streams, exact_f0, ghd_via_streaming
+from ghd.streaming import ExactBitmapF0, encode_streams, exact_f0, ghd_via_streaming, stream_gap
 
 REFERENCE = dict(n=512, close_bound=4, far_bound=256)
 TRIALS = 10_000
@@ -293,7 +293,7 @@ def test_criterion_10_reduction_identity():
 def test_criterion_11_streaming_budget():
     """Exact bitmap, p in {1,2,3}: communication <= 2pS and zero decision errors."""
     n, c = 100, 1.5
-    gap = math.ceil(n * (c - 1.0))
+    gap = stream_gap(n, c)
     all_ok = True
     details = []
     for p in (1, 2, 3):

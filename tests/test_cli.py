@@ -26,6 +26,12 @@ def test_bounds_stream_command(capsys):
     assert float(out["asymptotic"]) == 250.0
 
 
+def test_bounds_stream_gap_is_exact(capsys):
+    assert main(["bounds", "stream", "10", "1.1", "1"]) == 0
+    out = dict(line.split() for line in capsys.readouterr().out.strip().splitlines())
+    assert out["gap"] == "1"
+
+
 def test_bench_sketch_csv(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("trials = 30\nseed = 1\npoint n=128 L=2 U=64 s=1\n")

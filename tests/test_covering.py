@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ghd.bits import BitString, ball_volume, random_pair_at_distance
@@ -15,6 +16,7 @@ from ghd.covering import (
     greedy_size_bound,
     load_code,
     nearest_codeword,
+    popcount_table,
     random_covering_code,
     run_det_protocol,
     save_code,
@@ -24,6 +26,37 @@ from ghd.covering import (
 
 def oracle_covered(code: CoveringCode, word: int) -> bool:
     return any((word ^ c).bit_count() <= code.radius for c in code.codewords)
+
+
+def loop_audit(code: CoveringCode) -> bool:
+    """Reference audit: one full-cube distance pass per codeword."""
+    table = popcount_table(code.n)
+    words = np.arange(1 << code.n, dtype=np.int64)
+    covered = np.zeros(1 << code.n, dtype=bool)
+    for c in code.codewords:
+        covered |= table[words ^ c] <= code.radius
+    return bool(covered.all())
+
+
+def loop_decode_table(code: CoveringCode) -> np.ndarray:
+    """Reference decode table: one full-cube pass per codeword, strict improvement."""
+    table = popcount_table(code.n)
+    words = np.arange(1 << code.n, dtype=np.int64)
+    best_dist = np.full(1 << code.n, np.iinfo(np.uint8).max, dtype=np.uint8)
+    best_idx = np.zeros(1 << code.n, dtype=np.int64)
+    for i, c in enumerate(code.codewords):
+        dist = table[words ^ c]
+        better = dist < best_dist  # strict: ties stay with the lowest index
+        best_dist[better] = dist[better]
+        best_idx[better] = i
+    return best_idx
+
+
+def assert_kernels_match_loops(code: CoveringCode) -> bool:
+    covered = loop_audit(code)
+    assert audit_covering(code) == covered
+    assert np.array_equal(code._decode_table, loop_decode_table(code))
+    return covered
 
 
 # ------------------------------------------------------------ construction
@@ -65,6 +98,29 @@ def test_greedy_bounds_full_sweep_small():
 
 def test_greedy_is_deterministic():
     assert greedy_covering_code(9, 2).codewords == greedy_covering_code(9, 2).codewords
+
+
+def test_kernels_match_loops_on_greedy_codes():
+    for n in range(1, 13):
+        for r in range(n + 1):
+            assert assert_kernels_match_loops(greedy_covering_code(n, r))
+
+
+def test_kernels_match_loops_on_greedy_16_2():
+    assert assert_kernels_match_loops(greedy_covering_code(16, 2))
+
+
+def test_kernels_match_loops_on_random_codes():
+    # duplicates, unsorted words and uncovered gaps, at every radius
+    rng = random.Random(14)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        r = rng.randint(0, n)
+        size = rng.randint(1, min(64, 1 << n))
+        code = CoveringCode(n, r, tuple(rng.getrandbits(n) for _ in range(size)))
+        outcomes.add(assert_kernels_match_loops(code))
+    assert outcomes == {True, False}
 
 
 def test_random_code_small_and_mid():
@@ -115,6 +171,12 @@ def test_nearest_index_tie_breaks_to_lowest():
     code = CoveringCode(3, 1, (0b000, 0b011, 0b101, 0b110))
     # 0b111 is at distance 2 from 000 and 1 from each of the others
     assert code.nearest_index(0b111) == 1
+
+
+def test_permuted_radius_zero_code_decodes_each_word_to_itself():
+    code = CoveringCode(2, 0, (3, 2, 1, 0))
+    assert audit_covering(code)
+    assert [code.nearest_index(v) for v in range(4)] == [3, 2, 1, 0]
 
 
 def test_decode_table_matches_linear_scan():
@@ -282,6 +344,29 @@ def test_load_rejects_corrupt_file(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop a codeword
     with pytest.raises(ValueError):
+        load_code(path)
+
+
+def test_loaded_permuted_radius_zero_code_is_zero_error(tmp_path):
+    n = 6
+    words = list(range(1 << n))
+    random.Random(15).shuffle(words)
+    path = tmp_path / "perm.txt"
+    save_code(CoveringCode(n, 0, tuple(words)), path)
+    proto = det_protocol(det_protocol_params(n, 1, code=load_code(path)))
+    for value in range(1 << n):
+        x = BitString(n, value)
+        assert proto.run(x, x, 0).output == 0
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("16 x 3\n0000\n0001\n0002\n", 1), ("4 1 3\n0\n\nzz\n3\n", 4)],
+)
+def test_load_errors_name_file_and_line(tmp_path, text, line):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"code\.txt, line {line}:"):
         load_code(path)
 
 

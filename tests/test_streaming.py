@@ -15,6 +15,7 @@ from ghd.streaming import (
     read_stream_fixture,
     search_counterexample,
     space_lower_bound,
+    stream_gap,
     write_stream_fixture,
 )
 
@@ -133,7 +134,7 @@ def test_handoff_budget_per_pass():
 
 def test_zero_error_on_promise_randomized():
     n, c = 60, 1.4
-    gap = math.ceil(n * (c - 1.0))
+    gap = stream_gap(n, c)
     rng = random.Random(5)
     for _ in range(100):
         x = BitString.random(n, rng)
@@ -170,6 +171,14 @@ def test_nondeterministic_algorithm_detected():
 
 
 # ----------------------------------------------------------- lower bound
+
+
+def test_stream_gap_matches_exact_ceiling():
+    # c = 1.k is the decimal k/10 above one: gap = ceil(n * k / 10) in integers
+    for n in range(1, 200):
+        for k in range(1, 10):
+            assert stream_gap(n, float(f"1.{k}")) == -(-n * k // 10), (n, k)
+    assert stream_gap(10, 1.1) == 1  # the float formula gives 2 here
 
 
 def test_space_lower_bound_example():
