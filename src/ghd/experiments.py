@@ -44,6 +44,7 @@ from .runtime import Protocol, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_cost, sketch_protocol
 from .covering import (
+    GREEDY_MAX_N,
     det_protocol,
     det_protocol_params,
     det_complexity_bounds,
@@ -329,7 +330,7 @@ def prepare_codes(config: ExperimentConfig) -> None:
     Path(config.code_dir).mkdir(parents=True, exist_ok=True)
     for point in config.grid:
         n, gap = point.get("n"), point.get("t")
-        if n is None or gap is None or not 1 <= gap <= n or n > 22:
+        if n is None or gap is None or not 1 <= gap <= n or n > GREEDY_MAX_N:
             continue
         radius = (gap - 1) // 2
         path = _code_path(config.code_dir, n, radius)

@@ -109,7 +109,9 @@ def derive_sketch_params(
     ``block_count = ceil(4 * n * (s / far_bound)**(1/3))``; when that exceeds
     n the parameters are flagged trivial.  Exponents below
     :func:`guarantee_floor` are rejected unless ``allow_void_guarantee`` is
-    set (the error bound is then void, for experimentation only).
+    set (the error bound is then void, for experimentation only).  Raises
+    ``ValueError`` when grid indices would reach 2**53 (from about
+    n = 2**17), beyond the integers float64 holds exactly.
     """
     if not 0 <= close_bound < far_bound <= n:
         raise ValueError(
@@ -140,6 +142,11 @@ def derive_sketch_params(
     block_length = -(-n // block_count)
     padded_length = block_length * block_count
     max_index = math.isqrt(block_length * n**6)  # floor(sqrt(a) * n**3)
+    if max_index >= 2**53:
+        raise ValueError(
+            f"n = {n}, block_length = {block_length}: grid indices reach "
+            f"floor(sqrt(block_length) * n**3) >= 2**53, beyond float64's exact integers"
+        )
     word_width = (2 * max_index).bit_length() + 1  # ceil(log2(2M+1)) + 1
     return SketchParams(
         n,

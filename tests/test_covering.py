@@ -1,8 +1,11 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ghd.bits import BitString, ball_volume, random_pair_at_distance
 from ghd.covering import (
@@ -52,6 +55,34 @@ def loop_decode_table(code: CoveringCode) -> np.ndarray:
     return best_idx
 
 
+def loop_greedy(n: int, radius: int) -> tuple[int, ...]:
+    """Reference greedy: after each pick, one full-cube bincount of gain drops."""
+    size = 1 << n
+    if radius == 0:
+        return tuple(range(size))
+    table = popcount_table(n)
+    offsets = np.flatnonzero(table <= radius).astype(np.int64)
+    gain = np.full(size, len(offsets), dtype=np.int64)
+    uncovered = np.ones(size, dtype=bool)
+    remaining = size
+    codewords = []
+    chunk_rows = max(1, 8_000_000 // len(offsets))
+    while remaining:
+        pick = int(np.argmax(gain))
+        codewords.append(pick)
+        ball = pick ^ offsets
+        newly = ball[uncovered[ball]]
+        uncovered[newly] = False
+        remaining -= len(newly)
+        if remaining == 0:
+            break
+        for start in range(0, len(newly), chunk_rows):
+            chunk = newly[start : start + chunk_rows]
+            indices = (chunk[:, None] ^ offsets[None, :]).ravel()
+            gain -= np.bincount(indices, minlength=size)
+    return tuple(codewords)
+
+
 def assert_kernels_match_loops(code: CoveringCode) -> bool:
     covered = loop_audit(code)
     assert audit_covering(code) == covered
@@ -96,18 +127,33 @@ def test_greedy_bounds_full_sweep_small():
             assert code.size <= greedy_size_bound(n, r)
 
 
+@pytest.mark.parametrize("n, r", [(14, 5), (17, 3)])
+def test_greedy_matches_loop_mid(n, r):
+    # (14, 5): V2(14, 5)**2 exceeds the slot-table budget, so the loop runs
+    assert greedy_covering_code(n, r).codewords == loop_greedy(n, r)
+
+
 def test_greedy_is_deterministic():
     assert greedy_covering_code(9, 2).codewords == greedy_covering_code(9, 2).codewords
 
 
 def test_kernels_match_loops_on_greedy_codes():
+    # greedy's both update paths: local where 2r < n, the full-cube loop otherwise
     for n in range(1, 13):
         for r in range(n + 1):
-            assert assert_kernels_match_loops(greedy_covering_code(n, r))
+            code = greedy_covering_code(n, r)
+            assert code.codewords == loop_greedy(n, r), (n, r)
+            assert assert_kernels_match_loops(code)
 
 
-def test_kernels_match_loops_on_greedy_16_2():
-    assert assert_kernels_match_loops(greedy_covering_code(16, 2))
+def test_kernels_match_loops_on_greedy_16_2(tmp_path):
+    code = greedy_covering_code(16, 2)
+    assert code.codewords == loop_greedy(16, 2)
+    assert assert_kernels_match_loops(code)
+    path = tmp_path / "code.txt"
+    save_code(code, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "5c00bb79bb2df1b30114b896a8fbb34e8b69b09f249ea8a2d555f340835f7b32"
 
 
 def test_kernels_match_loops_on_random_codes():
@@ -361,7 +407,17 @@ def test_loaded_permuted_radius_zero_code_is_zero_error(tmp_path):
 
 @pytest.mark.parametrize(
     "text, line",
-    [("16 x 3\n0000\n0001\n0002\n", 1), ("4 1 3\n0\n\nzz\n3\n", 4)],
+    [
+        ("16 x 3\n0000\n0001\n0002\n", 1),
+        ("4 1 3\n0\n\nzz\n3\n", 4),
+        ("8 1 3\n0x0\n11\n0f\n", 2),  # non-canonical rows
+        ("8 1 3\n00\n1_1\n0f\n", 3),
+        ("8 1 3\n00\n11\n+f\n", 4),
+        ("8 1 2\n00\nF0\n", 3),
+        ("8 1 2\n00\n0\n", 3),
+        ("6 1 2\n00\n7f\n", 3),  # wider than n bits
+        ("4 5 1\n0\n", 1),  # radius out of range
+    ],
 )
 def test_load_errors_name_file_and_line(tmp_path, text, line):
     path = tmp_path / "code.txt"
@@ -377,3 +433,52 @@ def test_load_audits_covering(tmp_path):
     with pytest.raises(CodeConstructionError):
         load_code(path)
     assert load_code(path, validate=False) == bad
+
+
+@st.composite
+def small_codes(draw):
+    n = draw(st.integers(0, 12))
+    radius = draw(st.integers(0, n))
+    words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    return CoveringCode(n, radius, tuple(words))
+
+
+_FUZZ_TOKENS = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet="0123456789abcdefABCDEFx_+- ", max_size=6),
+    st.integers(-3, 40).map(str),
+)
+_FIXTURE_PER_EXAMPLE = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@given(code=small_codes())
+@_FIXTURE_PER_EXAMPLE
+def test_save_load_round_trip_property(tmp_path, code):
+    path = tmp_path / "code.txt"
+    save_code(code, path)
+    assert load_code(path, validate=False) == code
+
+
+@given(code=small_codes(), data=st.data())
+@_FIXTURE_PER_EXAMPLE
+def test_load_mutated_file_loads_or_names_file_and_line(tmp_path, code, data):
+    path = tmp_path / "code.txt"
+    save_code(code, path)
+    lines = path.read_text().splitlines()
+    target = data.draw(st.integers(0, len(lines) + 1), label="target")
+    token = data.draw(_FUZZ_TOKENS, label="token")
+    if target <= 2:  # one header field
+        fields = lines[0].split()
+        fields[target] = token
+        lines[0] = " ".join(fields)
+    else:  # one row
+        lines[target - 2] = token
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        load_code(path, validate=False)
+    except ValueError as exc:
+        message = str(exc)
+        assert str(path) in message
+        if target > 2 and len(token.splitlines()) == 1 and token.strip():
+            # the header and every other row are intact: the row is at fault
+            assert f"line {target - 1}:" in message

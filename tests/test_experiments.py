@@ -122,6 +122,14 @@ def test_det_code_dir_cache(tmp_path):
     assert first.to_csv() == second.to_csv()
 
 
+def test_sketch_grid_beyond_float64_is_skipped():
+    config = parse_config("protocol = sketch\ntrials = 1\npoint n=135688 L=0 U=135688 s=1\n")
+    report = run_experiment(config)
+    (record,) = report.records
+    assert record["status"] == "skipped"
+    assert "n = 135688, block_length = 13" in record["reason"]
+
+
 def test_stream_records():
     config = parse_config(
         "protocol = stream\ntrials = 30\nseed = 5\npoint n=40 c=1.5 p=2\npoint n=40 c=2.5 p=1\n"

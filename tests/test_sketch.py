@@ -71,6 +71,15 @@ def test_rejects_bad_parameters():
         derive_sketch_params(100, 0, 100, -1)
 
 
+def test_grid_beyond_float64_raises_clear_error():
+    # floor(sqrt(13) * n**3) crosses 2**53 between n = 135687 and 135688
+    params = derive_sketch_params(135_687, 0, 135_687, 1.0)
+    assert params.block_length == 13
+    assert math.isqrt(13 * 135_687**6) < 2**53 <= math.isqrt(13 * 135_688**6)
+    with pytest.raises(ValueError, match=r"n = 135688, block_length = 13"):
+        derive_sketch_params(135_688, 0, 135_688, 1.0)
+
+
 def test_padding_satisfies_block_identity_over_sweep():
     # block_length * block_count stays within [n, 2n] whenever non-trivial
     for n in range(1, 10_001):
