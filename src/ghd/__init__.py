@@ -35,7 +35,7 @@ from .runtime import (
     measure_worst_case_cost,
     run_protocol,
 )
-from .sampling import SamplingParams, derive_sampling_params, run_sampling_protocol, sampling_protocol
+from .sampling import SamplingParams, derive_sampling_params, sampling_protocol
 from .sketch import (
     SketchMessage,
     SketchParams,
@@ -56,7 +56,6 @@ from .covering import (
     greedy_covering_code,
     nearest_codeword,
     random_covering_code,
-    run_det_protocol,
     set_diameter,
 )
 from .streaming import (

@@ -122,11 +122,7 @@ class GhdInstance:
     y: BitString
 
     def __post_init__(self) -> None:
-        if not 0 <= self.close_bound < self.far_bound <= self.n:
-            raise ValueError(
-                f"need 0 <= close_bound < far_bound <= n, got "
-                f"({self.close_bound}, {self.far_bound}, n={self.n})"
-            )
+        _check_promise(self.n, self.close_bound, self.far_bound)
         if self.x.length != self.n or self.y.length != self.n:
             raise ValueError("input lengths do not match n")
 
@@ -161,6 +157,31 @@ class GhdInstance:
     ) -> "GhdInstance":
         x, y = random_pair_at_distance(n, distance, seed)
         return cls(n, close_bound, far_bound, x, y)
+
+
+def _check_promise(
+    n: int, close_bound: int, far_bound: int, error_exponent: float | None = None
+) -> None:
+    """Reject gap bounds outside ``0 <= close_bound < far_bound <= n``, and an
+    error exponent (when given) that is not positive and finite."""
+    if not 0 <= close_bound < far_bound <= n:
+        raise ValueError(
+            f"need 0 <= close_bound < far_bound <= n, got "
+            f"({close_bound}, {far_bound}, n={n})"
+        )
+    if error_exponent is None:
+        return
+    if error_exponent <= 0:
+        raise ValueError("error_exponent must be positive")
+    if not math.isfinite(error_exponent):  # inf, or nan
+        raise ValueError("error_exponent must be finite")
+
+
+def _parse_decimal(text: str) -> int:
+    """A non-negative ASCII decimal with no sign, underscore or leading zero."""
+    if not (text.isascii() and text.isdigit()) or text != str(int(text)):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return int(text)
 
 
 def _partial_binomial_sum(n: int, r: int) -> int:

@@ -51,8 +51,8 @@ import random
 
 import numpy as np
 
-from .bits import BitString, ball_volume, hamming_distance, log2_ball_volume
-from .runtime import RECV, Protocol, ProtocolOutcome, Send, StreamReader, run_protocol
+from .bits import BitString, _parse_decimal, ball_volume, hamming_distance, log2_ball_volume
+from .runtime import RECV, Protocol, Send, StreamReader
 
 __all__ = [
     "CoveringCode",
@@ -65,7 +65,6 @@ __all__ = [
     "nearest_codeword",
     "det_protocol_params",
     "det_protocol",
-    "run_det_protocol",
     "det_complexity_bounds",
     "ComplexityBounds",
     "set_diameter",
@@ -233,10 +232,6 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
     return CoveringCode(n, radius, tuple(codewords))
 
 
-def _sample_words(n: int, count: int, rng: random.Random) -> list[int]:
-    return [rng.getrandbits(n) for _ in range(count)]
-
-
 def random_covering_code(
     n: int,
     radius: int,
@@ -283,7 +278,7 @@ def random_covering_code(
     batch = max(1, math.ceil(ratio))
     while True:
         fresh = []
-        for w in _sample_words(n, batch, rng):
+        for w in [rng.getrandbits(n) for _ in range(batch)]:
             if w not in seen:
                 seen.add(w)
                 fresh.append(w)
@@ -414,12 +409,6 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
     return Protocol(name="deterministic-covering", alice=alice, bob=bob)
 
 
-def run_det_protocol(x: BitString, y: BitString, params: DetProtocolParams) -> ProtocolOutcome:
-    """One deterministic run (the shared stream is never read)."""
-    protocol = det_protocol(params)
-    return run_protocol(protocol.alice, protocol.bob, x, y, shared=0)
-
-
 class ComplexityBounds(NamedTuple):
     lower: float
     upper: float
@@ -463,15 +452,15 @@ def load_code(path: str | Path, validate: bool = True) -> CoveringCode:
     """Load a code file, optionally re-auditing the covering property.
 
     A malformed file raises ``ValueError`` naming the file, and the line when
-    one line is at fault.  Rows must be exactly as :func:`save_code` writes
-    them.
+    one line is at fault.  The header and rows must be exactly as
+    :func:`save_code` writes them.
     """
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"empty code file: {path}")
     header = lines[0].split()
     try:
-        n, radius, size = (int(v) for v in header)
+        n, radius, size = (_parse_decimal(v) for v in header)
     except ValueError:
         raise ValueError(f"{path}, line 1: malformed header {lines[0]!r}") from None
     if not 0 <= radius <= n:

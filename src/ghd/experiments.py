@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bits import BitString, GhdInstance, log2_ball_volume, random_pair_at_distance
-from .runtime import Protocol, derive_seed
+from .runtime import _error_trials, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_cost, sketch_protocol
 from .covering import (
@@ -115,6 +115,7 @@ COMPARE_COLUMNS = [
 
 _INT_KEYS = {"n", "L", "U", "t", "p"}
 _FLOAT_KEYS = {"s", "c"}
+_NUMBER_SETTINGS = {"trials": int, "seed": int, "linear_rate_constant": float}
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,22 @@ def normalize_protocol(name: str) -> str:
     return name
 
 
+def _convert(convert, value: str, lineno: int, key: str):
+    try:
+        return convert(value)
+    except ValueError:
+        raise ValueError(
+            f"line {lineno}: key {key!r}: cannot read {value!r} as {convert.__name__}"
+        ) from None
+
+
 def parse_config(text: str, protocol: str | None = None) -> ExperimentConfig:
-    """Parse the key-value config format; see the module docstring."""
-    settings: dict[str, str] = {}
+    """Parse the key-value config format; see the module docstring.
+
+    A malformed line or value raises ``ValueError`` naming the line (and the
+    key, for a value).
+    """
+    settings: dict[str, object] = {}
     grid: list[dict] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -159,14 +173,16 @@ def parse_config(text: str, protocol: str | None = None) -> ExperimentConfig:
                     raise ValueError(f"line {lineno}: malformed point entry {item!r}")
                 key, value = item.split("=", 1)
                 if key in _INT_KEYS:
-                    point[key] = int(value)
+                    point[key] = _convert(int, value, lineno, key)
                 elif key in _FLOAT_KEYS:
-                    point[key] = float(value)
+                    point[key] = _convert(float, value, lineno, key)
                 else:
                     raise ValueError(f"line {lineno}: unknown point key {key!r}")
             grid.append(point)
         elif "=" in line:
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in _NUMBER_SETTINGS:
+                value = _convert(_NUMBER_SETTINGS[key], value, lineno, key)
             settings[key] = value
         else:
             raise ValueError(f"line {lineno}: cannot parse {line!r}")
@@ -191,11 +207,11 @@ def parse_config(text: str, protocol: str | None = None) -> ExperimentConfig:
     return ExperimentConfig(
         protocol=protocol,
         grid=tuple(grid),
-        trials=int(settings.get("trials", "1000")),
-        seed=int(settings.get("seed", "0")),
+        trials=settings.get("trials", 1000),
+        seed=settings.get("seed", 0),
         output_format=settings.get("format", "csv"),
         rate=settings.get("rate", "hoeffding"),
-        linear_rate_constant=float(settings.get("linear_rate_constant", "8.0")),
+        linear_rate_constant=settings.get("linear_rate_constant", 8.0),
         code_dir=settings.get("code_dir"),
     )
 
@@ -218,95 +234,59 @@ def _three_sigma(bound: float, trials: int) -> float:
     return 3.0 * math.sqrt(bound / trials) if bound > 0 else 0.0
 
 
-def _error_sweep(
-    protocol: Protocol, instance: GhdInstance, trials: int, seed: int
-) -> tuple[float, float, int, int]:
-    """Error rate, halfwidth, and the min/max ledger totals over the trials."""
-    truth = instance.truth_bit()
-    errors = 0
-    min_bits = max_bits = None
-    for trial in range(trials):
-        outcome = protocol.run(instance.x, instance.y, derive_seed(seed, trial))
-        if outcome.output != truth:
-            errors += 1
-        bits = outcome.ledger.total_bits
-        min_bits = bits if min_bits is None else min(min_bits, bits)
-        max_bits = bits if max_bits is None else max(max_bits, bits)
-    rate = errors / trials
-    halfwidth = 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
-    return rate, halfwidth, min_bits, max_bits
-
-
-def _run_sampling_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
-    record = _blank_record("sampling", point)
-    n, lo, hi, s = point["n"], point["L"], point["U"], point["s"]
+def _sampling_setup(config: ExperimentConfig, n: int, lo: int, hi: int, s: float):
     params = derive_sampling_params(
         n, lo, hi, s, rate=config.rate, linear_rate_constant=config.linear_rate_constant
     )
-    record["m"] = params.trial_count
-    record["expected_bits"] = params.cost_bits
-    protocol = sampling_protocol(params)
-    close = GhdInstance.at_distance(n, lo, hi, lo, derive_seed(point_seed, 0))
-    far = GhdInstance.at_distance(n, lo, hi, hi, derive_seed(point_seed, 1))
-    err0, hw0, lo_bits0, hi_bits0 = _error_sweep(
-        protocol, close, config.trials, derive_seed(point_seed, 2)
-    )
-    err1, hw1, lo_bits1, hi_bits1 = _error_sweep(
-        protocol, far, config.trials, derive_seed(point_seed, 3)
-    )
-    bound = math.exp(-s)
-    slack = _three_sigma(bound, config.trials)
-    record.update(
-        measured_bits=max(hi_bits0, hi_bits1),
-        bits_ok=(
-            lo_bits0 == hi_bits0 == params.cost_bits
-            and lo_bits1 == hi_bits1 == params.cost_bits
-        ),
-        err_close=err0,
-        err_close_hw=hw0,
-        err_far=err1,
-        err_far_hw=hw1,
-        error_bound=bound,
-        bound_ok=(err0 <= bound + slack and err1 <= bound + slack),
-    )
-    return record
+    fields = {"m": params.trial_count, "expected_bits": params.cost_bits}
+    return sampling_protocol(params), fields
 
 
-def _run_sketch_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
-    record = _blank_record("sketch", point)
-    n, lo, hi, s = point["n"], point["L"], point["U"], point["s"]
+def _sketch_setup(config: ExperimentConfig, n: int, lo: int, hi: int, s: float):
     params = derive_sketch_params(n, lo, hi, s)
-    record.update(
-        block_count=params.block_count,
-        block_length=params.block_length,
-        word_width=params.word_width,
-        trivial_mode=params.trivial_mode,
-        expected_bits=sketch_cost(params),
-    )
-    protocol = sketch_protocol(params)
+    fields = {
+        "block_count": params.block_count,
+        "block_length": params.block_length,
+        "word_width": params.word_width,
+        "trivial_mode": params.trivial_mode,
+        "expected_bits": sketch_cost(params),
+    }
+    return sketch_protocol(params), fields
+
+
+_MONTE_CARLO_SETUPS = {"sampling": _sampling_setup, "sketch": _sketch_setup}
+
+
+def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
+    record = _blank_record(config.protocol, point)
+    n, lo, hi, s = point["n"], point["L"], point["U"], point["s"]
+    protocol, fields = _MONTE_CARLO_SETUPS[config.protocol](config, n, lo, hi, s)
+    record.update(fields)
+    expected = fields["expected_bits"]
     close = GhdInstance.at_distance(n, lo, hi, lo, derive_seed(point_seed, 0))
     far = GhdInstance.at_distance(n, lo, hi, hi, derive_seed(point_seed, 1))
-    err0, hw0, lo_bits0, hi_bits0 = _error_sweep(
+    (err0, hw0), lo_bits0, hi_bits0 = _error_trials(
         protocol, close, config.trials, derive_seed(point_seed, 2)
     )
-    err1, hw1, lo_bits1, hi_bits1 = _error_sweep(
+    (err1, hw1), lo_bits1, hi_bits1 = _error_trials(
         protocol, far, config.trials, derive_seed(point_seed, 3)
     )
     bound = math.exp(-s)
     slack = _three_sigma(bound, config.trials)
+    # the sketch's 0 side is exact: a single close-side error is a violation
+    close_ok = err0 == 0.0 if config.protocol == "sketch" else err0 <= bound + slack
     record.update(
         measured_bits=max(hi_bits0, hi_bits1),
         bits_ok=(
-            lo_bits0 == hi_bits0 == record["expected_bits"]
-            and lo_bits1 == hi_bits1 == record["expected_bits"]
+            lo_bits0 == hi_bits0 == expected
+            and lo_bits1 == hi_bits1 == expected
         ),
         err_close=err0,
         err_close_hw=hw0,
         err_far=err1,
         err_far_hw=hw1,
         error_bound=bound,
-        # the 0 side is exact: a single close-side error is a violation
-        bound_ok=(err0 == 0.0 and err1 <= bound + slack),
+        bound_ok=close_ok and err1 <= bound + slack,
     )
     return record
 
@@ -338,42 +318,56 @@ def prepare_codes(config: ExperimentConfig) -> None:
             save_code(greedy_covering_code(n, radius), path)
 
 
+def _exact_classes(config: ExperimentConfig, point_seed: int, n: int, gap: int, run):
+    """Run ``config.trials`` pairs x = y and distance in [gap, n] through ``run``.
+
+    ``run(x, y)`` returns an object with ``output`` and ``ledger``.  Returns
+    the error count on each class, the worst ledger total and the last run.
+    """
+    errors0 = errors1 = worst = 0
+    rng = random.Random(derive_seed(point_seed, 0))
+    for _ in range(config.trials):
+        x = BitString.random(n, rng)
+        outcome = run(x, x)
+        errors0 += outcome.output != 0
+        worst = max(worst, outcome.ledger.total_bits)
+        d = rng.randint(gap, n)
+        outcome = run(*random_pair_at_distance(n, d, rng.getrandbits(63)))
+        errors1 += outcome.output != 1
+        worst = max(worst, outcome.ledger.total_bits)
+    return errors0, errors1, worst, outcome
+
+
+def _exact_fields(config: ExperimentConfig, errors0: int, errors1: int) -> dict:
+    return {
+        "err_close": errors0 / config.trials,
+        "err_close_hw": 0.0,
+        "err_far": errors1 / config.trials,
+        "err_far_hw": 0.0,
+        "error_bound": 0.0,
+        "bound_ok": errors0 == 0 and errors1 == 0,
+    }
+
+
 def _run_det_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
     record = _blank_record("deterministic", point)
     n, gap = point["n"], point["t"]
     params = det_protocol_params(n, gap, code=_obtain_code(config, n, (gap - 1) // 2))
     lower, upper = det_complexity_bounds(n, gap)
+    protocol = det_protocol(params)
+    errors0, errors1, worst, _ = _exact_classes(
+        config, point_seed, n, gap, lambda x, y: protocol.run(x, y, 0)
+    )
     record.update(
+        _exact_fields(config, errors0, errors1),
         code_size=params.code.size,
         index_width=params.code.index_width,
         expected_bits=params.cost_bits,
         lower_bits=lower,
         upper_bits=upper,
-    )
-    protocol = det_protocol(params)
-    errors0 = errors1 = 0
-    worst = None
-    rng = random.Random(derive_seed(point_seed, 0))
-    for trial in range(config.trials):
-        x = BitString.random(n, rng)
-        outcome = protocol.run(x, x, 0)
-        errors0 += outcome.output != 0
-        worst = outcome.ledger.total_bits if worst is None else max(worst, outcome.ledger.total_bits)
-        d = rng.randint(gap, n)
-        x2, y2 = random_pair_at_distance(n, d, rng.getrandbits(63))
-        outcome = protocol.run(x2, y2, 0)
-        errors1 += outcome.output != 1
-        worst = max(worst, outcome.ledger.total_bits)
-    record.update(
         measured_bits=worst,
         bits_ok=worst == params.cost_bits,
         cost_in_bounds=lower <= worst <= upper,
-        err_close=errors0 / config.trials,
-        err_close_hw=0.0,
-        err_far=errors1 / config.trials,
-        err_far_hw=0.0,
-        error_bound=0.0,
-        bound_ok=(errors0 == 0 and errors1 == 0),
     )
     return record
 
@@ -381,51 +375,28 @@ def _run_det_point(config: ExperimentConfig, point: dict, point_seed: int) -> di
 def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
     record = _blank_record("streaming", point)
     n, c, p = point["n"], point["c"], point["p"]
-    if not 1.0 < c < 2.0:
-        raise ValueError("c must lie strictly between 1 and 2")
+    gap = stream_gap(n, c)
     if p < 1:
         raise ValueError("p must be >= 1")
-    gap = stream_gap(n, c)
-    record["t"] = gap
 
-    def make() -> ExactBitmapF0:
-        return ExactBitmapF0(2 * n, passes=p)
-
-    errors0 = errors1 = 0
-    worst_comm = 0
-    state_bits = None
-    rng = random.Random(derive_seed(point_seed, 0))
-    for trial in range(config.trials):
-        x = BitString.random(n, rng)
-        output, run = ghd_via_streaming(make, c, x, x, check_determinism=False)
-        errors0 += output != 0
-        worst_comm = max(worst_comm, run.communication_bits)
-        state_bits = run.state_bits
-        d = rng.randint(gap, n)
-        x2, y2 = random_pair_at_distance(n, d, rng.getrandbits(63))
-        output, run = ghd_via_streaming(make, c, x2, y2, check_determinism=False)
-        errors1 += output != 1
-        worst_comm = max(worst_comm, run.communication_bits)
-    lower = (n - log2_ball_volume(n, gap // 2)) / (2.0 * p)
+    make = lambda: ExactBitmapF0(2 * n, passes=p)
+    run = lambda x, y: ghd_via_streaming(make, c, x, y, check_determinism=False)[1]
+    errors0, errors1, worst, last = _exact_classes(config, point_seed, n, gap, run)
     record.update(
-        state_bits=state_bits,
-        expected_bits=2 * p * state_bits,
-        measured_bits=worst_comm,
-        bits_ok=worst_comm <= 2 * p * state_bits,
-        lower_bits=lower,
-        err_close=errors0 / config.trials,
-        err_close_hw=0.0,
-        err_far=errors1 / config.trials,
-        err_far_hw=0.0,
-        error_bound=0.0,
-        bound_ok=(errors0 == 0 and errors1 == 0),
+        _exact_fields(config, errors0, errors1),
+        t=gap,
+        state_bits=last.state_bits,
+        expected_bits=2 * p * last.state_bits,
+        measured_bits=worst,
+        bits_ok=worst <= 2 * p * last.state_bits,
+        lower_bits=(n - log2_ball_volume(n, gap // 2)) / (2.0 * p),
     )
     return record
 
 
 _POINT_RUNNERS = {
-    "sampling": _run_sampling_point,
-    "sketch": _run_sketch_point,
+    "sampling": _run_monte_carlo_point,
+    "sketch": _run_monte_carlo_point,
     "deterministic": _run_det_point,
     "streaming": _run_stream_point,
 }

@@ -113,7 +113,7 @@ class SharedRandomness:
 
     def value_at(self, position: int) -> int:
         """Random-access 64-bit value at a stream position."""
-        return mix64((self.seed + (position + 1) * _GOLDEN) & MASK64)
+        return StreamReader(self.seed, position).next_raw()
 
     def reader(self) -> "StreamReader":
         return StreamReader(self.seed)
@@ -308,7 +308,6 @@ def run_protocol(
     gens = {"a": alice_strategy(x, shared.reader()), "b": bob_strategy(y, shared.reader())}
     inbox: dict[str, deque] = {"a": deque(), "b": deque()}
     state = {"a": "ready", "b": "ready"}
-    started = {"a": False, "b": False}
     outputs: dict[str, int] = {}
     peer = {"a": "b", "b": "a"}
     ledger = ChannelLedger()
@@ -336,13 +335,9 @@ def run_protocol(
         side = active
         gen = gens[side]
         try:
-            if state[side] == "recv":
-                command = gen.send(inbox[side].popleft())
-            elif started[side]:
-                command = gen.send(None)
-            else:
-                started[side] = True
-                command = next(gen)
+            # send(None) also starts a fresh generator
+            message = inbox[side].popleft() if state[side] == "recv" else None
+            command = gen.send(message)
             state[side] = "ready"
         except StopIteration as stop:
             output = stop.value
@@ -418,13 +413,24 @@ def estimate_error_rate(
     The halfwidth is the 3-sigma Monte Carlo term ``3*sqrt(p*(1-p)/trials)``.
     Instances that violate the promise are rejected (no ground truth).
     """
+    return _error_trials(protocol, instance, trials, seed)[0]
+
+
+def _error_trials(
+    protocol: Protocol, instance: GhdInstance, trials: int, seed: int
+) -> tuple[ErrorEstimate, int, int]:
+    """The error estimate and the min and max ledger totals over the trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     truth = instance.truth_bit()
     errors = 0
+    min_bits = max_bits = None
     for trial in range(trials):
         outcome = protocol.run(instance.x, instance.y, derive_seed(seed, trial))
-        if outcome.output != truth:
-            errors += 1
+        errors += outcome.output != truth
+        bits = outcome.ledger.total_bits
+        min_bits = bits if min_bits is None else min(min_bits, bits)
+        max_bits = bits if max_bits is None else max(max_bits, bits)
     rate = errors / trials
-    return ErrorEstimate(rate, 3.0 * math.sqrt(rate * (1.0 - rate) / trials))
+    halfwidth = 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
+    return ErrorEstimate(rate, halfwidth), min_bits, max_bits

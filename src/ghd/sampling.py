@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bits import BitString
-from .runtime import RECV, Protocol, ProtocolOutcome, Send, SharedRandomness, StreamReader
+from .bits import BitString, _check_promise
+from .runtime import RECV, Protocol, Send, StreamReader
 
 __all__ = [
     "SamplingParams",
     "derive_sampling_params",
     "sampling_protocol",
-    "run_sampling_protocol",
 ]
 
 
@@ -60,13 +59,7 @@ def derive_sampling_params(
     ``rate="linear"`` uses the n * far_bound numerator with the given
     constant, for empirical comparison only.
     """
-    if not 0 <= close_bound < far_bound <= n:
-        raise ValueError(
-            f"need 0 <= close_bound < far_bound <= n, got "
-            f"({close_bound}, {far_bound}, n={n})"
-        )
-    if error_exponent <= 0:
-        raise ValueError("error_exponent must be positive")
+    _check_promise(n, close_bound, far_bound, error_exponent)
     gap = far_bound - close_bound
     if rate == "hoeffding":
         trials = math.ceil(2.0 * error_exponent * n * n / (gap * gap))
@@ -113,11 +106,3 @@ def sampling_protocol(params: SamplingParams) -> Protocol:
 
     return Protocol(name="sampling", alice=alice, bob=bob)
 
-
-def run_sampling_protocol(
-    x: BitString,
-    y: BitString,
-    params: SamplingParams,
-    shared: SharedRandomness | int,
-) -> ProtocolOutcome:
-    return sampling_protocol(params).run(x, y, shared)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, _check_promise
 from .runtime import (
     RECV,
     Protocol,
@@ -54,7 +54,6 @@ __all__ = [
     "GuaranteeFloorError",
     "guarantee_floor",
     "derive_sketch_params",
-    "gaussian_unit_vector",
     "quantize_projection",
     "alice_sketch",
     "bob_decide",
@@ -113,13 +112,7 @@ def derive_sketch_params(
     ``ValueError`` when grid indices would reach 2**53 (from about
     n = 2**17), beyond the integers float64 holds exactly.
     """
-    if not 0 <= close_bound < far_bound <= n:
-        raise ValueError(
-            f"need 0 <= close_bound < far_bound <= n, got "
-            f"({close_bound}, {far_bound}, n={n})"
-        )
-    if error_exponent <= 0:
-        raise ValueError("error_exponent must be positive")
+    _check_promise(n, close_bound, far_bound, error_exponent)
     floor = guarantee_floor(n, close_bound, far_bound)
     if error_exponent < floor and not allow_void_guarantee:
         raise GuaranteeFloorError(
@@ -161,18 +154,18 @@ def derive_sketch_params(
     )
 
 
-def gaussian_unit_vector(dim: int, reader: StreamReader) -> np.ndarray:
-    """One uniform unit-sphere vector read off the shared stream."""
-    return reader.unit_vector(dim)
+def quantize_projection(values, n: int) -> np.ndarray:
+    """Nearest grid indices m with m / n**3 closest to each value, ties to even.
 
-
-def quantize_projection(value: float, n: int) -> int:
-    """Nearest grid index m with m / n**3 closest to the value, ties to even."""
-    if abs(value) > math.sqrt(n) + 1e-9:
+    Returns int64 indices in the shape of ``values`` (0-d for a scalar).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    largest = float(np.abs(values).max(initial=0.0))
+    if not largest <= math.sqrt(n) + 1e-9:  # also rejects nan
         raise ValueError(
-            f"|value| = {abs(value)} exceeds sqrt(n); not a 0/1-block projection"
+            f"|value| = {largest} exceeds sqrt(n); not a 0/1-block projection"
         )
-    return round(value * n**3)
+    return np.rint(values * float(n**3)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,7 @@ class SketchMessage:
         magnitudes = encoded & magnitude_mask
         signs = encoded >> (width - 1)
         values = np.where(signs == 1, -magnitudes, magnitudes)
-        return cls(tuple(int(v) for v in values), width)
+        return cls(tuple(values.tolist()), width)
 
 
 @dataclass(frozen=True)
@@ -231,27 +224,27 @@ class SketchStatistics:
     decision: int
 
 
-def _blocks(x: BitString, params: SketchParams) -> np.ndarray:
+def _project(x: BitString, params: SketchParams, vectors: np.ndarray) -> np.ndarray:
+    """Per-block projections of the zero-padded input onto the shared vectors."""
     padded = np.zeros(params.padded_length, dtype=np.float64)
     padded[: x.length] = x.bit_array()
-    return padded.reshape(params.block_count, params.block_length)
+    return (padded.reshape(params.block_count, params.block_length) * vectors).sum(axis=1)
 
 
-def _shared_vectors(params: SketchParams, reader: StreamReader) -> np.ndarray:
+def _shared_vectors(params: SketchParams, reader: StreamReader, *inputs: BitString) -> np.ndarray:
     # Fresh projection vectors per run; both parties read the same positions.
+    if params.trivial_mode:
+        raise ValueError("trivial-mode parameters have no projections: inputs go verbatim")
+    if any(x.length != params.n for x in inputs):
+        raise ValueError("input length does not match the parameters")
     return reader.unit_vectors(params.block_count, params.block_length)
 
 
 def alice_sketch(x: BitString, params: SketchParams, reader: StreamReader) -> SketchMessage:
     """Project, quantize, and package Alice's side of the sketch."""
-    if params.trivial_mode:
-        raise ValueError("trivial-mode parameters: send the input verbatim instead")
-    if x.length != params.n:
-        raise ValueError("input length does not match the parameters")
-    vectors = _shared_vectors(params, reader)
-    projections = (_blocks(x, params) * vectors).sum(axis=1)
-    indices = np.rint(projections * float(params.grid_denominator)).astype(np.int64)
-    return SketchMessage(tuple(int(v) for v in indices), params.word_width)
+    projections = _project(x, params, _shared_vectors(params, reader, x))
+    indices = quantize_projection(projections, params.n)
+    return SketchMessage(tuple(indices.tolist()), params.word_width)
 
 
 def bob_decide(
@@ -265,12 +258,7 @@ def bob_decide(
     The returned statistics carry ``exact_statistic=None``: the production
     decision uses the received statistic alone.
     """
-    if params.trivial_mode:
-        raise ValueError("trivial-mode parameters: compare the inputs directly instead")
-    if y.length != params.n:
-        raise ValueError("input length does not match the parameters")
-    vectors = _shared_vectors(params, reader)
-    own = (_blocks(y, params) * vectors).sum(axis=1)
+    own = _project(y, params, _shared_vectors(params, reader, y))
     received = np.asarray(message.grid_indices, dtype=np.float64) / float(
         params.grid_denominator
     )
@@ -291,14 +279,10 @@ def sketch_statistics(
     point operations both parties perform, so the decision here matches the
     protocol decision for the same seed.
     """
-    if params.trivial_mode:
-        raise ValueError("trivial-mode parameters have no projection statistics")
-    reader = _as_shared(shared).reader()
-    vectors = _shared_vectors(params, reader)
-    alice_proj = (_blocks(x, params) * vectors).sum(axis=1)
-    bob_proj = (_blocks(y, params) * vectors).sum(axis=1)
-    indices = np.rint(alice_proj * float(params.grid_denominator)).astype(np.int64)
-    received = indices.astype(np.float64) / float(params.grid_denominator)
+    vectors = _shared_vectors(params, _as_shared(shared).reader(), x, y)
+    alice_proj = _project(x, params, vectors)
+    bob_proj = _project(y, params, vectors)
+    received = quantize_projection(alice_proj, params.n) / float(params.grid_denominator)
     exact = float(((alice_proj - bob_proj) ** 2).sum())
     quantized = float(((received - bob_proj) ** 2).sum())
     decision = 1 if quantized > params.threshold else 0

@@ -24,11 +24,13 @@ The metered memory S is the maximum snapshot bit length observed during the
 run — exactly what the reduction communicates.  Algorithms must be
 deterministic; the harness replays every run and raises on any divergence.
 
-Stream fixture format: one decimal token per line.
+Stream fixture format: one token per line, a positive decimal with no sign,
+underscore or leading zero.
 
-Two algorithms ship with the module: :class:`ExactBitmapF0` (a presence
-bitmap over the universe, S = 2n, exact) and :class:`TruncatedBitmapF0`
-(a deliberately undersized bitmap for the falsification harness).
+Two algorithms ship with the module, sharing one bitmap implementation:
+:class:`ExactBitmapF0` (a presence bitmap over the universe, S = 2n, exact)
+and its subclass :class:`TruncatedBitmapF0` (a deliberately undersized
+bitmap for the falsification harness).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .bits import BitString, log2_ball_volume, random_pair_at_distance
+from .bits import BitString, _parse_decimal, log2_ball_volume, random_pair_at_distance
 from .runtime import (
     RECV,
     ChannelLedger,
@@ -73,6 +75,11 @@ __all__ = [
 ]
 
 
+def _check_factor(approx_factor: float) -> None:
+    if not 1.0 < approx_factor < 2.0:
+        raise ValueError("c must lie strictly between 1 and 2")
+
+
 @lru_cache(maxsize=256)
 def stream_gap(n: int, approx_factor: float) -> int:
     """The promise gap ``ceil(n * (approx_factor - 1))``, computed exactly.
@@ -81,6 +88,7 @@ def stream_gap(n: int, approx_factor: float) -> int:
     in float arithmetic ``10 * (1.1 - 1.0)`` exceeds 1 and the ceiling would
     come out one too large.  Cached because every protocol run asks for it.
     """
+    _check_factor(approx_factor)
     return math.ceil(n * (Fraction(str(approx_factor)) - 1))
 
 
@@ -126,6 +134,7 @@ class ExactBitmapF0(StreamingAlgorithm):
         if passes < 1:
             raise ValueError("passes must be >= 1")
         self.universe_size = universe_size
+        self.capacity_bits = universe_size
         self.passes = passes
         self._bitmap = 0
 
@@ -138,19 +147,19 @@ class ExactBitmapF0(StreamingAlgorithm):
         self._bitmap |= 1 << (token - 1)
 
     def snapshot(self) -> StateSnapshot:
-        nbytes = (self.universe_size + 7) // 8
-        return StateSnapshot(self._bitmap.to_bytes(nbytes, "big"), self.universe_size)
+        nbytes = (self.capacity_bits + 7) // 8
+        return StateSnapshot(self._bitmap.to_bytes(nbytes, "big"), self.capacity_bits)
 
     def restore(self, snapshot: StateSnapshot) -> None:
-        if snapshot.bit_length != self.universe_size:
-            raise ValueError("snapshot does not match this universe size")
+        if snapshot.bit_length != self.capacity_bits:
+            raise ValueError("snapshot does not match this bitmap's size")
         self._bitmap = int.from_bytes(snapshot.data, "big")
 
     def estimate(self) -> int:
         return self._bitmap.bit_count()
 
 
-class TruncatedBitmapF0(StreamingAlgorithm):
+class TruncatedBitmapF0(ExactBitmapF0):
     """Bitmap over only the first capacity_bits tokens: deliberately unsound.
 
     Tokens above the capacity are dropped, so the estimate undercounts;
@@ -158,42 +167,26 @@ class TruncatedBitmapF0(StreamingAlgorithm):
     """
 
     def __init__(self, universe_size: int, capacity_bits: int, passes: int = 1) -> None:
+        super().__init__(universe_size, passes)
         if not 1 <= capacity_bits <= universe_size:
             raise ValueError("capacity must be in [1, universe_size]")
-        self.universe_size = universe_size
         self.capacity_bits = capacity_bits
-        self.passes = passes
-        self._bitmap = 0
-
-    def start_pass(self, pass_index: int) -> None:
-        pass
 
     def consume(self, token: int) -> None:
-        if not 1 <= token <= self.universe_size:
-            raise ValueError(f"token {token} outside universe [1, {self.universe_size}]")
-        if token <= self.capacity_bits:
-            self._bitmap |= 1 << (token - 1)
-
-    def snapshot(self) -> StateSnapshot:
-        nbytes = (self.capacity_bits + 7) // 8
-        return StateSnapshot(self._bitmap.to_bytes(nbytes, "big"), self.capacity_bits)
-
-    def restore(self, snapshot: StateSnapshot) -> None:
-        if snapshot.bit_length != self.capacity_bits:
-            raise ValueError("snapshot does not match this capacity")
-        self._bitmap = int.from_bytes(snapshot.data, "big")
-
-    def estimate(self) -> int:
-        return self._bitmap.bit_count()
+        if not self.capacity_bits < token <= self.universe_size:
+            super().consume(token)
 
 
 def encode_streams(x: BitString, y: BitString, n: int) -> tuple[list[int], list[int]]:
     """Token streams ``u_i = n * x_i + i`` and ``v_i = n * y_i + i`` (i from 1)."""
     if x.length != n or y.length != n:
         raise ValueError("input lengths do not match n")
-    u = [n * x.bit(i - 1) + i for i in range(1, n + 1)]
-    v = [n * y.bit(i - 1) + i for i in range(1, n + 1)]
-    return u, v
+    return _tokens(x), _tokens(y)
+
+
+def _tokens(x: BitString) -> list[int]:
+    n = x.length
+    return [n * x.bit(i - 1) + i for i in range(1, n + 1)]
 
 
 def exact_f0(stream: Iterable[int]) -> int:
@@ -247,12 +240,11 @@ def streaming_protocol(
     ``meter`` is given it records every handoff's bit length (for metering S)
     and Bob's final estimate.
     """
-    if not 1.0 < approx_factor < 2.0:
-        raise ValueError("approx_factor must lie strictly between 1 and 2")
+    _check_factor(approx_factor)
 
     def alice(x: BitString, reader: StreamReader):
         machine = algorithm_factory()
-        tokens = [x.length * x.bit(i - 1) + i for i in range(1, x.length + 1)]
+        tokens = _tokens(x)
         passes = machine.passes
         for pass_index in range(passes):
             if pass_index == 0:
@@ -274,7 +266,7 @@ def streaming_protocol(
         machine = algorithm_factory()
         n = y.length
         gap = stream_gap(n, approx_factor)
-        tokens = [n * y.bit(i - 1) + i for i in range(1, n + 1)]
+        tokens = _tokens(y)
         passes = machine.passes
         for pass_index in range(passes):
             payload, width = yield RECV
@@ -395,11 +387,9 @@ def space_lower_bound(n: int, approx_factor: float, passes: int) -> SpaceBound:
     to an O(log n) term.  ``asymptotic`` is the familiar
     ``n * (2 - approx_factor)**2 / passes`` shape, for comparison.
     """
-    if not 1.0 < approx_factor < 2.0:
-        raise ValueError("approx_factor must lie strictly between 1 and 2")
+    gap = stream_gap(n, approx_factor)
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    gap = stream_gap(n, approx_factor)
     precursor = (n - log2_ball_volume(n, gap // 2)) / (2.0 * passes)
     asymptotic = n * (2.0 - approx_factor) ** 2 / passes
     return SpaceBound(gap, precursor, asymptotic)
@@ -452,4 +442,21 @@ def write_stream_fixture(tokens: Sequence[int], path: str | Path) -> None:
 
 
 def read_stream_fixture(path: str | Path) -> list[int]:
-    return [int(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    """Tokens of a fixture: positive plain decimals, one per line.
+
+    A bad line raises ``ValueError`` naming the file and the line.
+    """
+    tokens = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            token = _parse_decimal(line.strip())
+            if token < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"{path}, line {lineno}: not a positive decimal token: {line!r}"
+            ) from None
+        tokens.append(token)
+    return tokens

@@ -21,7 +21,6 @@ from ghd.covering import (
     nearest_codeword,
     popcount_table,
     random_covering_code,
-    run_det_protocol,
     save_code,
     set_diameter,
 )
@@ -240,11 +239,11 @@ def test_decode_table_matches_linear_scan():
 def test_det_protocol_diagonal_and_far_examples():
     params = det_protocol_params(10, 4)
     x, _ = random_pair_at_distance(10, 0, seed=7)
-    outcome = run_det_protocol(x, x, params)
+    outcome = det_protocol(params).run(x, x, 0)
     assert outcome.output == 0
     assert outcome.ledger.total_bits == params.cost_bits
     far_x, far_y = random_pair_at_distance(10, 4, seed=8)
-    assert run_det_protocol(far_x, far_y, params).output == 1
+    assert det_protocol(params).run(far_x, far_y, 0).output == 1
 
 
 def test_det_protocol_zero_error_randomized():
@@ -252,10 +251,10 @@ def test_det_protocol_zero_error_randomized():
     rng = random.Random(9)
     for _ in range(300):
         x = BitString.random(12, rng)
-        assert run_det_protocol(x, x, params).output == 0
+        assert det_protocol(params).run(x, x, 0).output == 0
         d = rng.randint(5, 12)
         a, b = random_pair_at_distance(12, d, rng.getrandbits(62))
-        assert run_det_protocol(a, b, params).output == 1
+        assert det_protocol(params).run(a, b, 0).output == 1
 
 
 def test_det_protocol_zero_error_broad_sweep():
@@ -290,9 +289,9 @@ def test_gap_equals_n_costs_two_bits():
     assert params.code.size == 2
     assert params.cost_bits == 2
     x, _ = random_pair_at_distance(7, 0, seed=10)
-    assert run_det_protocol(x, x, params).output == 0
+    assert det_protocol(params).run(x, x, 0).output == 0
     a = BitString.from_text("1010101")
-    assert run_det_protocol(a, a.complement(), params).output == 1
+    assert det_protocol(params).run(a, a.complement(), 0).output == 1
 
 
 # -------------------------------------------------------------- bounds
@@ -323,7 +322,7 @@ def test_measured_cost_within_bounds_sweep():
             params = det_protocol_params(n, gap)
             lower, upper = det_complexity_bounds(n, gap)
             x, _ = random_pair_at_distance(n, 0, seed=11)
-            cost = run_det_protocol(x, x, params).ledger.total_bits
+            cost = det_protocol(params).run(x, x, 0).ledger.total_bits
             assert cost == params.cost_bits
             assert lower <= cost <= upper, (n, gap, cost, lower, upper)
 
@@ -417,6 +416,8 @@ def test_loaded_permuted_radius_zero_code_is_zero_error(tmp_path):
         ("8 1 2\n00\n0\n", 3),
         ("6 1 2\n00\n7f\n", 3),  # wider than n bits
         ("4 5 1\n0\n", 1),  # radius out of range
+        ("+8 0_1 1\n00\n", 1),  # non-canonical header numbers
+        ("\u0668 1 1\n00\n", 1),  # Arabic-Indic eight
     ],
 )
 def test_load_errors_name_file_and_line(tmp_path, text, line):

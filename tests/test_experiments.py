@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,6 +11,8 @@ from ghd.experiments import (
     parse_config,
     run_experiment,
 )
+from ghd.sampling import derive_sampling_params
+from ghd.sketch import derive_sketch_params
 
 SKETCH_CONFIG = """
 # small sketch sweep
@@ -188,3 +191,90 @@ def test_config_validation():
         ExperimentConfig(protocol="sketch", grid=(), output_format="xml")
     with pytest.raises(ValueError):
         ExperimentConfig(protocol="sketch", grid=(), trials=0)
+
+
+# ------------------------------------------------------- pinned reports
+
+# Small sweeps of all four protocols, with one row for each skip reason:
+# missing key, L >= U, s <= 0, s below the guarantee floor, t > n,
+# c outside (1, 2) and p < 1.  n=200 L=0 U=3 s=1 is a trivial-mode sketch.
+DIGEST_SWEEPS = {
+    "sampling-hoeffding": (
+        "protocol = sampling\ntrials = 40\nseed = 11\n"
+        "point n=64 L=2 U=40 s=1\npoint n=96 L=4 U=48 s=2.5\npoint n=64 L=10 U=30 s=0.3\n"
+        "point n=64 L=2 U=40\npoint n=64 L=40 U=40 s=1\npoint n=64 L=2 U=40 s=0\n",
+        "f865bfc8c8cfbd0bbb4d06e827ae189c2886d245a9d974118cb2090a20a650c8",
+    ),
+    "sampling-linear": (
+        "protocol = sampling\ntrials = 40\nseed = 12\nrate = linear\nlinear_rate_constant = 6.5\n"
+        "point n=64 L=2 U=40 s=1\npoint n=96 L=4 U=48 s=2.5\n"
+        "point n=64 L=41 U=40 s=1\npoint L=2 U=40 s=1\n",
+        "889e1b4ba7757e724225912b6e1d4328d027f78d0845884e5f8d2dc98e317985",
+    ),
+    "sketch": (
+        "protocol = sketch\ntrials = 40\nseed = 13\n"
+        "point n=64 L=1 U=32 s=1\npoint n=64 L=1 U=32 s=0.01\npoint n=96 L=2 U=48 s=2\n"
+        "point n=200 L=0 U=3 s=1\npoint n=64 L=2 U=40 s=0.0001\n"
+        "point n=64 L=40 U=40 s=1\npoint n=64 L=2 s=1\n",
+        "c13c2dd52ec7ecd14aca9a15f85a556eac0a61fab5a9f87a9fc4b6c75ead3ab3",
+    ),
+    "det": (
+        "protocol = det\ntrials = 60\nseed = 14\ncode_dir = {code_dir}\n"
+        "point n=10 t=4\npoint n=8 t=8\npoint n=9 t=1\npoint n=8 t=9\npoint n=8\n",
+        "d7784489d5b5743eddcf89a1c60e84cd8e98eb1f232e67b962ee6fc2362adc09",
+    ),
+    "stream": (
+        "protocol = stream\ntrials = 20\nseed = 15\n"
+        "point n=40 c=1.5 p=2\npoint n=24 c=1.1 p=1\npoint n=40 c=2.5 p=1\n"
+        "point n=40 c=1.5 p=0\npoint n=40 p=1\n",
+        "6551a6450c1d24400f912ed848a327973c1baf65b7e725c813314f3e7c08a383",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_SWEEPS))
+def test_reports_match_parent_digests(tmp_path, name):
+    text, digest = DIGEST_SWEEPS[name]
+    report = run_experiment(parse_config(text.format(code_dir=tmp_path / "codes")))
+    assert hashlib.sha256((report.to_csv() + report.to_json()).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------- bad inputs
+
+
+@pytest.mark.parametrize("protocol", ["sampling", "sketch"])
+@pytest.mark.parametrize(
+    "s, reason",
+    [
+        ("inf", "error_exponent must be finite"),
+        ("1e400", "error_exponent must be finite"),
+        ("nan", "error_exponent must be finite"),
+        ("-inf", "error_exponent must be positive"),
+        ("0", "error_exponent must be positive"),
+    ],
+)
+def test_bad_error_exponent_skips_one_row(protocol, s, reason):
+    derive = derive_sampling_params if protocol == "sampling" else derive_sketch_params
+    with pytest.raises(ValueError, match=reason):
+        derive(64, 2, 40, float(s))
+    config = parse_config(
+        f"protocol = {protocol}\ntrials = 5\npoint n=64 L=2 U=40 s={s}\npoint n=64 L=2 U=40 s=1\n"
+    )
+    bad, good = run_experiment(config).records
+    assert (bad["status"], bad["reason"]) == ("skipped", reason)
+    assert good["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("protocol = sketch\npoint n=abc L=2 U=40 s=1\n", "line 2: key 'n'"),
+        ("protocol = sketch\npoint n=64 L=2 U=40 s=two\n", "line 2: key 's'"),
+        ("protocol = sketch\ntrials = x\n", "line 2: key 'trials'"),
+        ("# seeds\nseed = 1.5\nprotocol = sketch\n", "line 2: key 'seed'"),
+        ("protocol = sampling\nlinear_rate_constant = fast\n", "line 2: key 'linear_rate_constant'"),
+    ],
+)
+def test_parse_config_errors_name_line_and_key(text, where):
+    with pytest.raises(ValueError, match=where):
+        parse_config(text)

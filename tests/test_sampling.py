@@ -4,7 +4,7 @@ import pytest
 
 from ghd.bits import GhdInstance, random_pair_at_distance
 from ghd.runtime import SharedRandomness, estimate_error_rate
-from ghd.sampling import derive_sampling_params, run_sampling_protocol, sampling_protocol
+from ghd.sampling import derive_sampling_params, sampling_protocol
 
 
 def test_derived_trial_counts():
@@ -33,7 +33,7 @@ def test_equal_inputs_always_answer_zero():
     params = derive_sampling_params(64, 8, 40, 1)
     x, _ = random_pair_at_distance(64, 0, seed=0)
     for seed in range(50):
-        assert run_sampling_protocol(x, x, params, seed).output == 0
+        assert sampling_protocol(params).run(x, x, seed).output == 0
 
 
 def test_complement_inputs_always_answer_one():
@@ -41,14 +41,14 @@ def test_complement_inputs_always_answer_one():
     x, _ = random_pair_at_distance(64, 0, seed=1)
     y = x.complement()
     for seed in range(50):
-        assert run_sampling_protocol(x, y, params, seed).output == 1
+        assert sampling_protocol(params).run(x, y, seed).output == 1
 
 
 def test_cost_is_exactly_m_plus_one_every_run():
     params = derive_sampling_params(50, 5, 30, 1.5)
     x, y = random_pair_at_distance(50, 17, seed=2)
     for seed in range(30):
-        outcome = run_sampling_protocol(x, y, params, seed)
+        outcome = sampling_protocol(params).run(x, y, seed)
         assert outcome.ledger.total_bits == params.trial_count + 1
         assert outcome.ledger.bits_alice_to_bob == params.trial_count
         assert outcome.ledger.bits_bob_to_alice == 1
@@ -80,7 +80,7 @@ def test_mismatch_count_monotone_under_extra_flip():
         pytest.skip("no sampled agreeing coordinate for this seed")
 
     def mismatches(yy):
-        outcome = run_sampling_protocol(x, yy, params, shared)
+        outcome = sampling_protocol(params).run(x, yy, shared)
         payload = outcome.ledger.messages[0].payload
         width = outcome.ledger.messages[0].width
         return sum(
@@ -95,7 +95,7 @@ def test_mismatch_count_monotone_under_extra_flip():
 def test_deterministic_given_seed():
     params = derive_sampling_params(40, 5, 25, 1)
     x, y = random_pair_at_distance(40, 25, seed=8)
-    a = run_sampling_protocol(x, y, params, 123)
-    b = run_sampling_protocol(x, y, params, 123)
+    a = sampling_protocol(params).run(x, y, 123)
+    b = sampling_protocol(params).run(x, y, 123)
     assert a.output == b.output
     assert a.ledger.messages == b.ledger.messages

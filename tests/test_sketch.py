@@ -13,7 +13,6 @@ from ghd.sketch import (
     alice_sketch,
     bob_decide,
     derive_sketch_params,
-    gaussian_unit_vector,
     guarantee_floor,
     quantize_projection,
     sketch_cost,
@@ -103,7 +102,7 @@ def test_padding_satisfies_block_identity_over_sweep():
 
 def test_unit_vector_dim1_is_sign():
     reader = SharedRandomness(1).reader()
-    values = {float(gaussian_unit_vector(1, reader)[0]) for _ in range(50)}
+    values = {float(reader.unit_vector(1)[0]) for _ in range(50)}
     assert values <= {1.0, -1.0}
     assert len(values) == 2
 
@@ -111,7 +110,7 @@ def test_unit_vector_dim1_is_sign():
 def test_unit_vector_norm():
     reader = SharedRandomness(2).reader()
     for dim in (2, 3, 8, 33):
-        v = gaussian_unit_vector(dim, reader)
+        v = reader.unit_vector(dim)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 

@@ -234,3 +234,23 @@ def test_stream_fixture_round_trip(tmp_path):
     write_stream_fixture(tokens, path)
     assert path.read_text() == "5\n2\n7\n4\n4\n"
     assert read_stream_fixture(path) == tokens
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("5\nabc\n", 2),
+        ("5\n\n+2\n", 3),
+        ("1_0\n", 1),
+        ("4\n-4\n", 2),
+        ("٣\n", 1),  # Arabic-Indic three
+        ("0\n", 1),
+        ("07\n", 1),
+        ("3 4\n", 1),
+    ],
+)
+def test_fixture_errors_name_file_and_line(tmp_path, text, line):
+    path = tmp_path / "stream.tokens"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"stream\.tokens, line {line}:"):
+        read_stream_fixture(path)
