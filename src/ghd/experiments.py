@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bits import BitString, GhdInstance, log2_ball_volume, random_pair_at_distance
-from .runtime import _error_trials, derive_seed
+from .runtime import DEFAULT_BUDGET_FACTOR, _error_trials, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_cost, sketch_protocol
 from .covering import (
@@ -263,6 +263,12 @@ def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: in
     protocol, fields = _MONTE_CARLO_SETUPS[config.protocol](config, n, lo, hi, s)
     record.update(fields)
     expected = fields["expected_bits"]
+    budget = DEFAULT_BUDGET_FACTOR * n * n
+    if expected > budget:
+        raise ValueError(
+            f"expected cost {expected} bits exceeds the run budget "
+            f"{budget} bits ({DEFAULT_BUDGET_FACTOR} n**2)"
+        )
     close = GhdInstance.at_distance(n, lo, hi, lo, derive_seed(point_seed, 0))
     far = GhdInstance.at_distance(n, lo, hi, hi, derive_seed(point_seed, 1))
     (err0, hw0), lo_bits0, hi_bits0 = _error_trials(

@@ -29,6 +29,12 @@ parties can lazily read identical positions without coordination.  Gaussian
 coordinates consume exactly two stream positions each (Box-Muller, cosine
 branch).
 
+A draw of unit vectors is a pure function of (seed, position, rows, dim), so
+the readers of one :class:`SharedRandomness` share a memo of them: within a
+run the first party to ask computes the vectors, the second gets the same
+read-only array, and each reader's cursor advances by exactly the positions
+the draw used.  A :class:`StreamReader` built directly has no memo.
+
 Transcript dump format (debugging): one line per message,
 ``direction bitcount hex-payload``, e.g. ``a->b 4 c``.
 """
@@ -110,21 +116,24 @@ class SharedRandomness:
     """
 
     seed: int
+    # (position, rows, dim) -> (read-only unit vectors, end position)
+    _draws: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def value_at(self, position: int) -> int:
         """Random-access 64-bit value at a stream position."""
         return StreamReader(self.seed, position).next_raw()
 
     def reader(self) -> "StreamReader":
-        return StreamReader(self.seed)
+        return StreamReader(self.seed, draws=self._draws)
 
 
 class StreamReader:
     """Sequential cursor over a shared counter-based random stream."""
 
-    def __init__(self, seed: int, position: int = 0) -> None:
+    def __init__(self, seed: int, position: int = 0, draws: dict | None = None) -> None:
         self.seed = seed & MASK64
         self.position = position
+        self._draws = draws
 
     def _raw_block(self, count: int) -> np.ndarray:
         positions = np.arange(self.position + 1, self.position + count + 1, dtype=np.uint64)
@@ -169,16 +178,27 @@ class StreamReader:
 
         Normalized Gaussian vectors; an all-zero draw (probability zero in
         exact arithmetic) is redrawn from the following stream positions.
+        A reader from :meth:`SharedRandomness.reader` returns the memoized
+        read-only array when a reader of the same stream drew it already.
         """
         if dim < 1:
             raise ValueError("dim must be >= 1")
+        key = (self.position, rows, dim)
+        hit = self._draws.get(key) if self._draws is not None else None
+        if hit is not None:
+            vectors, self.position = hit
+            return vectors
         g = self.gaussians(rows * dim).reshape(rows, dim)
         norms = np.sqrt((g * g).sum(axis=1))
         while (norms == 0.0).any():
             bad = norms == 0.0
             g[bad] = self.gaussians(int(bad.sum()) * dim).reshape(-1, dim)
             norms = np.sqrt((g * g).sum(axis=1))
-        return g / norms[:, None]
+        vectors = g / norms[:, None]
+        if self._draws is not None:
+            vectors.flags.writeable = False
+            self._draws[key] = (vectors, self.position)
+        return vectors
 
 
 @dataclass(frozen=True)

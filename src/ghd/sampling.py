@@ -57,19 +57,24 @@ def derive_sampling_params(
 
     ``rate="hoeffding"`` (default) uses the provable quadratic count;
     ``rate="linear"`` uses the n * far_bound numerator with the given
-    constant, for empirical comparison only.
+    constant (finite and positive), for empirical comparison only.  Raises
+    ``ValueError`` when the count overflows float64.
     """
     _check_promise(n, close_bound, far_bound, error_exponent)
     gap = far_bound - close_bound
     if rate == "hoeffding":
-        trials = math.ceil(2.0 * error_exponent * n * n / (gap * gap))
+        trials = 2.0 * error_exponent * n * n / (gap * gap)
     elif rate == "linear":
-        trials = math.ceil(
-            linear_rate_constant * error_exponent * n * far_bound / (gap * gap)
-        )
+        if not 0 < linear_rate_constant < math.inf:  # also rejects nan
+            raise ValueError(
+                f"linear_rate_constant must be finite and positive, got {linear_rate_constant}"
+            )
+        trials = linear_rate_constant * error_exponent * n * far_bound / (gap * gap)
     else:
         raise ValueError(f"unknown rate {rate!r}")
-    return SamplingParams(n, close_bound, far_bound, error_exponent, max(1, trials))
+    if not math.isfinite(trials):
+        raise ValueError(f"trial count {trials} is not finite")
+    return SamplingParams(n, close_bound, far_bound, error_exponent, max(1, math.ceil(trials)))
 
 
 def _sample_indices(params: SamplingParams, reader: StreamReader) -> list[int]:

@@ -23,7 +23,9 @@ one sign bit (1 = negative) followed by ``word_width - 1`` magnitude bits.
 ``word_width = ceil(log2(2 * floor(sqrt(block_length)) * n**3 + 1)) + 1``,
 wide enough for every reachable grid index, so the serialized length is
 exactly ``block_count * word_width`` bits and transcripts replay across
-implementations.
+implementations.  The decoder rejects a word with the sign bit set on
+magnitude 0 (never sent) and a magnitude above
+:attr:`SketchParams.max_grid_index`.
 
 When ``block_count`` would exceed n the whole exercise is pointless and the
 protocol degenerates to Alice sending her input verbatim (n + 1 bits total);
@@ -94,6 +96,18 @@ class SketchParams:
     def grid_denominator(self) -> int:
         # quantization grid step is 1 / n**3
         return self.n**3
+
+    @property
+    def max_grid_index(self) -> int:
+        """Largest |grid index| the quantizer can produce on these parameters.
+
+        A projection of a 0/1 block onto a unit vector is at most
+        a = sqrt(block_length) in exact arithmetic, so its index is at most
+        round(a * n**3) <= floor(a * n**3) + 1.  The float64 projection and
+        product add at most (2 * block_length + 4) units in 2**53 of it.
+        """
+        exact = math.isqrt(self.block_length * self.n**6) + 1
+        return exact - (-exact * (2 * self.block_length + 4) >> 53)
 
 
 def derive_sketch_params(
@@ -168,30 +182,61 @@ def quantize_projection(values, n: int) -> np.ndarray:
     return np.rint(values * float(n**3)).astype(np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchMessage:
-    """Quantized projections as transmitted: signed grid indices."""
+    """Quantized projections as transmitted: signed grid indices.
 
-    grid_indices: tuple[int, ...]
+    ``grid_indices`` is held as a read-only int64 array (a tuple or list is
+    converted); messages compare and hash by value.
+    """
+
+    grid_indices: np.ndarray
     word_width: int
+
+    def __post_init__(self) -> None:
+        indices = np.array(self.grid_indices, dtype=np.int64)
+        if indices.ndim != 1:
+            raise ValueError("grid indices must be one-dimensional")
+        indices.flags.writeable = False
+        object.__setattr__(self, "grid_indices", indices)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SketchMessage):
+            return NotImplemented
+        return (
+            self.word_width == other.word_width
+            and self.grid_indices.tobytes() == other.grid_indices.tobytes()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.word_width, self.grid_indices.tobytes()))
 
     @property
     def bit_length(self) -> int:
         return len(self.grid_indices) * self.word_width
 
     def to_payload(self) -> int:
+        # Each sign-magnitude word is shifted to the top of a big-endian
+        # 64-bit word, whose first ``width`` bits are then packed.
         width = self.word_width
-        magnitude_bits = width - 1
-        values = np.asarray(self.grid_indices, dtype=np.int64)
-        encoded = np.where(values < 0, -values | (1 << magnitude_bits), values)
-        shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-        bits = ((encoded[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        packed = np.packbits(bits.ravel())
+        values = self.grid_indices
+        largest = max(values.max(initial=0), -values.min(initial=0))
+        if not 1 < width <= 64 or largest >> (width - 1):
+            raise ValueError(f"grid indices do not fit {width}-bit sign-magnitude words")
+        encoded = np.where(values < 0, -values | (1 << (width - 1)), values)
+        top = (encoded.astype(np.uint64) << np.uint64(64 - width)).astype(">u8")
+        words = np.unpackbits(top.view(np.uint8).reshape(-1, 8), axis=1, count=width)
         pad = (-self.bit_length) % 8
-        return int.from_bytes(packed.tobytes(), "big") >> pad
+        return int.from_bytes(np.packbits(words).tobytes(), "big") >> pad
 
     @classmethod
     def from_payload(cls, payload: int, params: SketchParams) -> "SketchMessage":
+        """Decode a payload; rejects negative zero and unreachable magnitudes.
+
+        Raises ``ValueError`` naming the first block whose word has the sign
+        bit set on magnitude 0, or a magnitude above
+        :attr:`SketchParams.max_grid_index`.
+        """
         width = params.word_width
         count = params.block_count
         total = count * width
@@ -199,14 +244,19 @@ class SketchMessage:
             raise ValueError("payload does not fit the declared message length")
         pad = (-total) % 8
         data = (payload << pad).to_bytes((total + pad) // 8, "big")
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:total]
-        weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-        encoded = bits.reshape(count, width).astype(np.int64) @ weights
-        magnitude_mask = (1 << (width - 1)) - 1
-        magnitudes = encoded & magnitude_mask
-        signs = encoded >> (width - 1)
-        values = np.where(signs == 1, -magnitudes, magnitudes)
-        return cls(tuple(values.tolist()), width)
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=total)
+        words = np.zeros((count, 64), dtype=np.uint8)
+        words[:, 64 - width :] = bits.reshape(count, width)
+        encoded = np.packbits(words, axis=1).view(">u8").ravel().astype(np.int64)
+        sign = 1 << (width - 1)
+        magnitudes = encoded & (sign - 1)
+        limit = params.max_grid_index
+        if magnitudes.max(initial=0) > limit or (encoded == sign).any():
+            block = int(np.flatnonzero((magnitudes > limit) | (encoded == sign))[0])
+            magnitude = int(magnitudes[block])
+            fault = f"magnitude {magnitude} exceeds {limit}" if magnitude else "negative zero"
+            raise ValueError(f"sketch payload block {block}: {fault}")
+        return cls(np.where(encoded >= sign, -magnitudes, magnitudes), width)
 
 
 @dataclass(frozen=True)
@@ -243,8 +293,7 @@ def _shared_vectors(params: SketchParams, reader: StreamReader, *inputs: BitStri
 def alice_sketch(x: BitString, params: SketchParams, reader: StreamReader) -> SketchMessage:
     """Project, quantize, and package Alice's side of the sketch."""
     projections = _project(x, params, _shared_vectors(params, reader, x))
-    indices = quantize_projection(projections, params.n)
-    return SketchMessage(tuple(indices.tolist()), params.word_width)
+    return SketchMessage(quantize_projection(projections, params.n), params.word_width)
 
 
 def bob_decide(
@@ -259,9 +308,7 @@ def bob_decide(
     decision uses the received statistic alone.
     """
     own = _project(y, params, _shared_vectors(params, reader, y))
-    received = np.asarray(message.grid_indices, dtype=np.float64) / float(
-        params.grid_denominator
-    )
+    received = message.grid_indices / float(params.grid_denominator)
     statistic = float(((received - own) ** 2).sum())
     decision = 1 if statistic > params.threshold else 0
     return decision, SketchStatistics(None, statistic, decision)

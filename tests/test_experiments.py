@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ghd import experiments
 from ghd.experiments import (
     COLUMNS,
     ExperimentConfig,
@@ -11,6 +12,7 @@ from ghd.experiments import (
     parse_config,
     run_experiment,
 )
+from ghd.runtime import ContractViolationError, StreamReader
 from ghd.sampling import derive_sampling_params
 from ghd.sketch import derive_sketch_params
 
@@ -263,6 +265,37 @@ def test_bad_error_exponent_skips_one_row(protocol, s, reason):
     bad, good = run_experiment(config).records
     assert (bad["status"], bad["reason"]) == ("skipped", reason)
     assert good["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "settings, point, reason",
+    [
+        ("", "n=64 L=2 U=40 s=1e308", "trial count inf is not finite"),
+        ("rate = linear\nlinear_rate_constant = inf\n", "n=64 L=2 U=40 s=1", "linear_rate_constant"),
+        ("rate = linear\nlinear_rate_constant = 0\n", "n=64 L=2 U=40 s=1", "linear_rate_constant"),
+        ("rate = linear\nlinear_rate_constant = -3\n", "n=64 L=2 U=40 s=1", "linear_rate_constant"),
+        ("", "n=16 L=0 U=1 s=40", "expected cost 20481 bits exceeds the run budget 16384 bits"),
+        ("", "n=64 L=2 U=40 s=1e300", "exceeds the run budget 262144 bits"),
+    ],
+)
+def test_sampling_faults_skip_one_row_before_any_draw(monkeypatch, settings, point, reason):
+    def index_below(self, bound):
+        # fail at once: with a huge trial count the sampler would never finish
+        raise AssertionError("a sampling index was drawn")
+
+    monkeypatch.setattr(StreamReader, "index_below", index_below)
+    config = parse_config(f"protocol = sampling\ntrials = 5\n{settings}point {point}\n")
+    (record,) = run_experiment(config).records
+    assert record["status"] == "skipped" and reason in record["reason"]
+
+
+def test_contract_violations_still_raise(monkeypatch):
+    def violate(*args):
+        raise ContractViolationError("parties disagree")
+
+    monkeypatch.setattr(experiments, "_error_trials", violate)
+    with pytest.raises(ContractViolationError, match="parties disagree"):
+        run_experiment(parse_config("protocol = sampling\ntrials = 5\npoint n=64 L=2 U=40 s=1\n"))
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from ghd.runtime import (
     Protocol,
     Send,
     SharedRandomness,
+    StreamReader,
     derive_seed,
     estimate_error_rate,
     measure_worst_case_cost,
@@ -95,6 +96,53 @@ def test_unit_vector_dim1_is_sign():
     for _ in range(100):
         (v,) = r.unit_vector(1)
         assert v in (1.0, -1.0)
+
+
+@pytest.mark.parametrize("skip, rows, dim", [(0, 407, 2), (3, 1, 1), (5, 40, 13)])
+def test_memoized_draws_match_memoless_reader(skip, rows, dim):
+    shared = SharedRandomness(29)
+    first, second, plain = shared.reader(), shared.reader(), StreamReader(29)
+    for reader in (first, second, plain):
+        reader.gaussians(skip)
+    drawn = first.unit_vectors(rows, dim)
+    reused = second.unit_vectors(rows, dim)
+    expected = plain.unit_vectors(rows, dim)
+    assert reused is drawn and not drawn.flags.writeable
+    assert drawn.tobytes() == expected.tobytes()
+    assert first.position == second.position == plain.position == 2 * (skip + rows * dim)
+    # the next draw starts after the memoized one on every reader
+    assert second.next_raw() == plain.next_raw() == first.next_raw()
+
+
+def test_memoized_draw_keeps_the_redraw_positions(monkeypatch):
+    # Zero the first row of the first Gaussian block so the redraw loop runs.
+    original = StreamReader.gaussians
+    zeroed = []
+
+    def gaussians(self, count):
+        values = original(self, count)
+        if count == 12 and len(zeroed) < 2:
+            zeroed.append(self)
+            values[:3] = 0.0
+        return values
+
+    monkeypatch.setattr(StreamReader, "gaussians", gaussians)
+    shared = SharedRandomness(31)
+    first, second, plain = shared.reader(), shared.reader(), StreamReader(31)
+    drawn = first.unit_vectors(4, 3)
+    reused = second.unit_vectors(4, 3)
+    expected = plain.unit_vectors(4, 3)
+    assert zeroed == [first, plain]
+    assert reused is drawn and drawn.tobytes() == expected.tobytes()
+    assert first.position == second.position == plain.position == 2 * (12 + 3)
+
+
+def test_shared_randomness_equality_ignores_the_memo():
+    drawn = SharedRandomness(37)
+    drawn.reader().unit_vectors(3, 2)
+    assert drawn == SharedRandomness(37) and hash(drawn) == hash(SharedRandomness(37))
+    assert drawn != SharedRandomness(38)
+    assert repr(drawn) == "SharedRandomness(seed=37)"
 
 
 # ------------------------------------------------------------- the runtime

@@ -20,6 +20,27 @@ def test_linear_rate_mode():
         derive_sampling_params(100, 40, 60, 1, rate="bogus")
 
 
+@pytest.mark.parametrize(
+    "s, rate, constant, reason",
+    [
+        (1e308, "hoeffding", 8.0, "trial count inf is not finite"),
+        (1e308, "linear", 8.0, "trial count inf is not finite"),
+        (1.0, "linear", math.inf, "linear_rate_constant must be finite and positive"),
+        (1.0, "linear", math.nan, "linear_rate_constant must be finite and positive"),
+        (1.0, "linear", 0.0, "linear_rate_constant must be finite and positive"),
+        (1.0, "linear", -2.0, "linear_rate_constant must be finite and positive"),
+    ],
+)
+def test_trial_count_faults_raise_value_error(s, rate, constant, reason):
+    with pytest.raises(ValueError, match=reason):
+        derive_sampling_params(64, 2, 40, s, rate=rate, linear_rate_constant=constant)
+
+
+def test_huge_finite_trial_count_is_exact_ceiling():
+    params = derive_sampling_params(64, 2, 40, 1e300)
+    assert params.trial_count == math.ceil(2.0 * 1e300 * 64 * 64 / 38**2)
+
+
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         derive_sampling_params(100, 60, 60, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghd.bits import BitString, GhdInstance, random_pair_at_distance
-from ghd.runtime import SharedRandomness, derive_seed, estimate_error_rate
+from ghd.runtime import (
+    SharedRandomness,
+    StreamReader,
+    derive_seed,
+    estimate_error_rate,
+    run_protocol,
+)
 from ghd.sketch import (
     GuaranteeFloorError,
     SketchMessage,
@@ -192,6 +199,103 @@ def test_payload_round_trip_random_indices(seed):
     assert SketchMessage.from_payload(message.to_payload(), params) == message
 
 
+def test_message_holds_read_only_int64_and_compares_by_value():
+    as_tuple = SketchMessage((3, -2, 0, 2**52), 55)
+    as_array = SketchMessage(np.array([3, -2, 0, 2**52]), 55)
+    assert as_tuple == as_array and hash(as_tuple) == hash(as_array)
+    assert as_tuple.grid_indices.dtype == np.int64 and not as_tuple.grid_indices.flags.writeable
+    assert len({as_tuple, as_array, SketchMessage([3, -2, 0, 2**52], 55)}) == 1
+    assert as_tuple != SketchMessage((3, -2, 0, 2**52), 56)
+    assert as_tuple != SketchMessage((3, -2, 0), 55)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SketchMessage(np.zeros((2, 2)), 55)
+    with pytest.raises(ValueError, match="do not fit 3-bit"):
+        SketchMessage((4, 0), 3).to_payload()
+
+
+# (64, 1, 32, 0.05) has block_length 3; the widest grid that float64 holds
+# exactly, L = 0, U = n = 135,687, s = 1, has block_length 13 and 55-bit words.
+PAYLOAD_PARAMS = [(64, 1, 32, 0.05), (512, 4, 256, 2.0), (135_687, 0, 135_687, 1.0)]
+
+
+def test_widest_params_reach_55_bit_words():
+    params = derive_sketch_params(*PAYLOAD_PARAMS[-1])
+    assert (params.block_length, params.word_width) == (13, 55)
+    assert params.max_grid_index < 2**53
+
+
+def _random_message(params, seed):
+    rng = np.random.default_rng(seed)
+    limit = params.max_grid_index
+    indices = rng.integers(-limit, limit + 1, params.block_count)
+    indices[rng.integers(0, params.block_count, 3)] = (limit, -limit, 0)
+    return SketchMessage(indices, params.word_width)
+
+
+@pytest.mark.parametrize("point", PAYLOAD_PARAMS)
+@given(seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=25, deadline=None)
+def test_payload_round_trip_property(point, seed):
+    params = derive_sketch_params(*point)
+    message = _random_message(params, seed)
+    payload = message.to_payload()
+    assert payload.bit_length() <= message.bit_length == params.block_count * params.word_width
+    assert SketchMessage.from_payload(payload, params) == message
+
+
+@pytest.mark.parametrize("point", PAYLOAD_PARAMS)
+@given(seed=st.integers(0, 2**64 - 1), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_mutated_payload_raises_naming_the_block(point, seed, data):
+    # A flipped sign bit on a zero word, or a magnitude above the reachable
+    # limit, cannot come from an honest quantizer and must be refused.
+    params = derive_sketch_params(*point)
+    width, count, limit = params.word_width, params.block_count, params.max_grid_index
+    block = data.draw(st.integers(0, count - 1))
+    sign = 1 << (width - 1)
+    if data.draw(st.booleans()):
+        word, fault = sign, "negative zero"
+    else:
+        magnitude = data.draw(st.integers(limit + 1, sign - 1))
+        word = magnitude | data.draw(st.sampled_from((0, sign)))
+        fault = f"magnitude {magnitude} exceeds {limit}"
+    shift = (count - 1 - block) * width
+    payload = _random_message(params, seed).to_payload()
+    payload = payload & ~(((1 << width) - 1) << shift) | word << shift
+    with pytest.raises(ValueError, match=f"block {block}: {fault}"):
+        SketchMessage.from_payload(payload, params)
+
+
+def test_from_payload_names_first_bad_block():
+    params = derive_sketch_params(64, 1, 32, 0.05)
+    width, count = params.word_width, params.block_count
+    assert params.max_grid_index == math.isqrt(params.block_length * 64**6) + 2 == 454_048
+    all_ones = (1 << (width - 1)) - 1  # the largest magnitude the word holds
+    payload = all_ones << (count - 3) * width | all_ones << (count - 5) * width
+    with pytest.raises(ValueError, match="block 2: magnitude 1048575 exceeds 454048"):
+        SketchMessage.from_payload(payload, params)
+    negative_zero = 1 << (width - 1) << (count - 2) * width
+    with pytest.raises(ValueError, match="block 1: negative zero"):
+        SketchMessage.from_payload(negative_zero | payload, params)
+
+
+def test_max_grid_index_admits_the_rounded_up_extreme():
+    # At n = 16, block_length 2, sqrt(2) * 16**3 has fraction 0.62, so an
+    # all-ones block projected on a near-diagonal vector quantizes to
+    # floor(sqrt(2) * n**3) + 1: a limit at the floor would refuse an honest
+    # message.
+    params = derive_sketch_params(16, 0, 8, 1 / 16)
+    assert params.block_length == 2
+    floor = math.isqrt(2 * 16**6)
+    diagonal = np.full((1, 2), 1.0)
+    diagonal = diagonal / np.sqrt((diagonal * diagonal).sum(axis=1))[:, None]
+    (index,) = quantize_projection((np.ones((1, 2)) * diagonal).sum(axis=1), 16)
+    assert index == floor + 1 <= params.max_grid_index
+    message = alice_sketch(BitString.ones(16), params, SharedRandomness(derive_seed(5, 2)).reader())
+    assert message.grid_indices.max() == floor + 1
+    assert SketchMessage.from_payload(message.to_payload(), params) == message
+
+
 def test_quantization_matches_scalar_op():
     params = reference_params()
     x, _ = random_pair_at_distance(512, 0, seed=9)
@@ -306,3 +410,42 @@ def test_instrumented_rejects_trivial_mode():
         sketch_statistics(x, x, params, 0)
     with pytest.raises(ValueError):
         alice_sketch(x, params, SharedRandomness(0).reader())
+
+
+def test_parties_read_the_same_stream_positions():
+    params = reference_params()
+    proto = sketch_protocol(params)
+    ends = {}
+
+    def recording(side, strategy):
+        def run(own, reader):
+            output = yield from strategy(own, reader)
+            ends[side] = reader.position
+            return output
+
+        return run
+
+    x, y = random_pair_at_distance(512, 200, seed=33)
+    outcome = run_protocol(recording("a", proto.alice), recording("b", proto.bob), x, y, 34)
+    plain = StreamReader(34)
+    plain.unit_vectors(params.block_count, params.block_length)
+    assert ends["a"] == ends["b"] == plain.position == 2 * params.padded_length
+    assert outcome.ledger.dump() == proto.run(x, y, 34).ledger.dump()
+
+
+# sha256 of the outputs, rounds and ledger dumps of 21 runs, computed before
+# the message path moved to int64 arrays and the draws were memoized
+LEDGER_POINTS = [(512, 4, 256, 2.0), (512, 4, 256, 3.0), (2048, 8, 1024, 2.0)]
+LEDGER_DIGEST = "e3acd2d077c68269795e81a0831477bfdf1ee114915b920f10569723253227fa"
+
+
+def test_ledgers_match_pinned_digest():
+    digest = hashlib.sha256()
+    for p, (n, lo, hi, s) in enumerate(LEDGER_POINTS):
+        proto = sketch_protocol(derive_sketch_params(n, lo, hi, s))
+        for trial in range(7):
+            d = (0, lo, hi, n, lo // 2, hi + 1, 1)[trial]
+            x, y = random_pair_at_distance(n, d, seed=derive_seed(41, p, trial))
+            outcome = proto.run(x, y, derive_seed(42, p, trial))
+            digest.update(f"{outcome.output} {outcome.ledger.rounds}\n{outcome.ledger.dump()}\n".encode())
+    assert digest.hexdigest() == LEDGER_DIGEST
