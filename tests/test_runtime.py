@@ -233,7 +233,9 @@ def test_disagreeing_outputs_rejected():
         yield RECV
         return 1
 
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(
+        ContractViolationError, match="^parties disagree at termination: alice=0 bob=1$"
+    ):
         run_protocol(alice, bob, BitString.from_text("0"), BitString.from_text("0"), 0)
 
 
@@ -242,7 +244,9 @@ def test_deadlock_detected():
         yield RECV
         return 0
 
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(
+        ContractViolationError, match="^deadlock: both parties waiting to receive$"
+    ):
         run_protocol(both, both, BitString.from_text("0"), BitString.from_text("0"), 0)
 
 
@@ -256,7 +260,10 @@ def test_waiting_on_terminated_peer_detected():
         yield RECV
         return 1
 
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(
+        ContractViolationError,
+        match="^party 'a' is waiting for a message but its peer terminated$",
+    ):
         run_protocol(alice, bob, BitString.from_text("0"), BitString.from_text("0"), 0)
 
 
@@ -271,7 +278,8 @@ def test_budget_exceeded():
             yield RECV
             yield Send(1, 1)
 
-    with pytest.raises(BudgetExceededError):
+    # the default budget at n = 2 is 64 * 2**2 = 256 bits
+    with pytest.raises(BudgetExceededError, match=r"^bit budget exceeded: 257 > 256$"):
         run_protocol(alice, bob, BitString.from_text("01"), BitString.from_text("01"), 0)
 
 
@@ -289,9 +297,9 @@ def test_malformed_messages_rejected():
         return 0
 
     x = BitString.from_text("0")
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="^message width must be >= 1$"):
         run_protocol(alice_bad_width, bob, x, x, 0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="^payload does not fit in 2 bits$"):
         run_protocol(alice_bad_payload, bob, x, x, 0)
 
 
@@ -304,7 +312,20 @@ def test_nonbit_output_rejected():
         yield RECV
         return 2
 
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="^party 'a' returned 2, expected a bit$"):
+        run_protocol(alice, bob, BitString.from_text("0"), BitString.from_text("0"), 0)
+
+
+def test_unknown_command_rejected():
+    def alice(x, reader):
+        yield "send"
+        return 0
+
+    def bob(y, reader):
+        yield RECV
+        return 0
+
+    with pytest.raises(ContractViolationError, match="^unknown strategy command: 'send'$"):
         run_protocol(alice, bob, BitString.from_text("0"), BitString.from_text("0"), 0)
 
 
