@@ -25,7 +25,9 @@ only.
 :func:`audit_covering` is exhaustive for n <= 20: it marks the radius-r ball
 around every codeword in a 2**n bitmap, O(|C| * V2(n, r)) work.  Beyond that
 it checks sampled points.  For n <= 16 the nearest-codeword table is filled by
-the same expansion, in balls of growing radius.
+the same expansion, in balls of growing radius.  Longer codes decode with one
+vector pass: popcounts of the XOR against the codewords, held as 64-bit
+limbs, then the first argmin.
 
 Cost bounds reported by :func:`det_complexity_bounds`:
 
@@ -146,18 +148,23 @@ class CoveringCode:
                 break
         return best
 
+    @cached_property
+    def _limbs(self) -> np.ndarray:
+        # (size, ceil(n / 64)) uint64: codeword i as big-endian 64-bit limbs
+        nbytes = 8 * ((self.n + 63) // 64)
+        raw = b"".join(c.to_bytes(nbytes, "big") for c in self.codewords)
+        return np.frombuffer(raw, dtype=">u8").astype(np.uint64).reshape(self.size, -1)
+
     def nearest_index(self, word: int) -> int:
         """Index of the closest codeword, ties broken by lowest index."""
         table = self._decode_table
         if table is not None:
             return int(table[word])
-        best_i = 0
-        best_d = (self.codewords[0] ^ word).bit_count()
-        for i in range(1, self.size):
-            d = (self.codewords[i] ^ word).bit_count()
-            if d < best_d:
-                best_i, best_d = i, d
-        return best_i
+        matrix = self._limbs
+        limbs = np.frombuffer(word.to_bytes(8 * matrix.shape[1], "big"), dtype=">u8")
+        # argmin returns the first minimum: the lowest index among the nearest
+        # (the method, because np.argmin's dispatch costs more than the scan)
+        return int(np.bitwise_count(matrix ^ limbs).sum(axis=1).argmin())
 
 
 def greedy_size_bound(n: int, radius: int) -> float:
@@ -406,7 +413,9 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         yield Send(decision, 1)
         return decision
 
-    return Protocol(name="deterministic-covering", alice=alice, bob=bob)
+    return Protocol(
+        name="deterministic-covering", alice=alice, bob=bob, cost_bits=params.cost_bits
+    )
 
 
 class ComplexityBounds(NamedTuple):

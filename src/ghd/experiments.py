@@ -116,6 +116,8 @@ COMPARE_COLUMNS = [
 _INT_KEYS = {"n", "L", "U", "t", "p"}
 _FLOAT_KEYS = {"s", "c"}
 _NUMBER_SETTINGS = {"trials": int, "seed": int, "linear_rate_constant": float}
+_SETTINGS = {"protocol", "trials", "seed", "format", "rate", "linear_rate_constant", "code_dir"}
+_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.output_format not in ("csv", "json"):
+        if self.output_format not in _FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -158,9 +160,10 @@ def parse_config(text: str, protocol: str | None = None) -> ExperimentConfig:
     """Parse the key-value config format; see the module docstring.
 
     A malformed line or value raises ``ValueError`` naming the line (and the
-    key, for a value).
+    key, for a value); so does a protocol that conflicts with ``protocol``.
     """
     settings: dict[str, object] = {}
+    protocol_line = 0
     grid: list[dict] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -181,26 +184,32 @@ def parse_config(text: str, protocol: str | None = None) -> ExperimentConfig:
             grid.append(point)
         elif "=" in line:
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _SETTINGS:
+                raise ValueError(f"line {lineno}: unknown config key {key!r}")
             if key in _NUMBER_SETTINGS:
                 value = _convert(_NUMBER_SETTINGS[key], value, lineno, key)
+            if key == "protocol":
+                if _ALIASES.get(value, value) not in PROTOCOLS:
+                    raise ValueError(f"line {lineno}: key 'protocol': unknown protocol {value!r}")
+                value, protocol_line = normalize_protocol(value), lineno
+            elif key == "trials" and value < 1:
+                raise ValueError(f"line {lineno}: key 'trials': must be >= 1, got {value}")
+            elif key == "format" and value not in _FORMATS:
+                raise ValueError(f"line {lineno}: key 'format': unknown output format {value!r}")
             settings[key] = value
         else:
             raise ValueError(f"line {lineno}: cannot parse {line!r}")
 
-    known = {"protocol", "trials", "seed", "format", "rate", "linear_rate_constant", "code_dir"}
-    unknown = set(settings) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
     config_protocol = settings.get("protocol")
     if protocol is not None:
         protocol = normalize_protocol(protocol)
-        if config_protocol is not None and normalize_protocol(config_protocol) != protocol:
+        if config_protocol is not None and config_protocol != protocol:
             raise ValueError(
-                f"config names protocol {config_protocol!r} but {protocol!r} was requested"
+                f"line {protocol_line}: config names protocol {config_protocol!r} "
+                f"but {protocol!r} was requested"
             )
     elif config_protocol is not None:
-        protocol = normalize_protocol(config_protocol)
+        protocol = config_protocol
     else:
         raise ValueError("no protocol given (neither in config nor by the caller)")
 

@@ -21,7 +21,10 @@ the runtime by yielding commands:
 Both parties must terminate with the same output bit.  A strategy sees only
 its own input, its reader, and the bits it receives, so input isolation holds
 by construction; the runtime additionally rejects deadlocks, disagreeing
-outputs, and runs that exceed the bit budget (default ``64 * n**2``).
+outputs, and runs that exceed the bit budget (default ``64 * n**2``).  A
+protocol may declare its exact cost (``Protocol.cost_bits``): a declared cost
+above the budget is refused before either party starts, and a ledger total
+that differs from it is a contract violation.
 
 Shared randomness is a counter-based pseudorandom stream: position ``i`` holds
 a 64-bit value computed by a splitmix-style mix of ``seed`` and ``i``, so both
@@ -42,7 +45,6 @@ Transcript dump format (debugging): one line per message,
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, NamedTuple
 
@@ -284,11 +286,16 @@ Strategy = Callable[[BitString, StreamReader], Generator]
 
 @dataclass(frozen=True)
 class Protocol:
-    """A named pair of strategies runnable over the instrumented channel."""
+    """A named pair of strategies runnable over the instrumented channel.
+
+    ``cost_bits``, when given, is the exact ledger total of every run, which
+    :func:`run_protocol` enforces.
+    """
 
     name: str
     alice: Strategy
     bob: Strategy
+    cost_bits: int | None = None
 
     def run(
         self,
@@ -297,13 +304,21 @@ class Protocol:
         shared: "SharedRandomness | int",
         bit_budget: int | None = None,
     ) -> ProtocolOutcome:
-        return run_protocol(self.alice, self.bob, x, y, shared, bit_budget=bit_budget)
+        return run_protocol(
+            self.alice, self.bob, x, y, shared, bit_budget=bit_budget, cost_bits=self.cost_bits
+        )
 
 
 def _as_shared(shared: SharedRandomness | int) -> SharedRandomness:
     if isinstance(shared, SharedRandomness):
         return shared
     return SharedRandomness(int(shared) & MASK64)
+
+
+# party states in run_protocol; party 0 is Alice, party 1 is Bob
+_READY, _WAITING, _DONE = 0, 1, 2
+_PARTY = ("a", "b")
+_DIRECTION = ("a->b", "b->a")
 
 
 def run_protocol(
@@ -313,87 +328,90 @@ def run_protocol(
     y: BitString,
     shared: SharedRandomness | int,
     bit_budget: int | None = None,
+    *,
+    cost_bits: int | None = None,
 ) -> ProtocolOutcome:
     """Execute a two-party protocol and account for every bit exchanged.
 
     Fully deterministic given (x, y, shared seed).  Raises
-    :class:`ContractViolationError` on deadlock, malformed messages, or
-    disagreeing outputs, and :class:`BudgetExceededError` once more than
-    ``bit_budget`` bits have been sent (default ``64 * n**2``).
+    :class:`ContractViolationError` on deadlock, malformed messages,
+    disagreeing outputs, or a ledger total other than a declared
+    ``cost_bits``, and :class:`BudgetExceededError` once more than
+    ``bit_budget`` bits have been sent (default ``64 * n**2``), or before
+    either party starts when ``cost_bits`` exceeds the budget.
     """
     shared = _as_shared(shared)
     if bit_budget is None:
         bit_budget = DEFAULT_BUDGET_FACTOR * x.length * x.length
+    if cost_bits is not None and cost_bits > bit_budget:
+        raise BudgetExceededError(
+            f"declared cost {cost_bits} bits exceeds the bit budget {bit_budget} bits"
+        )
 
-    gens = {"a": alice_strategy(x, shared.reader()), "b": bob_strategy(y, shared.reader())}
-    inbox: dict[str, deque] = {"a": deque(), "b": deque()}
-    state = {"a": "ready", "b": "ready"}
-    outputs: dict[str, int] = {}
-    peer = {"a": "b", "b": "a"}
-    ledger = ChannelLedger()
+    gens = (alice_strategy(x, shared.reader()), bob_strategy(y, shared.reader()))
+    state = [_READY, _READY]
+    inbox = ([], [])  # (payload, width) pairs not yet received, oldest first
+    outputs = [0, 0]
+    messages: list[Message] = []
     total_bits = 0
-    active = "a"
+    side = 0
 
-    def runnable(side: str) -> bool:
-        return state[side] == "ready" or (state[side] == "recv" and bool(inbox[side]))
-
-    while not (state["a"] == "done" and state["b"] == "done"):
-        if not runnable(active):
-            other = peer[active]
-            if runnable(other):
-                active = other
-            elif state[active] == "done":
-                active = other
-            elif state[other] == "done":
+    while True:
+        if state[side] == _DONE or (state[side] == _WAITING and not inbox[side]):
+            other = 1 - side
+            if state[other] == _READY or (state[other] == _WAITING and inbox[other]):
+                side = other
+                continue
+            if state[side] == state[other] == _DONE:
+                break
+            if _DONE in state:
+                waiting = side if state[other] == _DONE else other
                 raise ContractViolationError(
-                    f"party {active!r} is waiting for a message but its peer terminated"
+                    f"party {_PARTY[waiting]!r} is waiting for a message but its peer terminated"
                 )
-            else:
-                raise ContractViolationError("deadlock: both parties waiting to receive")
-            continue
+            raise ContractViolationError("deadlock: both parties waiting to receive")
 
-        side = active
-        gen = gens[side]
         try:
             # send(None) also starts a fresh generator
-            message = inbox[side].popleft() if state[side] == "recv" else None
-            command = gen.send(message)
-            state[side] = "ready"
+            command = gens[side].send(inbox[side].pop(0) if state[side] == _WAITING else None)
         except StopIteration as stop:
             output = stop.value
             if output not in (0, 1):
                 raise ContractViolationError(
-                    f"party {side!r} returned {output!r}, expected a bit"
+                    f"party {_PARTY[side]!r} returned {output!r}, expected a bit"
                 ) from None
             outputs[side] = output
-            state[side] = "done"
+            state[side] = _DONE
             continue
 
         if isinstance(command, Send):
-            if command.width < 1:
+            width = command.width
+            if width < 1:
                 raise ContractViolationError("message width must be >= 1")
-            if not 0 <= command.payload < (1 << command.width):
-                raise ContractViolationError(
-                    f"payload does not fit in {command.width} bits"
-                )
-            total_bits += command.width
+            if not 0 <= command.payload < (1 << width):
+                raise ContractViolationError(f"payload does not fit in {width} bits")
+            total_bits += width
             if total_bits > bit_budget:
                 raise BudgetExceededError(
                     f"bit budget exceeded: {total_bits} > {bit_budget}"
                 )
-            direction = "a->b" if side == "a" else "b->a"
-            ledger.messages.append(Message(direction, command.payload, command.width))
-            inbox[peer[side]].append((command.payload, command.width))
+            messages.append(Message(_DIRECTION[side], command.payload, width))
+            inbox[1 - side].append((command.payload, width))
+            state[side] = _READY
         elif isinstance(command, Recv):
-            state[side] = "recv"
+            state[side] = _WAITING
         else:
             raise ContractViolationError(f"unknown strategy command: {command!r}")
 
-    if outputs["a"] != outputs["b"]:
+    if outputs[0] != outputs[1]:
         raise ContractViolationError(
-            f"parties disagree at termination: alice={outputs['a']} bob={outputs['b']}"
+            f"parties disagree at termination: alice={outputs[0]} bob={outputs[1]}"
         )
-    return ProtocolOutcome(output=outputs["a"], ledger=ledger)
+    if cost_bits is not None and total_bits != cost_bits:
+        raise ContractViolationError(
+            f"ledger total {total_bits} bits differs from the declared cost {cost_bits} bits"
+        )
+    return ProtocolOutcome(output=outputs[0], ledger=ChannelLedger(messages))
 
 
 def measure_worst_case_cost(
@@ -408,7 +426,9 @@ def measure_worst_case_cost(
             x, y = instance.x, instance.y
         else:
             x, y = instance
-        outcome = run_protocol(protocol.alice, protocol.bob, x, y, shared)
+        outcome = run_protocol(
+            protocol.alice, protocol.bob, x, y, shared, cost_bits=protocol.cost_bits
+        )
         cost = outcome.ledger.total_bits
         if worst is None or cost > worst:
             worst = cost

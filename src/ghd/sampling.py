@@ -109,5 +109,5 @@ def sampling_protocol(params: SamplingParams) -> Protocol:
         yield Send(decision, 1)
         return decision
 
-    return Protocol(name="sampling", alice=alice, bob=bob)
+    return Protocol(name="sampling", alice=alice, bob=bob, cost_bits=params.cost_bits)
 

@@ -358,7 +358,9 @@ def sketch_protocol(params: SketchParams) -> Protocol:
             yield Send(decision, 1)
             return decision
 
-        return Protocol(name="sketch-trivial", alice=alice, bob=bob)
+        return Protocol(
+            name="sketch-trivial", alice=alice, bob=bob, cost_bits=sketch_cost(params)
+        )
 
     def alice(x: BitString, reader: StreamReader):
         message = alice_sketch(x, params, reader)
@@ -375,4 +377,4 @@ def sketch_protocol(params: SketchParams) -> Protocol:
         yield Send(decision, 1)
         return decision
 
-    return Protocol(name="sketch", alice=alice, bob=bob)
+    return Protocol(name="sketch", alice=alice, bob=bob, cost_bits=sketch_cost(params))

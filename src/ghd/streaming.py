@@ -14,11 +14,16 @@ Subclass :class:`StreamingAlgorithm` with five behaviors:
 
 * ``start_pass(pass_index)`` — called once at the start of each pass by
   whichever party holds the state;
-* ``consume(token)`` — process one token;
+* ``consume(token)`` — process one token (a Python int);
 * ``snapshot() -> StateSnapshot`` — serialize the complete evolving state as
   a byte string with an explicit bit length; ``restore(snapshot)`` must
   reproduce subsequent behavior bit for bit;
 * ``estimate() -> int`` — the output E after the final pass.
+
+The runs hand a whole pass of tokens to ``consume_all(tokens)``, a
+one-dimensional int64 array.  Its default calls ``consume`` once per token,
+in order; an algorithm may override it with a batch update that leaves the
+same state.
 
 The metered memory S is the maximum snapshot bit length observed during the
 run — exactly what the reduction communicates.  Algorithms must be
@@ -41,6 +46,8 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .bits import BitString, _parse_decimal, log2_ball_volume, random_pair_at_distance
 from .runtime import (
@@ -115,6 +122,11 @@ class StreamingAlgorithm:
     def consume(self, token: int) -> None:
         raise NotImplementedError
 
+    def consume_all(self, tokens: np.ndarray) -> None:
+        """Consume a one-dimensional int64 token array in order."""
+        for token in tokens.tolist():
+            self.consume(token)
+
     def snapshot(self) -> StateSnapshot:
         raise NotImplementedError
 
@@ -126,7 +138,11 @@ class StreamingAlgorithm:
 
 
 class ExactBitmapF0(StreamingAlgorithm):
-    """Presence bitmap over the whole universe: exact, S = universe_size bits."""
+    """Presence bitmap over the whole universe: exact, S = universe_size bits.
+
+    Bit ``token - 1`` records a token; only the first ``capacity_bits``
+    tokens of the universe are recorded (all of them here).
+    """
 
     def __init__(self, universe_size: int, passes: int = 1) -> None:
         if universe_size < 1:
@@ -144,7 +160,18 @@ class ExactBitmapF0(StreamingAlgorithm):
     def consume(self, token: int) -> None:
         if not 1 <= token <= self.universe_size:
             raise ValueError(f"token {token} outside universe [1, {self.universe_size}]")
-        self._bitmap |= 1 << (token - 1)
+        if token <= self.capacity_bits:
+            self._bitmap |= 1 << (token - 1)
+
+    def consume_all(self, tokens: np.ndarray) -> None:
+        outside = (tokens < 1) | (tokens > self.universe_size)
+        if outside.any():
+            token = int(tokens[outside.argmax()])
+            raise ValueError(f"token {token} outside universe [1, {self.universe_size}]")
+        present = np.zeros(self.universe_size, dtype=bool)
+        present[tokens - 1] = True
+        bits = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
+        self._bitmap |= bits & ((1 << self.capacity_bits) - 1)
 
     def snapshot(self) -> StateSnapshot:
         nbytes = (self.capacity_bits + 7) // 8
@@ -172,21 +199,18 @@ class TruncatedBitmapF0(ExactBitmapF0):
             raise ValueError("capacity must be in [1, universe_size]")
         self.capacity_bits = capacity_bits
 
-    def consume(self, token: int) -> None:
-        if not self.capacity_bits < token <= self.universe_size:
-            super().consume(token)
-
 
 def encode_streams(x: BitString, y: BitString, n: int) -> tuple[list[int], list[int]]:
     """Token streams ``u_i = n * x_i + i`` and ``v_i = n * y_i + i`` (i from 1)."""
     if x.length != n or y.length != n:
         raise ValueError("input lengths do not match n")
-    return _tokens(x), _tokens(y)
+    return _tokens(x).tolist(), _tokens(y).tolist()
 
 
-def _tokens(x: BitString) -> list[int]:
+def _tokens(x: BitString) -> np.ndarray:
+    # int64 before the product: n * bit in uint8 would wrap for n >= 256
     n = x.length
-    return [n * x.bit(i - 1) + i for i in range(1, n + 1)]
+    return x.bit_array().astype(np.int64) * n + np.arange(1, n + 1, dtype=np.int64)
 
 
 def exact_f0(stream: Iterable[int]) -> int:
@@ -253,8 +277,7 @@ def streaming_protocol(
                 payload, width = yield RECV
                 machine.restore(_wire_to_snapshot(payload, width))
                 machine.start_pass(pass_index)
-            for token in tokens:
-                machine.consume(token)
+            machine.consume_all(tokens)
             snap = machine.snapshot()
             if meter is not None:
                 meter.state_bits.append(snap.bit_length)
@@ -271,8 +294,7 @@ def streaming_protocol(
         for pass_index in range(passes):
             payload, width = yield RECV
             machine.restore(_wire_to_snapshot(payload, width))
-            for token in tokens:
-                machine.consume(token)
+            machine.consume_all(tokens)
             if pass_index < passes - 1:
                 snap = machine.snapshot()
                 if meter is not None:
@@ -363,11 +385,10 @@ def _final_estimate(
 ) -> int:
     # Reference single-machine execution over the concatenated stream.
     machine = algorithm_factory()
-    u, v = encode_streams(x, y, x.length)
+    tokens = np.concatenate((_tokens(x), _tokens(y)))
     for pass_index in range(machine.passes):
         machine.start_pass(pass_index)
-        for token in u + v:
-            machine.consume(token)
+        machine.consume_all(tokens)
     return machine.estimate()
 
 

@@ -54,6 +54,17 @@ def loop_decode_table(code: CoveringCode) -> np.ndarray:
     return best_idx
 
 
+def scan_nearest_index(code: CoveringCode, word: int) -> int:
+    """Reference decode: scan the codewords, keeping the first strict minimum."""
+    best_i = 0
+    best_d = (code.codewords[0] ^ word).bit_count()
+    for i in range(1, code.size):
+        d = (code.codewords[i] ^ word).bit_count()
+        if d < best_d:
+            best_i, best_d = i, d
+    return best_i
+
+
 def loop_greedy(n: int, radius: int) -> tuple[int, ...]:
     """Reference greedy: after each pick, one full-cube bincount of gain drops."""
     size = 1 << n
@@ -231,6 +242,80 @@ def test_decode_table_matches_linear_scan():
     for v in range(256):
         best = min(range(code.size), key=lambda i: ((code.codewords[i] ^ v).bit_count(), i))
         assert code.nearest_index(v) == best
+
+
+def test_vector_decode_matches_cube_reference_on_every_word_17_3():
+    code = greedy_covering_code(17, 3)
+    assert code._decode_table is None  # too long for a table: the vector path
+    # loop_decode_table is the scan run over the whole cube at once
+    reference = loop_decode_table(code)
+    decoded = np.array([code.nearest_index(w) for w in range(1 << 17)])
+    np.testing.assert_array_equal(decoded, reference)
+    rng = random.Random(17)
+    for w in rng.sample(range(1 << 17), 300):
+        assert reference[w] == scan_nearest_index(code, w)
+
+
+@pytest.mark.parametrize("n", [18, 19])
+def test_vector_decode_matches_scan_on_random_words(n):
+    code = greedy_covering_code(n, 3)
+    rng = random.Random(n)
+    for _ in range(3000):
+        w = rng.getrandbits(n)
+        assert code.nearest_index(w) == scan_nearest_index(code, w)
+
+
+def test_vector_decode_matches_scan_on_a_permuted_code():
+    words = list(greedy_covering_code(18, 3).codewords)
+    random.Random(5).shuffle(words)
+    code = CoveringCode(18, 3, tuple(words))
+    rng = random.Random(6)
+    for _ in range(1000):
+        w = rng.getrandbits(18)
+        assert code.nearest_index(w) == scan_nearest_index(code, w)
+
+
+def test_vector_decode_beyond_one_limb():
+    rng = random.Random(70)
+    single = CoveringCode(70, 70, (rng.getrandbits(70),))
+    assert single._limbs.shape == (1, 2)
+    assert all(single.nearest_index(rng.getrandbits(70)) == 0 for _ in range(50))
+    sampled = CoveringCode(70, 20, tuple(rng.getrandbits(70) for _ in range(300)))
+    for i in range(1000):
+        if i % 2:  # a few flips from a codeword, so the minimum is often unique
+            w = sampled.codewords[rng.randrange(300)]
+            for _ in range(rng.randrange(6)):
+                w ^= 1 << rng.randrange(70)
+        else:
+            w = rng.getrandbits(70)
+        assert sampled.nearest_index(w) == scan_nearest_index(sampled, w)
+
+
+@pytest.mark.parametrize("n", [17, 64, 70, 130])
+def test_vector_decode_ties_go_to_the_lowest_index(n):
+    center = (1 << (n - 1)) | 1
+    far = center ^ 0b1110  # distance 3
+    # four codewords at distance 2, flipping bits in the top and bottom limbs
+    near = [center ^ (1 << a) ^ (1 << b) for a, b in ((1, n - 2), (2, n - 3), (n - 1, 0), (4, 5))]
+    code = CoveringCode(n, 2, (far, near[0], far, *near[1:], near[0]))
+    assert code.nearest_index(center) == 1 == scan_nearest_index(code, center)
+    code = CoveringCode(n, 2, (far, *reversed(near)))
+    assert code.nearest_index(center) == 1 == scan_nearest_index(code, center)
+
+
+@given(
+    n=st.integers(17, 140),
+    seed=st.integers(0, 2**32),
+    size=st.integers(1, 40),
+)
+def test_vector_decode_matches_scan_property(n, seed, size):
+    rng = random.Random(seed)
+    # few distinct bits, so ties are common
+    pool = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(6)]
+    code = CoveringCode(n, 1, tuple(rng.choice(pool) for _ in range(size)))
+    for _ in range(20):
+        w = rng.choice(pool) ^ (1 << rng.randrange(n)) if rng.random() < 0.5 else rng.getrandbits(n)
+        assert code.nearest_index(w) == scan_nearest_index(code, w)
 
 
 # ------------------------------------------------------------ the protocol

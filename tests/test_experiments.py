@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ghd import experiments
 from ghd.experiments import (
@@ -306,8 +309,62 @@ def test_contract_violations_still_raise(monkeypatch):
         ("protocol = sketch\ntrials = x\n", "line 2: key 'trials'"),
         ("# seeds\nseed = 1.5\nprotocol = sketch\n", "line 2: key 'seed'"),
         ("protocol = sampling\nlinear_rate_constant = fast\n", "line 2: key 'linear_rate_constant'"),
+        ("protocol = sketch\n\nbogus = 1\n", "line 3: unknown config key 'bogus'"),
+        ("protocol = nope\n", "line 1: key 'protocol': unknown protocol 'nope'"),
+        ("protocol = sketch\ntrials = 0\n", "line 2: key 'trials': must be >= 1, got 0"),
+        ("format = xml\nprotocol = sketch\n", "line 1: key 'format': unknown output format 'xml'"),
     ],
 )
 def test_parse_config_errors_name_line_and_key(text, where):
     with pytest.raises(ValueError, match=where):
         parse_config(text)
+
+
+def test_conflicting_protocol_names_its_line():
+    with pytest.raises(ValueError, match="^line 3: config names protocol 'sketch' but 'sampling'"):
+        parse_config(SKETCH_CONFIG, protocol="sampling")
+
+
+_VALUES = st.one_of(
+    st.text(alphabet="0123456789.+-e_x#= ", max_size=6),
+    st.sampled_from(["sketch", "det", "stream", "csv", "json", "xml", "0", "1", "-2", "nan", "1e400"]),
+)
+_CONFIG_LINES = st.one_of(
+    st.text(max_size=12),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(sorted(experiments._SETTINGS) + ["bogus", "", "point"]),
+        _VALUES,
+    ),
+    st.builds(
+        lambda items: "point " + " ".join(items),
+        st.lists(
+            st.builds("{}={}".format, st.sampled_from(["n", "L", "U", "s", "t", "c", "p", "zz"]), _VALUES),
+            max_size=4,
+        ),
+    ),
+)
+
+
+@given(lines=st.lists(_CONFIG_LINES, max_size=6), protocol=st.sampled_from([None, "sketch", "det"]))
+def test_parse_config_parses_or_names_the_line(lines, protocol):
+    text = "\n".join(lines)
+    try:
+        config = parse_config(text, protocol=protocol)
+    except ValueError as exc:
+        message = str(exc)
+        if message.startswith("no protocol given"):
+            assert protocol is None
+            return
+        match = re.match(r"line (\d+): ", message)
+        assert match, message
+        rows = text.splitlines()
+        lineno = int(match.group(1))
+        assert 1 <= lineno <= len(rows)
+        # the named line is the first at fault: every line before it parses
+        try:
+            parse_config("\n".join(rows[: lineno - 1]))
+        except ValueError as before:
+            assert str(before).startswith("no protocol given"), str(before)
+    else:
+        assert config.protocol in experiments.PROTOCOLS

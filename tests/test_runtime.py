@@ -283,6 +283,65 @@ def test_budget_exceeded():
         run_protocol(alice, bob, BitString.from_text("01"), BitString.from_text("01"), 0)
 
 
+def test_declared_cost_over_budget_raises_before_either_party_starts():
+    def never_started(_, reader):
+        raise AssertionError("a party was started")
+        yield RECV
+
+    x = BitString.from_text("01")
+    proto = Protocol("declared", never_started, never_started, cost_bits=257)
+    with pytest.raises(
+        BudgetExceededError, match="^declared cost 257 bits exceeds the bit budget 256 bits$"
+    ):
+        proto.run(x, x, 0)
+    with pytest.raises(BudgetExceededError, match="exceeds the bit budget 10 bits$"):
+        run_protocol(never_started, never_started, x, x, 0, bit_budget=10, cost_bits=11)
+
+
+def test_declared_cost_must_equal_the_ledger_total():
+    proto = _send_everything_protocol(4)
+    x = BitString.from_text("1011")
+    assert proto.cost_bits is None
+    exact = Protocol(proto.name, proto.alice, proto.bob, cost_bits=5)
+    assert exact.run(x, x, 0).ledger.total_bits == 5
+    assert measure_worst_case_cost(exact, [(x, x)]) == 5
+    for declared in (4, 6):
+        wrong = Protocol(proto.name, proto.alice, proto.bob, cost_bits=declared)
+        with pytest.raises(
+            ContractViolationError,
+            match=f"^ledger total 5 bits differs from the declared cost {declared} bits$",
+        ):
+            wrong.run(x, x, 0)
+        with pytest.raises(ContractViolationError):
+            measure_worst_case_cost(wrong, [(x, x)])
+
+
+def test_protocols_declare_their_ledger_totals():
+    from ghd.covering import det_protocol, det_protocol_params
+    from ghd.sampling import derive_sampling_params, sampling_protocol
+    from ghd.sketch import derive_sketch_params, sketch_cost, sketch_protocol
+    from ghd.streaming import ExactBitmapF0, streaming_protocol
+
+    sampling = derive_sampling_params(64, 2, 40, 1.0)
+    sketch = derive_sketch_params(512, 4, 256, 2)
+    trivial = derive_sketch_params(200, 0, 3, 1)
+    det = det_protocol_params(10, 4)
+    assert trivial.trivial_mode
+    declared = [
+        (sampling_protocol(sampling), 64, sampling.trial_count + 1),
+        (sketch_protocol(sketch), 512, sketch.block_count * sketch.word_width + 1),
+        (sketch_protocol(trivial), 200, 201),
+        (det_protocol(det), 10, det.code.index_width + 1),
+    ]
+    for proto, n, cost in declared:
+        assert proto.cost_bits == cost
+        for d in (0, n // 2):
+            x, y = random_pair_at_distance(n, d, seed=d)
+            assert proto.run(x, y, 3).ledger.total_bits == cost
+    assert sketch_cost(sketch) == sketch_protocol(sketch).cost_bits
+    assert streaming_protocol(lambda: ExactBitmapF0(20), 1.5).cost_bits is None
+
+
 def test_malformed_messages_rejected():
     def alice_bad_width(x, reader):
         yield Send(0, 0)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ghd.bits import GhdInstance, random_pair_at_distance
-from ghd.runtime import SharedRandomness, estimate_error_rate
+from ghd.runtime import BudgetExceededError, SharedRandomness, StreamReader, estimate_error_rate
 from ghd.sampling import derive_sampling_params, sampling_protocol
 
 
@@ -39,6 +39,23 @@ def test_trial_count_faults_raise_value_error(s, rate, constant, reason):
 def test_huge_finite_trial_count_is_exact_ceiling():
     params = derive_sampling_params(64, 2, 40, 1e300)
     assert params.trial_count == math.ceil(2.0 * 1e300 * 64 * 64 / 38**2)
+
+
+def test_huge_trial_count_run_raises_before_any_draw(monkeypatch):
+    params = derive_sampling_params(64, 2, 40, 1e300)
+    proto = sampling_protocol(params)
+    assert proto.cost_bits == params.cost_bits == params.trial_count + 1
+
+    def no_draw(self, bound):
+        raise AssertionError("a party started drawing indices")
+
+    monkeypatch.setattr(StreamReader, "index_below", no_draw)
+    x, y = random_pair_at_distance(64, 2, seed=1)
+    with pytest.raises(
+        BudgetExceededError,
+        match=rf"^declared cost {params.cost_bits} bits exceeds the bit budget 262144 bits$",
+    ):
+        proto.run(x, y, 0)
 
 
 def test_rejects_bad_parameters():

@@ -1,13 +1,18 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ghd.bits import BitString, hamming_distance, log2_ball_volume, random_pair_at_distance
 from ghd.runtime import ContractViolationError, derive_seed
 from ghd.streaming import (
     ExactBitmapF0,
     StateSnapshot,
+    StreamingAlgorithm,
     TruncatedBitmapF0,
     encode_streams,
     exact_f0,
@@ -97,6 +102,106 @@ def test_bitmap_rejects_tokens_outside_universe():
         algo.consume(0)
     with pytest.raises(ValueError):
         algo.consume(9)
+
+
+# --------------------------------------------------------- batch consume
+
+
+def _per_token(machine, tokens):
+    for token in tokens:
+        machine.consume(token)
+    return machine.snapshot()
+
+
+def _batch(machine, tokens):
+    machine.consume_all(np.array(tokens, dtype=np.int64))
+    return machine.snapshot()
+
+
+BITMAPS = [
+    pytest.param(lambda: ExactBitmapF0(40), id="exact"),
+    pytest.param(lambda: TruncatedBitmapF0(40, capacity_bits=17), id="truncated-17"),
+    pytest.param(lambda: TruncatedBitmapF0(40, capacity_bits=1), id="truncated-1"),
+]
+
+
+@pytest.mark.parametrize("make", BITMAPS)
+def test_consume_all_leaves_the_per_token_snapshot(make):
+    rng = random.Random(3)
+    for size in (0, 1, 5, 40, 200):
+        tokens = [rng.randint(1, 40) for _ in range(size)]  # repeats, and above 17
+        assert _batch(make(), tokens) == _per_token(make(), tokens)
+        # a batch ORs into the state a previous pass left
+        one, other = make(), make()
+        _per_token(one, tokens[::2])
+        _per_token(other, tokens[::2])
+        assert _batch(one, tokens[1::2]) == _per_token(other, tokens[1::2])
+
+
+def test_truncated_bitmap_drops_tokens_above_its_capacity():
+    machine = TruncatedBitmapF0(40, capacity_bits=17)
+    machine.consume_all(np.array([1, 17, 18, 40, 40], dtype=np.int64))
+    machine.consume(30)
+    assert machine.estimate() == 2
+    assert machine.snapshot().bit_length == 17
+
+
+@pytest.mark.parametrize("make", BITMAPS)
+@pytest.mark.parametrize("bad", [0, 41, -3, 2**62])
+def test_consume_all_names_the_first_bad_token_like_consume(make, bad):
+    tokens = [5, 40, bad, 0, 41]
+    with pytest.raises(ValueError) as per_token:
+        _per_token(make(), tokens)
+    with pytest.raises(ValueError) as batch:
+        _batch(make(), tokens)
+    assert str(batch.value) == str(per_token.value) == f"token {bad} outside universe [1, 40]"
+
+
+@given(tokens=st.lists(st.integers(1, 64), max_size=150), capacity=st.integers(1, 64))
+def test_consume_all_matches_consume_property(tokens, capacity):
+    make = lambda: TruncatedBitmapF0(64, capacity_bits=capacity)
+    assert _batch(make(), tokens) == _per_token(make(), tokens)
+
+
+class _ConsumeOnlyBitmap(StreamingAlgorithm):
+    """A plug-in written against the per-token contract alone."""
+
+    def __init__(self, universe_size: int, passes: int = 1) -> None:
+        self.universe_size = universe_size
+        self.passes = passes
+        self.seen: set[int] = set()
+
+    def start_pass(self, pass_index: int) -> None:
+        pass
+
+    def consume(self, token: int) -> None:
+        assert type(token) is int  # never a numpy scalar
+        self.seen.add(token)
+
+    def snapshot(self) -> StateSnapshot:
+        bitmap = sum(1 << (t - 1) for t in self.seen)
+        return StateSnapshot(bitmap.to_bytes((self.universe_size + 7) // 8, "big"), self.universe_size)
+
+    def restore(self, snapshot: StateSnapshot) -> None:
+        bitmap = int.from_bytes(snapshot.data, "big")
+        self.seen = {i + 1 for i in range(self.universe_size) if bitmap >> i & 1}
+
+    def estimate(self) -> int:
+        return len(self.seen)
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+def test_consume_only_plugin_runs_through_the_reduction(passes):
+    n, c = 70, 1.5
+    for d in (0, 35, 70):
+        x, y = random_pair_at_distance(n, d, seed=d)
+        output, run = ghd_via_streaming(
+            lambda: _ConsumeOnlyBitmap(2 * n, passes), c, x, y, check_determinism=True
+        )
+        _, exact = ghd_via_streaming(lambda: ExactBitmapF0(2 * n, passes), c, x, y)
+        assert output == (d >= stream_gap(n, c))
+        assert run.estimate == n + d
+        assert run.ledger.messages == exact.ledger.messages
 
 
 # ------------------------------------------------------------- reduction
@@ -254,3 +359,31 @@ def test_fixture_errors_name_file_and_line(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(ValueError, match=rf"stream\.tokens, line {line}:"):
         read_stream_fixture(path)
+
+
+_FIXTURE_LINES = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet="0123456789+-_ \t", max_size=6),
+    st.integers(-5, 10**30).map(str),
+    st.sampled_from(["", " 7 ", "07", "+3", "1_0", "\u0663", "1e3", "0x1f"]),
+)
+
+
+@given(lines=st.lists(_FIXTURE_LINES, max_size=8))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fixture_parses_or_names_the_line(tmp_path, lines):
+    path = tmp_path / "stream.tokens"
+    path.write_text("\n".join(lines))
+    try:
+        tokens = read_stream_fixture(path)
+    except ValueError as exc:
+        match = re.match(rf"{re.escape(str(path))}, line (\d+): ", str(exc))
+        assert match, str(exc)
+        rows = path.read_text().splitlines()
+        lineno = int(match.group(1))
+        assert 1 <= lineno <= len(rows)
+        # the named line is the first at fault: every line before it parses
+        path.write_text("\n".join(rows[: lineno - 1]))
+        read_stream_fixture(path)
+    else:
+        assert all(type(token) is int and token >= 1 for token in tokens)
