@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -182,6 +183,19 @@ def _parse_decimal(text: str) -> int:
     if not (text.isascii() and text.isdigit()) or text != str(int(text)):
         raise ValueError(f"not a plain decimal number: {text!r}")
     return int(text)
+
+
+def _read_text(path: str | Path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise ``ValueError``.
+
+    The error names the file and the line of the first bad byte.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
 
 
 def _partial_binomial_sum(n: int, r: int) -> int:

@@ -53,7 +53,7 @@ import random
 
 import numpy as np
 
-from .bits import BitString, _parse_decimal, ball_volume, hamming_distance, log2_ball_volume
+from .bits import BitString, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
 from .runtime import RECV, Protocol, Send, StreamReader
 
 __all__ = [
@@ -464,7 +464,7 @@ def load_code(path: str | Path, validate: bool = True) -> CoveringCode:
     one line is at fault.  The header and rows must be exactly as
     :func:`save_code` writes them.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ValueError(f"empty code file: {path}")
     header = lines[0].split()

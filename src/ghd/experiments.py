@@ -39,10 +39,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bits import BitString, GhdInstance, log2_ball_volume, random_pair_at_distance
+from .bits import BitString, GhdInstance, _read_text, log2_ball_volume, random_pair_at_distance
 from .runtime import DEFAULT_BUDGET_FACTOR, _error_trials, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
-from .sketch import derive_sketch_params, sketch_cost, sketch_protocol
+from .sketch import derive_sketch_params, sketch_protocol
 from .covering import (
     GREEDY_MAX_N,
     det_protocol,
@@ -226,7 +226,7 @@ def parse_config(text: str, protocol: str | None = None) -> ExperimentConfig:
 
 
 def load_config(path: str | Path, protocol: str | None = None) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(), protocol=protocol)
+    return parse_config(_read_text(path), protocol=protocol)
 
 
 def _blank_record(protocol: str, point: dict) -> dict:
@@ -247,8 +247,7 @@ def _sampling_setup(config: ExperimentConfig, n: int, lo: int, hi: int, s: float
     params = derive_sampling_params(
         n, lo, hi, s, rate=config.rate, linear_rate_constant=config.linear_rate_constant
     )
-    fields = {"m": params.trial_count, "expected_bits": params.cost_bits}
-    return sampling_protocol(params), fields
+    return sampling_protocol(params), {"m": params.trial_count}
 
 
 def _sketch_setup(config: ExperimentConfig, n: int, lo: int, hi: int, s: float):
@@ -258,7 +257,6 @@ def _sketch_setup(config: ExperimentConfig, n: int, lo: int, hi: int, s: float):
         "block_length": params.block_length,
         "word_width": params.word_width,
         "trivial_mode": params.trivial_mode,
-        "expected_bits": sketch_cost(params),
     }
     return sketch_protocol(params), fields
 
@@ -270,8 +268,8 @@ def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: in
     record = _blank_record(config.protocol, point)
     n, lo, hi, s = point["n"], point["L"], point["U"], point["s"]
     protocol, fields = _MONTE_CARLO_SETUPS[config.protocol](config, n, lo, hi, s)
-    record.update(fields)
-    expected = fields["expected_bits"]
+    expected = protocol.cost_bits
+    record.update(fields, expected_bits=expected)
     budget = DEFAULT_BUDGET_FACTOR * n * n
     if expected > budget:
         raise ValueError(

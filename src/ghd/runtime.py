@@ -36,7 +36,20 @@ A draw of unit vectors is a pure function of (seed, position, rows, dim), so
 the readers of one :class:`SharedRandomness` share a memo of them: within a
 run the first party to ask computes the vectors, the second gets the same
 read-only array, and each reader's cursor advances by exactly the positions
-the draw used.  A :class:`StreamReader` built directly has no memo.
+the draw used.  A :class:`StreamReader` built directly has no memo.  The
+draw kernels take an array of seeds, so one call computes the same values for
+many streams at once; a reader calls them with its one seed.
+
+Batched Monte Carlo
+-------------------
+A protocol may also set ``Protocol.batch_outputs(x, y, seeds)``: for an array
+of uint64 seeds it returns the int64 outputs, and for every seed the output
+must be exactly what ``run(x, y, seed)`` returns.  When it is set,
+:func:`estimate_error_rate` scores every trial from the batch and runs real
+ledgers only on audited trials: trial 0 before the batch (so a declared cost
+above the budget raises before anything is allocated) and the first trial the
+batch scores as an error.  A batch output that differs from its audited run
+is a contract violation.
 
 Transcript dump format (debugging): one line per message,
 ``direction bitcount hex-payload``, e.g. ``a->b 4 c``.
@@ -108,6 +121,88 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+# Working-set cap of one batch step: trials per step times coordinates per
+# trial stays at most this (at least one trial per step).
+_BATCH_COORDINATES = 1 << 13
+
+
+def _raw_values(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Stream values at positions start + 1 .. start + count of each uint64 seed.
+
+    Shape ``(len(seeds), count)``.
+    """
+    positions = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return _mix64_array(seeds[:, None] + positions * np.uint64(_GOLDEN))
+
+
+def _gaussian_values(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Box-Muller Gaussians (cosine branch) of each seed from position ``start``.
+
+    Coordinate k uses positions (start + 2k, start + 2k + 1); shape
+    ``(len(seeds), count)``.
+    """
+    raw = _raw_values(seeds, start, 2 * count).reshape(len(seeds), count, 2)
+    u1 = ((raw[..., 0] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (raw[..., 1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    return np.sqrt((g * g).sum(axis=-1))
+
+
+def _unit_vector_values(seeds: np.ndarray, rows: int, dim: int) -> np.ndarray:
+    """The first ``unit_vectors(rows, dim)`` draw of a fresh reader of each seed.
+
+    Shape ``(len(seeds), rows, dim)``.  A seed whose draw has a zero-norm row
+    is redrawn through its own :class:`StreamReader`.
+    """
+    g = _gaussian_values(seeds, 0, rows * dim).reshape(len(seeds), rows, dim)
+    norms = _row_norms(g)
+    redraw = (norms == 0.0).any(axis=1)
+    norms[redraw] = 1.0
+    vectors = g / norms[..., None]
+    for trial in np.flatnonzero(redraw):
+        vectors[trial] = StreamReader(int(seeds[trial])).unit_vectors(rows, dim)
+    return vectors
+
+
+def _indices_below(raw: np.ndarray, bound: int) -> np.ndarray:
+    """``(raw * bound) >> 64`` for every stream value, exactly.
+
+    Below 2**32 from the 32-bit halves of ``raw`` (no product reaches
+    2**64); from 2**32 up with Python ints.
+    """
+    if bound < 1 << 32:
+        b = np.uint64(bound)
+        high, low = raw >> np.uint64(32), raw & np.uint64(0xFFFFFFFF)
+        return ((high * b + ((low * b) >> np.uint64(32))) >> np.uint64(32)).astype(np.int64)
+    wide = [(int(value) * bound) >> 64 for value in raw.ravel()]
+    return np.array(wide, dtype=np.int64 if bound <= 1 << 63 else object).reshape(raw.shape)
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+
+
+def _indices_below_values(seeds: np.ndarray, bound: int, count: int) -> np.ndarray:
+    """The first ``indices_below(bound, count)`` of a fresh reader of each seed."""
+    _check_bound(bound)
+    return _indices_below(_raw_values(seeds, 0, count), bound)
+
+
+def _in_batches(seeds: np.ndarray, coordinates: int, kernel) -> np.ndarray:
+    """``kernel`` over consecutive slices of ``seeds``, outputs concatenated.
+
+    Each slice holds ``max(1, _BATCH_COORDINATES // coordinates)`` seeds, where
+    ``coordinates`` is the working set of one trial.
+    """
+    step = max(1, _BATCH_COORDINATES // coordinates)
+    parts = [kernel(seeds[i : i + step]) for i in range(0, len(seeds), step)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class SharedRandomness:
     """A public random source identified by its 64-bit seed.
@@ -136,12 +231,12 @@ class StreamReader:
         self.seed = seed & MASK64
         self.position = position
         self._draws = draws
+        self._seeds = np.array([self.seed], dtype=np.uint64)
 
     def _raw_block(self, count: int) -> np.ndarray:
-        positions = np.arange(self.position + 1, self.position + count + 1, dtype=np.uint64)
+        values = _raw_values(self._seeds, self.position, count)[0]
         self.position += count
-        state = np.uint64(self.seed) + positions * np.uint64(_GOLDEN)
-        return _mix64_array(state)
+        return values
 
     def next_raw(self) -> int:
         value = mix64((self.seed + (self.position + 1) * _GOLDEN) & MASK64)
@@ -154,9 +249,13 @@ class StreamReader:
 
     def index_below(self, bound: int) -> int:
         """Near-uniform integer in [0, bound) via 64-bit multiply-shift."""
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
+        _check_bound(bound)
         return (self.next_raw() * bound) >> 64
+
+    def indices_below(self, bound: int, count: int) -> np.ndarray:
+        """``count`` successive :meth:`index_below` draws as one int64 array."""
+        _check_bound(bound)
+        return _indices_below(self._raw_block(count), bound)
 
     def gaussians(self, count: int) -> np.ndarray:
         """Standard normal draws; exactly two stream positions per coordinate.
@@ -166,10 +265,9 @@ class StreamReader:
         """
         if count == 0:
             return np.zeros(0)
-        raw = self._raw_block(2 * count).reshape(count, 2)
-        u1 = ((raw[:, 0] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (raw[:, 1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        values = _gaussian_values(self._seeds, self.position, count)[0]
+        self.position += 2 * count
+        return values
 
     def unit_vector(self, dim: int) -> np.ndarray:
         """One draw from the uniform distribution on the unit sphere in R^dim."""
@@ -191,12 +289,12 @@ class StreamReader:
             vectors, self.position = hit
             return vectors
         g = self.gaussians(rows * dim).reshape(rows, dim)
-        norms = np.sqrt((g * g).sum(axis=1))
+        norms = _row_norms(g)
         while (norms == 0.0).any():
             bad = norms == 0.0
             g[bad] = self.gaussians(int(bad.sum()) * dim).reshape(-1, dim)
-            norms = np.sqrt((g * g).sum(axis=1))
-        vectors = g / norms[:, None]
+            norms = _row_norms(g)
+        vectors = g / norms[..., None]
         if self._draws is not None:
             vectors.flags.writeable = False
             self._draws[key] = (vectors, self.position)
@@ -289,13 +387,16 @@ class Protocol:
     """A named pair of strategies runnable over the instrumented channel.
 
     ``cost_bits``, when given, is the exact ledger total of every run, which
-    :func:`run_protocol` enforces.
+    :func:`run_protocol` enforces.  ``batch_outputs(x, y, seeds)``, when
+    given, returns for each uint64 seed exactly the output of
+    ``run(x, y, seed)`` as an int64 array (see the module docstring).
     """
 
     name: str
     alice: Strategy
     bob: Strategy
     cost_bits: int | None = None
+    batch_outputs: Callable[[BitString, BitString, np.ndarray], np.ndarray] | None = None
 
     def run(
         self,
@@ -459,18 +560,42 @@ def estimate_error_rate(
 def _error_trials(
     protocol: Protocol, instance: GhdInstance, trials: int, seed: int
 ) -> tuple[ErrorEstimate, int, int]:
-    """The error estimate and the min and max ledger totals over the trials."""
+    """The error estimate and the min and max ledger totals over the run trials.
+
+    Every trial is run unless the protocol has ``batch_outputs``; then only
+    the audited trials are (see the module docstring).
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    x, y = instance.x, instance.y
     truth = instance.truth_bit()
-    errors = 0
-    min_bits = max_bits = None
-    for trial in range(trials):
-        outcome = protocol.run(instance.x, instance.y, derive_seed(seed, trial))
-        errors += outcome.output != truth
-        bits = outcome.ledger.total_bits
-        min_bits = bits if min_bits is None else min(min_bits, bits)
-        max_bits = bits if max_bits is None else max(max_bits, bits)
+    seeds = [derive_seed(seed, trial) for trial in range(trials)]
+    if protocol.batch_outputs is None:
+        errors = 0
+        totals = set()
+        for trial_seed in seeds:
+            outcome = protocol.run(x, y, trial_seed)
+            errors += outcome.output != truth
+            totals.add(outcome.ledger.total_bits)
+    else:
+        audited = {0: protocol.run(x, y, seeds[0])}
+        outputs = protocol.batch_outputs(x, y, np.array(seeds, dtype=np.uint64))
+        if outputs.shape != (trials,):
+            raise ContractViolationError(
+                f"batch returned outputs of shape {outputs.shape} for {trials} trials"
+            )
+        wrong = np.flatnonzero(outputs != truth)
+        first_error = int(wrong[0]) if wrong.size else 0
+        if first_error not in audited:
+            audited[first_error] = protocol.run(x, y, seeds[first_error])
+        for trial, outcome in audited.items():
+            if outputs[trial] != outcome.output:
+                raise ContractViolationError(
+                    f"batch output {outputs[trial]} differs from the audited run's "
+                    f"{outcome.output} at trial {trial} (seed {seeds[trial]})"
+                )
+        errors = wrong.size
+        totals = {outcome.ledger.total_bits for outcome in audited.values()}
     rate = errors / trials
     halfwidth = 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
-    return ErrorEstimate(rate, halfwidth), min_bits, max_bits
+    return ErrorEstimate(rate, halfwidth), min(totals), max(totals)

@@ -5,6 +5,12 @@ model), Alice sends her bit at each sampled coordinate, and Bob votes the
 mismatch fraction against the midpoint threshold (close_bound + far_bound)
 / (2n).  Total cost is exactly trial_count + 1 bits on every run.
 
+The sampled coordinates come off the shared stream as one array
+(:meth:`~ghd.runtime.StreamReader.indices_below`); Alice packs her bits at
+them, and Bob counts mismatches with one XOR and sum.  For Monte Carlo
+sweeps, ``batch_outputs`` draws the indices of many seeds as one array and
+scores every trial with the same vote.
+
 The default trial count is the Hoeffding-derived
 ``ceil(2 * s * n**2 / (far_bound - close_bound)**2)``, which provably gives
 two-sided error at most ``exp(-s)``.  An optional "linear" rate
@@ -18,8 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bits import BitString, _check_promise
-from .runtime import RECV, Protocol, Send, StreamReader
+from .runtime import RECV, Protocol, Send, StreamReader, _in_batches, _indices_below_values
 
 __all__ = [
     "SamplingParams",
@@ -77,37 +85,51 @@ def derive_sampling_params(
     return SamplingParams(n, close_bound, far_bound, error_exponent, max(1, math.ceil(trials)))
 
 
-def _sample_indices(params: SamplingParams, reader: StreamReader) -> list[int]:
-    # Sampling with replacement; indices come off the shared stream, so both
-    # parties see the same list at zero communication cost.
-    return [reader.index_below(params.n) for _ in range(params.trial_count)]
+def _votes_far(params: SamplingParams, mismatches):
+    """Bob's vote on a mismatch count (or an array of them).
+
+    Integer form of "mismatch fraction > (close_bound + far_bound) / (2n)":
+    for an integer count k, 2n k > m (L + U) exactly when k > floor(m (L + U) / 2n).
+    """
+    limit = params.trial_count * (params.close_bound + params.far_bound) // (2 * params.n)
+    return mismatches > limit
 
 
 def sampling_protocol(params: SamplingParams) -> Protocol:
+    # Sampling with replacement; indices come off the shared stream, so both
+    # parties see the same array at zero communication cost.
     m = params.trial_count
-    # Integer form of "mismatch fraction > (close_bound + far_bound) / (2n)".
-    vote_scale = 2 * params.n
-    vote_limit = m * (params.close_bound + params.far_bound)
+    pad = (-m) % 8
 
     def alice(x: BitString, reader: StreamReader):
-        indices = _sample_indices(params, reader)
-        payload = 0
-        for i in indices:
-            payload = (payload << 1) | x.bit(i)
-        yield Send(payload, m)
+        bits = x.bit_array()[reader.indices_below(params.n, m)]
+        yield Send(int.from_bytes(np.packbits(bits).tobytes(), "big") >> pad, m)
         answer, _ = yield RECV
         return answer
 
     def bob(y: BitString, reader: StreamReader):
-        indices = _sample_indices(params, reader)
-        payload, width = yield RECV
-        mismatches = 0
-        for j, i in enumerate(indices):
-            alice_bit = (payload >> (width - 1 - j)) & 1
-            mismatches += alice_bit ^ y.bit(i)
-        decision = 1 if vote_scale * mismatches > vote_limit else 0
+        indices = reader.indices_below(params.n, m)
+        payload, _ = yield RECV
+        data = np.frombuffer((payload << pad).to_bytes((m + pad) // 8, "big"), dtype=np.uint8)
+        mismatches = int((np.unpackbits(data, count=m) ^ y.bit_array()[indices]).sum())
+        decision = int(_votes_far(params, mismatches))
         yield Send(decision, 1)
         return decision
 
-    return Protocol(name="sampling", alice=alice, bob=bob, cost_bits=params.cost_bits)
+    def batch_outputs(x: BitString, y: BitString, seeds: np.ndarray) -> np.ndarray:
+        # Bob's decision for each seed: the two strategies on a leading seed axis.
+        differ = x.bit_array() ^ y.bit_array()
 
+        def decide(chunk: np.ndarray) -> np.ndarray:
+            mismatches = differ[_indices_below_values(chunk, params.n, m)].sum(axis=1)
+            return _votes_far(params, mismatches).astype(np.int64)
+
+        return _in_batches(seeds, m, decide)
+
+    return Protocol(
+        name="sampling",
+        alice=alice,
+        bob=bob,
+        cost_bits=params.cost_bits,
+        batch_outputs=batch_outputs,
+    )

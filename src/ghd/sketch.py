@@ -47,6 +47,8 @@ from .runtime import (
     SharedRandomness,
     StreamReader,
     _as_shared,
+    _in_batches,
+    _unit_vector_values,
 )
 
 __all__ = [
@@ -275,18 +277,30 @@ class SketchStatistics:
 
 
 def _project(x: BitString, params: SketchParams, vectors: np.ndarray) -> np.ndarray:
-    """Per-block projections of the zero-padded input onto the shared vectors."""
+    """Per-block projections of the zero-padded input onto the shared vectors.
+
+    ``vectors`` may carry leading axes (one per trial of a batch).
+    """
     padded = np.zeros(params.padded_length, dtype=np.float64)
     padded[: x.length] = x.bit_array()
-    return (padded.reshape(params.block_count, params.block_length) * vectors).sum(axis=1)
+    return (padded.reshape(params.block_count, params.block_length) * vectors).sum(axis=-1)
 
 
-def _shared_vectors(params: SketchParams, reader: StreamReader, *inputs: BitString) -> np.ndarray:
-    # Fresh projection vectors per run; both parties read the same positions.
+def _statistic(received: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Sum over blocks of the squared differences (over the last axis)."""
+    return ((received - own) ** 2).sum(axis=-1)
+
+
+def _check_inputs(params: SketchParams, *inputs: BitString) -> None:
     if params.trivial_mode:
         raise ValueError("trivial-mode parameters have no projections: inputs go verbatim")
     if any(x.length != params.n for x in inputs):
         raise ValueError("input length does not match the parameters")
+
+
+def _shared_vectors(params: SketchParams, reader: StreamReader, *inputs: BitString) -> np.ndarray:
+    # Fresh projection vectors per run; both parties read the same positions.
+    _check_inputs(params, *inputs)
     return reader.unit_vectors(params.block_count, params.block_length)
 
 
@@ -309,7 +323,7 @@ def bob_decide(
     """
     own = _project(y, params, _shared_vectors(params, reader, y))
     received = message.grid_indices / float(params.grid_denominator)
-    statistic = float(((received - own) ** 2).sum())
+    statistic = float(_statistic(received, own))
     decision = 1 if statistic > params.threshold else 0
     return decision, SketchStatistics(None, statistic, decision)
 
@@ -330,8 +344,8 @@ def sketch_statistics(
     alice_proj = _project(x, params, vectors)
     bob_proj = _project(y, params, vectors)
     received = quantize_projection(alice_proj, params.n) / float(params.grid_denominator)
-    exact = float(((alice_proj - bob_proj) ** 2).sum())
-    quantized = float(((received - bob_proj) ** 2).sum())
+    exact = float(_statistic(alice_proj, bob_proj))
+    quantized = float(_statistic(received, bob_proj))
     decision = 1 if quantized > params.threshold else 0
     return SketchStatistics(exact, quantized, decision)
 
@@ -377,4 +391,23 @@ def sketch_protocol(params: SketchParams) -> Protocol:
         yield Send(decision, 1)
         return decision
 
-    return Protocol(name="sketch", alice=alice, bob=bob, cost_bits=sketch_cost(params))
+    def batch_outputs(x: BitString, y: BitString, seeds: np.ndarray) -> np.ndarray:
+        # Bob's decision for each seed: the two strategies on a leading seed axis.
+        _check_inputs(params, x, y)
+
+        def decide(chunk: np.ndarray) -> np.ndarray:
+            vectors = _unit_vector_values(chunk, params.block_count, params.block_length)
+            received = quantize_projection(_project(x, params, vectors), params.n)
+            own = _project(y, params, vectors)
+            statistic = _statistic(received / float(params.grid_denominator), own)
+            return (statistic > params.threshold).astype(np.int64)
+
+        return _in_batches(seeds, params.padded_length, decide)
+
+    return Protocol(
+        name="sketch",
+        alice=alice,
+        bob=bob,
+        cost_bits=sketch_cost(params),
+        batch_outputs=batch_outputs,
+    )

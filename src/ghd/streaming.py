@@ -49,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bits import BitString, _parse_decimal, log2_ball_volume, random_pair_at_distance
+from .bits import BitString, _parse_decimal, _read_text, log2_ball_volume, random_pair_at_distance
 from .runtime import (
     RECV,
     ChannelLedger,
@@ -468,7 +468,7 @@ def read_stream_fixture(path: str | Path) -> list[int]:
     A bad line raises ``ValueError`` naming the file and the line.
     """
     tokens = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

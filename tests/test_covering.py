@@ -503,11 +503,12 @@ def test_loaded_permuted_radius_zero_code_is_zero_error(tmp_path):
         ("4 5 1\n0\n", 1),  # radius out of range
         ("+8 0_1 1\n00\n", 1),  # non-canonical header numbers
         ("\u0668 1 1\n00\n", 1),  # Arabic-Indic eight
+        (b"8 1 3\n\xff\n", 2),  # not UTF-8
     ],
 )
 def test_load_errors_name_file_and_line(tmp_path, text, line):
     path = tmp_path / "code.txt"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=rf"code\.txt, line {line}:"):
         load_code(path)
 

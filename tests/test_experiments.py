@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghd import experiments
+from ghd import experiments, sampling
 from ghd.experiments import (
     COLUMNS,
     ExperimentConfig,
     compare_bounds,
+    load_config,
     parse_config,
     run_experiment,
 )
@@ -282,11 +283,13 @@ def test_bad_error_exponent_skips_one_row(protocol, s, reason):
     ],
 )
 def test_sampling_faults_skip_one_row_before_any_draw(monkeypatch, settings, point, reason):
-    def index_below(self, bound):
+    def no_draw(*args):
         # fail at once: with a huge trial count the sampler would never finish
         raise AssertionError("a sampling index was drawn")
 
-    monkeypatch.setattr(StreamReader, "index_below", index_below)
+    monkeypatch.setattr(StreamReader, "index_below", no_draw)
+    monkeypatch.setattr(StreamReader, "indices_below", no_draw)
+    monkeypatch.setattr(sampling, "_indices_below_values", no_draw)
     config = parse_config(f"protocol = sampling\ntrials = 5\n{settings}point {point}\n")
     (record,) = run_experiment(config).records
     assert record["status"] == "skipped" and reason in record["reason"]
@@ -313,11 +316,17 @@ def test_contract_violations_still_raise(monkeypatch):
         ("protocol = nope\n", "line 1: key 'protocol': unknown protocol 'nope'"),
         ("protocol = sketch\ntrials = 0\n", "line 2: key 'trials': must be >= 1, got 0"),
         ("format = xml\nprotocol = sketch\n", "line 1: key 'format': unknown output format 'xml'"),
+        (b"protocol = sketch\n\xff\n", r"config\.txt, line 2: not UTF-8 text"),
     ],
 )
-def test_parse_config_errors_name_line_and_key(text, where):
+def test_parse_config_errors_name_line_and_key(tmp_path, text, where):
+    path = tmp_path / "config.txt"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=where):
-        parse_config(text)
+        load_config(path)
+    if isinstance(text, str):
+        with pytest.raises(ValueError, match=where):
+            parse_config(text)
 
 
 def test_conflicting_protocol_names_its_line():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ghd import runtime
 from ghd.bits import BitString, GhdInstance, random_pair_at_distance
 from ghd.runtime import (
     RECV,
@@ -10,12 +13,15 @@ from ghd.runtime import (
     Send,
     SharedRandomness,
     StreamReader,
+    _error_trials,
     derive_seed,
     estimate_error_rate,
     measure_worst_case_cost,
     mix64,
     run_protocol,
 )
+from ghd.sampling import derive_sampling_params, sampling_protocol
+from ghd.sketch import derive_sketch_params, sketch_protocol
 
 
 # ------------------------------------------------------- shared randomness
@@ -57,6 +63,36 @@ def test_index_below_covers_range_uniformly():
         counts[r.index_below(n)] += 1
     assert min(counts) > 0.8 * 2000
     assert max(counts) < 1.2 * 2000
+
+
+_SEEDS = np.array([derive_seed(43, trial) for trial in range(200)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 512, 2**31, 2**32 - 1, 2**40])
+def test_indices_below_match_repeated_index_below(bound):
+    batch = runtime._indices_below_values(_SEEDS, bound, 7)
+    assert batch.shape == (200, 7) and batch.dtype == np.int64
+    for seed, row in zip(_SEEDS, batch):
+        single, array = StreamReader(int(seed), 3), StreamReader(int(seed), 3)
+        expected = [single.index_below(bound) for _ in range(7)]
+        assert array.indices_below(bound, 7).tolist() == expected
+        assert array.position == single.position == 10
+        # the seed-array form is the draw of a fresh reader
+        fresh = StreamReader(int(seed))
+        assert row.tolist() == [fresh.index_below(bound) for _ in range(7)]
+
+
+def test_indices_below_rejects_a_bound_below_one_before_drawing():
+    reader = StreamReader(5, 4)
+    for draw in (
+        lambda: reader.index_below(0),
+        lambda: reader.indices_below(0, 3),
+        lambda: runtime._indices_below_values(_SEEDS, -1, 3),
+    ):
+        with pytest.raises(ValueError, match="^bound must be >= 1$"):
+            draw()
+    assert reader.position == 4
+    assert reader.indices_below(9, 0).tolist() == [] and reader.position == 4
 
 
 def test_vectorized_and_scalar_stream_paths_agree():
@@ -454,3 +490,104 @@ def test_estimate_error_rate_rejects_promise_violation():
     violated = GhdInstance.at_distance(16, 2, 8, 5, seed=0)
     with pytest.raises(ValueError):
         estimate_error_rate(proto, violated, trials=5, seed=0)
+
+
+# ------------------------------------------------------- batched Monte Carlo
+
+
+def _batch_cases():
+    # (close, far, distance) of each instance; the sketch's decisions split at
+    # distance 9, sampling's at 130, so trials there err on either class
+    sketch = sketch_protocol(derive_sketch_params(512, 4, 256, 2))
+    sampling = sampling_protocol(derive_sampling_params(512, 4, 256, 2))
+    for proto, bounds in (
+        (sketch, [(4, 256, 4), (9, 256, 9), (4, 9, 9), (4, 256, 256)]),
+        (sampling, [(4, 256, 4), (130, 256, 130), (4, 130, 130), (4, 256, 256)]),
+    ):
+        for lo, hi, distance in bounds:
+            yield proto, GhdInstance.at_distance(512, lo, hi, distance, seed=distance)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_batched_error_trials_equal_the_run_loop(case):
+    proto, instance = list(_batch_cases())[case]
+    unbatched = dataclasses.replace(proto, batch_outputs=None)
+    for trials, seed in ((1, 3), (120, 4)):
+        assert _error_trials(proto, instance, trials, seed) == _error_trials(
+            unbatched, instance, trials, seed
+        )
+
+
+def test_batch_steps_stay_within_the_working_set(monkeypatch):
+    proto = sketch_protocol(derive_sketch_params(512, 4, 256, 2))  # 812 coordinates a trial
+    x, y = random_pair_at_distance(512, 9, seed=9)
+    seeds = np.array([derive_seed(8, trial) for trial in range(40)], dtype=np.uint64)
+    expected = [proto.run(x, y, int(seed)).output for seed in seeds]
+    steps = []
+    original = runtime._unit_vector_values
+
+    def unit_vector_values(chunk, rows, dim):
+        steps.append(len(chunk))
+        return original(chunk, rows, dim)
+
+    monkeypatch.setattr("ghd.sketch._unit_vector_values", unit_vector_values)
+    assert proto.batch_outputs(x, y, seeds).tolist() == expected
+    assert steps == [10, 10, 10, 10]  # 2**13 // 812
+    steps.clear()
+    monkeypatch.setattr(runtime, "_BATCH_COORDINATES", 100)  # below one trial
+    assert proto.batch_outputs(x, y, seeds).tolist() == expected
+    assert steps == [1] * 40
+
+
+def _doctored(proto, trial, flip=True):
+    def batch_outputs(x, y, seeds):
+        outputs = proto.batch_outputs(x, y, seeds)
+        outputs[trial] ^= flip
+        return outputs
+
+    return dataclasses.replace(proto, batch_outputs=batch_outputs)
+
+
+@pytest.mark.parametrize("trial", [0, 5])
+def test_batch_output_that_differs_from_its_audited_run_raises(trial):
+    proto = sampling_protocol(derive_sampling_params(512, 4, 256, 2))
+    close = GhdInstance.at_distance(512, 4, 256, 4, seed=4)  # no trial errs
+    # a doctored output at trial 5 is the first error, so it is audited
+    seed = derive_seed(11, trial)
+    with pytest.raises(
+        ContractViolationError,
+        match=rf"^batch output 1 differs from the audited run's 0 at trial {trial} \(seed {seed}\)$",
+    ):
+        _error_trials(_doctored(proto, trial), close, 20, 11)
+
+
+def test_batch_audits_trial_zero_and_the_first_error():
+    proto = sketch_protocol(derive_sketch_params(512, 4, 256, 2))
+    split = GhdInstance.at_distance(512, 9, 256, 9, seed=9)  # close class, decisions split
+    seeds = np.array([derive_seed(18, trial) for trial in range(60)], dtype=np.uint64)
+    outputs = proto.batch_outputs(split.x, split.y, seeds)
+    assert np.flatnonzero(outputs)[:2].tolist() == [2, 3]  # trial 2 is the first error
+    runs = []
+
+    def alice(x, reader):
+        runs.append(reader)
+        return (yield from proto.alice(x, reader))
+
+    estimate, low, high = _error_trials(dataclasses.replace(proto, alice=alice), split, 60, 18)
+    assert len(runs) == 2 and estimate.error_rate == outputs.sum() / 60
+    assert low == high == proto.cost_bits
+    # a false error before trial 2 becomes the first error, so it is run
+    with pytest.raises(ContractViolationError, match="at trial 1 "):
+        _error_trials(_doctored(proto, 1), split, 60, 18)
+    # trials past the first error are scored from the batch alone
+    later = int(np.flatnonzero(outputs == 0)[-1])
+    estimate, _, _ = _error_trials(_doctored(proto, later), split, 60, 18)
+    assert estimate.error_rate == (outputs.sum() + 1) / 60
+
+
+def test_batch_of_the_wrong_shape_raises():
+    proto = sampling_protocol(derive_sampling_params(512, 4, 256, 2))
+    short = dataclasses.replace(proto, batch_outputs=lambda x, y, seeds: np.zeros(2, np.int64))
+    close = GhdInstance.at_distance(512, 4, 256, 4, seed=4)
+    with pytest.raises(ContractViolationError, match=r"^batch returned outputs of shape \(2,\) for 5 trials$"):
+        _error_trials(short, close, 5, 0)

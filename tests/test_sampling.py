@@ -1,9 +1,18 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from ghd import sampling
 from ghd.bits import GhdInstance, random_pair_at_distance
-from ghd.runtime import BudgetExceededError, SharedRandomness, StreamReader, estimate_error_rate
+from ghd.runtime import (
+    BudgetExceededError,
+    SharedRandomness,
+    StreamReader,
+    derive_seed,
+    estimate_error_rate,
+)
 from ghd.sampling import derive_sampling_params, sampling_protocol
 
 
@@ -41,21 +50,37 @@ def test_huge_finite_trial_count_is_exact_ceiling():
     assert params.trial_count == math.ceil(2.0 * 1e300 * 64 * 64 / 38**2)
 
 
+def forbid_index_draws(monkeypatch):
+    """Make every sampling index draw, per run or batched, fail at once."""
+
+    def no_draw(*args):
+        raise AssertionError("sampling indices were drawn")
+
+    monkeypatch.setattr(StreamReader, "index_below", no_draw)
+    monkeypatch.setattr(StreamReader, "indices_below", no_draw)
+    monkeypatch.setattr(sampling, "_indices_below_values", no_draw)
+
+
 def test_huge_trial_count_run_raises_before_any_draw(monkeypatch):
     params = derive_sampling_params(64, 2, 40, 1e300)
     proto = sampling_protocol(params)
     assert proto.cost_bits == params.cost_bits == params.trial_count + 1
 
-    def no_draw(self, bound):
-        raise AssertionError("a party started drawing indices")
-
-    monkeypatch.setattr(StreamReader, "index_below", no_draw)
+    forbid_index_draws(monkeypatch)
     x, y = random_pair_at_distance(64, 2, seed=1)
     with pytest.raises(
         BudgetExceededError,
         match=rf"^declared cost {params.cost_bits} bits exceeds the bit budget 262144 bits$",
     ):
         proto.run(x, y, 0)
+
+
+def test_huge_trial_count_estimate_raises_before_any_draw(monkeypatch):
+    proto = sampling_protocol(derive_sampling_params(64, 2, 40, 1e300))
+    forbid_index_draws(monkeypatch)
+    close = GhdInstance.at_distance(64, 2, 40, 2, seed=1)
+    with pytest.raises(BudgetExceededError, match="^declared cost .* exceeds the bit budget 262144 bits$"):
+        estimate_error_rate(proto, close, 100, 0)
 
 
 def test_rejects_bad_parameters():
@@ -137,3 +162,60 @@ def test_deterministic_given_seed():
     b = sampling_protocol(params).run(x, y, 123)
     assert a.output == b.output
     assert a.ledger.messages == b.ledger.messages
+
+
+def _bitwise_reference(params, x, y, seed):
+    """The payload and decision of the coordinate-by-coordinate protocol."""
+    reader = SharedRandomness(seed).reader()
+    indices = [reader.index_below(params.n) for _ in range(params.trial_count)]
+    payload = 0
+    for i in indices:
+        payload = (payload << 1) | x.bit(i)
+    mismatches = sum(x.bit(i) ^ y.bit(i) for i in indices)
+    decision = 1 if 2 * params.n * mismatches > params.trial_count * (params.close_bound + params.far_bound) else 0
+    return payload, decision
+
+
+@pytest.mark.parametrize(
+    "point, rate", [((50, 5, 30, 1.5), "hoeffding"), ((512, 4, 256, 200), "hoeffding"), ((100, 30, 60, 1), "linear")]
+)
+def test_array_strategies_match_the_bitwise_protocol(point, rate):
+    params = derive_sampling_params(*point, rate=rate)
+    n = params.n
+    for seed in range(12):
+        x, y = random_pair_at_distance(n, (seed * 7) % (n + 1), seed=seed)
+        outcome = sampling_protocol(params).run(x, y, seed)
+        payload, decision = _bitwise_reference(params, x, y, seed)
+        assert outcome.ledger.messages[0].payload == payload
+        assert outcome.output == outcome.ledger.messages[1].payload == decision
+
+
+@pytest.mark.parametrize(
+    "point, rate, distances",
+    [
+        ((512, 4, 256, 2), "hoeffding", (4, 130, 256)),  # the mc_sweep points
+        ((512, 4, 256, 3), "hoeffding", (0, 130, 300)),
+        ((2048, 8, 1024, 2), "hoeffding", (8, 520, 1024)),
+        ((512, 4, 256, 2), "linear", (4, 40, 256)),
+        ((100, 30, 60, 1), "hoeffding", (30, 45, 60)),
+    ],
+)
+def test_batch_outputs_equal_protocol_runs(point, rate, distances):
+    params = derive_sampling_params(*point, rate=rate)
+    proto = sampling_protocol(params)
+    seeds = np.array([derive_seed(point[0], trial) for trial in range(300)], dtype=np.uint64)
+    split = False
+    for d in distances:
+        x, y = random_pair_at_distance(params.n, d, seed=d)
+        outputs = proto.batch_outputs(x, y, seeds)
+        assert outputs.dtype == np.int64
+        assert outputs.tolist() == [proto.run(x, y, int(seed)).output for seed in seeds]
+        split |= 0 < outputs.sum() < len(seeds)
+    assert split
+
+
+def test_batched_error_rate_matches_the_run_loop():
+    proto = sampling_protocol(derive_sampling_params(100, 30, 60, 1))
+    far = GhdInstance.at_distance(100, 30, 60, 60, seed=2)
+    unbatched = dataclasses.replace(proto, batch_outputs=None)
+    assert estimate_error_rate(proto, far, 500, 3) == estimate_error_rate(unbatched, far, 500, 3)

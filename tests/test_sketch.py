@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghd import runtime
 from ghd.bits import BitString, GhdInstance, random_pair_at_distance
 from ghd.runtime import (
     SharedRandomness,
@@ -17,6 +19,8 @@ from ghd.runtime import (
 from ghd.sketch import (
     GuaranteeFloorError,
     SketchMessage,
+    _project,
+    _statistic,
     alice_sketch,
     bob_decide,
     derive_sketch_params,
@@ -449,3 +453,99 @@ def test_ledgers_match_pinned_digest():
             outcome = proto.run(x, y, derive_seed(42, p, trial))
             digest.update(f"{outcome.output} {outcome.ledger.rounds}\n{outcome.ledger.dump()}\n".encode())
     assert digest.hexdigest() == LEDGER_DIGEST
+
+
+# ------------------------------------------------------- batched decisions
+
+
+def _seeds(master, count):
+    return np.array([derive_seed(master, trial) for trial in range(count)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize(
+    "point, distances, seeds",
+    [
+        ((512, 4, 256, 2.0), (4, 9, 256), 300),  # the mc_sweep points
+        ((512, 4, 256, 3.0), (0, 9, 300), 300),
+        ((2048, 8, 1024, 2.0), (8, 1024), 60),
+        ((512, 1, 256, 0.008), (1, 9, 30), 200),  # block_length 8
+        ((512, 1, 256, 0.006), (9, 30), 200),  # block_length 9
+        ((512, 1, 256, 0.001), (9, 30), 300),  # block_length 16
+        ((300, 2, 100, 0.05), (2, 9, 100), 200),  # padded past n
+    ],
+)
+def test_batch_outputs_equal_protocol_runs(point, distances, seeds):
+    n, lo, hi, s = point
+    proto = sketch_protocol(derive_sketch_params(n, lo, hi, s, allow_void_guarantee=True))
+    trial_seeds = _seeds(n + lo, seeds)
+    split = False
+    for d in distances:
+        x, y = random_pair_at_distance(n, d, seed=d)
+        outputs = proto.batch_outputs(x, y, trial_seeds)
+        assert outputs.dtype == np.int64
+        assert outputs.tolist() == [proto.run(x, y, int(seed)).output for seed in trial_seeds]
+        split |= 0 < outputs.sum() < seeds
+    assert split or n == 2048  # the decisions split at some distance
+
+
+@pytest.mark.parametrize(
+    "s, block_length", [(0.5, 2), (0.2, 3), (0.05, 5), (0.006, 9), (0.001, 16), (0.0005, 20)]
+)
+def test_batched_statistic_is_bit_identical(s, block_length):
+    params = derive_sketch_params(512, 1, 256, s, allow_void_guarantee=True)
+    assert params.block_length == block_length
+    x, y = random_pair_at_distance(512, 20, seed=5)
+    seeds = _seeds(block_length, 40)
+    vectors = runtime._unit_vector_values(seeds, params.block_count, params.block_length)
+    received = quantize_projection(_project(x, params, vectors), 512) / float(params.grid_denominator)
+    batched = _statistic(received, _project(y, params, vectors))
+    for seed, statistic in zip(seeds, batched):
+        assert statistic == sketch_statistics(x, y, params, int(seed)).received_statistic
+
+
+def test_batch_redraws_a_zero_norm_row_like_a_run(monkeypatch):
+    # Zero the first row of one seed's first Gaussian block, in the batch
+    # draw and in that seed's run alike, so both take the redraw path.
+    params = derive_sketch_params(300, 2, 100, 0.05)
+    proto = sketch_protocol(params)
+    seeds = _seeds(47, 30)
+    target = seeds[7]
+    original = runtime._gaussian_values
+    zeroed = []
+
+    def gaussians(chunk, start, count):
+        values = original(chunk, start, count)
+        hit = chunk == target
+        if start == 0 and hit.any():
+            zeroed.append(len(chunk))
+            values[hit, : params.block_length] = 0.0
+        return values
+
+    monkeypatch.setattr(runtime, "_gaussian_values", gaussians)
+    x, y = random_pair_at_distance(300, 9, seed=9)
+    outputs = proto.batch_outputs(x, y, seeds)
+    # the batch step holding it (2**13 // 384 = 21 seeds), then the target's
+    # own reader inside the redraw
+    assert params.padded_length == 384 and zeroed == [21, 1]
+    assert outputs.tolist() == [proto.run(x, y, int(seed)).output for seed in seeds]
+    redrawn = runtime._unit_vector_values(seeds[6:9], params.block_count, params.block_length)
+    plain = StreamReader(int(target))
+    assert redrawn[1].tobytes() == plain.unit_vectors(params.block_count, params.block_length).tobytes()
+    assert plain.position == 2 * (params.padded_length + params.block_length)
+    monkeypatch.setattr(runtime, "_gaussian_values", original)
+    unpatched = StreamReader(int(target)).unit_vectors(params.block_count, params.block_length)
+    assert redrawn[1].tobytes() != unpatched.tobytes()
+    assert redrawn[1][1:].tobytes() == unpatched[1:].tobytes()
+
+
+def test_only_projecting_sketches_batch():
+    assert sketch_protocol(reference_params()).batch_outputs is not None
+    trivial = derive_sketch_params(64, 2, 40, 30.0)
+    assert trivial.trivial_mode and sketch_protocol(trivial).batch_outputs is None
+
+
+def test_batched_error_rate_matches_the_run_loop():
+    proto = sketch_protocol(reference_params())
+    far = GhdInstance.at_distance(512, 4, 9, 9, seed=9)
+    unbatched = dataclasses.replace(proto, batch_outputs=None)
+    assert estimate_error_rate(proto, far, 150, 3) == estimate_error_rate(unbatched, far, 150, 3)

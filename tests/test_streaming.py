@@ -352,11 +352,12 @@ def test_stream_fixture_round_trip(tmp_path):
         ("0\n", 1),
         ("07\n", 1),
         ("3 4\n", 1),
+        (b"5\n\xff\n", 2),  # not UTF-8
     ],
 )
 def test_fixture_errors_name_file_and_line(tmp_path, text, line):
     path = tmp_path / "stream.tokens"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=rf"stream\.tokens, line {line}:"):
         read_stream_fixture(path)
 
