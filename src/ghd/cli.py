@@ -21,7 +21,7 @@ from pathlib import Path
 from .bits import ball_volume, hamming_distance, log2_ball_volume, random_pair_at_distance
 from .covering import det_complexity_bounds
 from .experiments import load_config, normalize_protocol, run_experiment
-from .streaming import ExactBitmapF0, encode_streams, ghd_via_streaming, space_lower_bound, stream_gap, write_stream_fixture
+from .streaming import ExactBitmapF0, encode_streams, exact_f0, ghd_via_streaming, space_lower_bound, stream_gap, write_stream_fixture
 
 __all__ = ["main"]
 
@@ -124,7 +124,7 @@ def _cmd_demo_stream(args) -> int:
         print(f"   u={u}")
         print(f"   v={v}")
         print(
-            f"   distinct={run.distinct_count} (= n + distance = {n} + {hamming_distance(a, b)})"
+            f"   distinct={exact_f0(u + v)} (= n + distance = {n} + {hamming_distance(a, b)})"
         )
         print(
             f"   estimate={run.estimate} threshold=n+gap={n + gap} output={output}"
@@ -143,17 +143,17 @@ def _cmd_demo_stream(args) -> int:
     return 0
 
 
+_COMMANDS = {"volume": _cmd_volume, "bounds": _cmd_bounds, "bench": _cmd_bench, "demo": _cmd_demo_stream}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "volume":
-        return _cmd_volume(args)
-    if args.command == "bounds":
-        return _cmd_bounds(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "demo":
-        return _cmd_demo_stream(args)
-    raise AssertionError("unreachable")
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        # a bad argument value is a usage error, not a crash
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

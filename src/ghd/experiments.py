@@ -37,6 +37,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .bits import BitString, GhdInstance, _read_text, log2_ball_volume, random_pair_at_distance
@@ -431,11 +432,6 @@ def _run_point(config: ExperimentConfig, index: int) -> dict:
         return record
 
 
-def _point_worker(payload: tuple[ExperimentConfig, int]) -> dict:
-    config, index = payload
-    return _run_point(config, index)
-
-
 @dataclass
 class Report:
     records: list[dict] = field(default_factory=list)
@@ -481,12 +477,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Report:
     """One record per grid point; deterministic given the config and seed."""
     if config.protocol == "deterministic" and config.code_dir:
         prepare_codes(config)
-    tasks = [(config, index) for index in range(len(config.grid))]
-    if jobs > 1 and len(tasks) > 1:
+    indices = range(len(config.grid))
+    if jobs > 1 and len(indices) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_point_worker, tasks))
+            records = list(pool.map(_run_point, repeat(config), indices))
     else:
-        records = [_point_worker(task) for task in tasks]
+        records = [_run_point(config, index) for index in indices]
     return Report(records)
 
 

@@ -527,10 +527,7 @@ def measure_worst_case_cost(
             x, y = instance.x, instance.y
         else:
             x, y = instance
-        outcome = run_protocol(
-            protocol.alice, protocol.bob, x, y, shared, cost_bits=protocol.cost_bits
-        )
-        cost = outcome.ledger.total_bits
+        cost = protocol.run(x, y, shared).ledger.total_bits
         if worst is None or cost > worst:
             worst = cost
     if worst is None:

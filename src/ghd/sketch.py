@@ -291,6 +291,20 @@ def _statistic(received: np.ndarray, own: np.ndarray) -> np.ndarray:
     return ((received - own) ** 2).sum(axis=-1)
 
 
+def _projections_and_statistic(
+    x: BitString, y: BitString, params: SketchParams, vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alice's and Bob's projections and the statistic Bob computes from them.
+
+    The statistic uses Alice's quantized projections, exactly as transmitted;
+    ``vectors`` may carry leading axes, which every result keeps.
+    """
+    alice_proj = _project(x, params, vectors)
+    bob_proj = _project(y, params, vectors)
+    received = quantize_projection(alice_proj, params.n) / float(params.grid_denominator)
+    return alice_proj, bob_proj, _statistic(received, bob_proj)
+
+
 def _check_inputs(params: SketchParams, *inputs: BitString) -> None:
     if params.trivial_mode:
         raise ValueError("trivial-mode parameters have no projections: inputs go verbatim")
@@ -341,11 +355,9 @@ def sketch_statistics(
     protocol decision for the same seed.
     """
     vectors = _shared_vectors(params, _as_shared(shared).reader(), x, y)
-    alice_proj = _project(x, params, vectors)
-    bob_proj = _project(y, params, vectors)
-    received = quantize_projection(alice_proj, params.n) / float(params.grid_denominator)
+    alice_proj, bob_proj, statistic = _projections_and_statistic(x, y, params, vectors)
     exact = float(_statistic(alice_proj, bob_proj))
-    quantized = float(_statistic(received, bob_proj))
+    quantized = float(statistic)
     decision = 1 if quantized > params.threshold else 0
     return SketchStatistics(exact, quantized, decision)
 
@@ -397,9 +409,7 @@ def sketch_protocol(params: SketchParams) -> Protocol:
 
         def decide(chunk: np.ndarray) -> np.ndarray:
             vectors = _unit_vector_values(chunk, params.block_count, params.block_length)
-            received = quantize_projection(_project(x, params, vectors), params.n)
-            own = _project(y, params, vectors)
-            statistic = _statistic(received / float(params.grid_denominator), own)
+            statistic = _projections_and_statistic(x, y, params, vectors)[2]
             return (statistic > params.threshold).astype(np.int64)
 
         return _in_batches(seeds, params.padded_length, decide)

@@ -25,9 +25,11 @@ one-dimensional int64 array.  Its default calls ``consume`` once per token,
 in order; an algorithm may override it with a batch update that leaves the
 same state.
 
-The metered memory S is the maximum snapshot bit length observed during the
-run — exactly what the reduction communicates.  Algorithms must be
-deterministic; the harness replays every run and raises on any divergence.
+The metered memory S is the largest snapshot in the run's ledger: every
+message but Bob's final one-bit decision is one snapshot at its exact bit
+length, so S is exactly what the reduction communicates per handoff.
+Algorithms must be deterministic; the harness replays every run and raises
+on any divergence.
 
 Stream fixture format: one token per line, a positive decimal with no sign,
 underscore or leading zero.
@@ -49,16 +51,16 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bits import BitString, _parse_decimal, _read_text, log2_ball_volume, random_pair_at_distance
+from .bits import BitString, _parse_decimal, _read_text, hamming_distance, log2_ball_volume, random_pair_at_distance
 from .runtime import (
     RECV,
     ChannelLedger,
     ContractViolationError,
     Protocol,
+    ProtocolOutcome,
     Send,
     StreamReader,
     derive_seed,
-    run_protocol,
 )
 
 __all__ = [
@@ -246,9 +248,8 @@ def _wire_to_snapshot(payload: int, width: int) -> StateSnapshot:
 
 @dataclass
 class RunMeter:
-    """Side-channel record of a reduction run: handoff sizes and the estimate."""
+    """Side-channel record of a reduction run: Bob's final estimate (S is in the ledger)."""
 
-    state_bits: list[int] = field(default_factory=list)
     estimates: list[int] = field(default_factory=list)
 
 
@@ -261,8 +262,7 @@ def streaming_protocol(
 
     ``algorithm_factory`` builds one machine per party; state travels over
     the channel as snapshots, charged at their exact bit length.  When a
-    ``meter`` is given it records every handoff's bit length (for metering S)
-    and Bob's final estimate.
+    ``meter`` is given it records Bob's final estimate.
     """
     _check_factor(approx_factor)
 
@@ -278,10 +278,7 @@ def streaming_protocol(
                 machine.restore(_wire_to_snapshot(payload, width))
                 machine.start_pass(pass_index)
             machine.consume_all(tokens)
-            snap = machine.snapshot()
-            if meter is not None:
-                meter.state_bits.append(snap.bit_length)
-            yield Send(*_snapshot_to_wire(snap))
+            yield Send(*_snapshot_to_wire(machine.snapshot()))
         answer, _ = yield RECV
         return answer
 
@@ -296,10 +293,7 @@ def streaming_protocol(
             machine.restore(_wire_to_snapshot(payload, width))
             machine.consume_all(tokens)
             if pass_index < passes - 1:
-                snap = machine.snapshot()
-                if meter is not None:
-                    meter.state_bits.append(snap.bit_length)
-                yield Send(*_snapshot_to_wire(snap))
+                yield Send(*_snapshot_to_wire(machine.snapshot()))
         estimate = machine.estimate()
         if meter is not None:
             meter.estimates.append(estimate)
@@ -321,28 +315,27 @@ def ghd_via_streaming(
 
     Outputs 0 exactly when the final estimate is below ``n + gap`` with
     ``gap = ceil(n * (approx_factor - 1))``.  Communication is asserted to
-    stay within ``2 * passes * S`` where S is the metered snapshot maximum.
-    With ``check_determinism`` the whole exchange is replayed and any
-    transcript divergence raises :class:`ContractViolationError`.
+    stay within ``2 * passes * S`` where S is the largest snapshot in the
+    ledger.  With ``check_determinism`` the whole exchange is replayed and
+    any transcript divergence raises :class:`ContractViolationError`.
     """
     if x.length != y.length:
         raise ValueError("inputs must have equal length")
     n = x.length
     gap = stream_gap(n, approx_factor)
 
-    meter = RunMeter()
-    protocol = streaming_protocol(algorithm_factory, approx_factor, meter)
-    outcome = run_protocol(protocol.alice, protocol.bob, x, y, shared=0)
-    estimate = meter.estimates[-1]
+    def run_once() -> tuple[ProtocolOutcome, int]:
+        meter = RunMeter()
+        outcome = streaming_protocol(algorithm_factory, approx_factor, meter).run(x, y, 0)
+        return outcome, meter.estimates[-1]
+
+    outcome, estimate = run_once()
     if check_determinism:
-        replay_meter = RunMeter()
-        replay_protocol = streaming_protocol(algorithm_factory, approx_factor, replay_meter)
-        replay = run_protocol(replay_protocol.alice, replay_protocol.bob, x, y, shared=0)
+        replay, replay_estimate = run_once()
         if (
             replay.ledger.messages != outcome.ledger.messages
             or replay.output != outcome.output
-            or replay_meter.estimates != meter.estimates
-            or replay_meter.state_bits != meter.state_bits
+            or replay_estimate != estimate
         ):
             raise ContractViolationError(
                 "streaming algorithm is not deterministic: replay diverged"
@@ -353,21 +346,21 @@ def ghd_via_streaming(
                 "a single-machine execution disagree"
             )
 
-    machine = algorithm_factory()
-    passes = machine.passes
-    state_max = max(meter.state_bits)
+    # the declared p, not the ledger's: a check against the ledger always passes
+    passes = algorithm_factory().passes
+    # every message but the final one-bit decision is one snapshot
+    state_max = max(m.width for m in outcome.ledger.messages[:-1])
     communication = outcome.ledger.total_bits
     if communication > 2 * passes * state_max:
         raise ContractViolationError(
             f"communication {communication} exceeds 2*p*S = {2 * passes * state_max}"
         )
 
-    u, v = encode_streams(x, y, n)
     run = ReductionRun(
         n=n,
         approx_factor=approx_factor,
         gap=gap,
-        distinct_count=exact_f0(u + v),
+        distinct_count=n + hamming_distance(x, y),
         estimate=estimate,
         state_bits=state_max,
         passes=passes,

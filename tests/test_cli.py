@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -92,7 +93,40 @@ def test_bench_violation_exits_two(tmp_path, capsys):
     assert "false" in capsys.readouterr().out
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as info:
-        main(["volume"])
-    assert info.value.code == 64
+def test_usage_error_exit_code(tmp_path, capsys):
+    # a missing argument, then bad values that the commands themselves reject
+    config = tmp_path / "bad.cfg"
+    config.write_text("trials = x\n")
+    cases = [
+        (["volume"], "the following arguments are required"),
+        (["volume", "0", "0"], "n must be >= 1, got 0"),
+        (["volume", "5", "9"], "radius must satisfy 0 <= r <= n, got r=9, n=5"),
+        (["bounds", "det", "10", "0"], "gap must satisfy 1 <= gap <= n, got 0"),
+        (["bounds", "stream", "10", "2.5", "1"], "c must lie strictly between 1 and 2"),
+        (["bounds", "stream", "10", "1.5", "0"], "passes must be >= 1"),
+        (["demo", "stream", "--passes", "0"], "passes must be >= 1"),
+        (["bench", "sketch", "--config", str(config)], "line 1: key 'trials': cannot read 'x' as int"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 64, argv
+        err = capsys.readouterr().err
+        assert "error: " + message in err, argv
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--n", "6"], "f6dcd99b1c27b89ddac529a0efc711b0347af5059ac5169531ff1cd180c34709"),
+        (
+            ["--n", "8", "--passes", "3", "--c", "1.3"],
+            "4df3a4973fbbd2d6885f63504862ce6b7ab33b30bafbb4cc4a387ad43fa7307d",
+        ),
+    ],
+    ids=["n6", "n8-p3-c1.3"],
+)
+def test_demo_stream_output_is_pinned(argv, digest, capsys):
+    # the walkthrough's text, byte for byte
+    assert main(["demo", "stream", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

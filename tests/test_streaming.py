@@ -237,6 +237,51 @@ def test_handoff_budget_per_pass():
         assert run.ledger.rounds == 2 * passes
 
 
+class _GrowingSnapshotBitmap(_ConsumeOnlyBitmap):
+    """Snapshots only up to the highest token seen, so their widths vary."""
+
+    def snapshot(self) -> StateSnapshot:
+        bitmap = sum(1 << (t - 1) for t in self.seen)
+        width = max(1, bitmap.bit_length())
+        return StateSnapshot(bitmap.to_bytes((width + 7) // 8, "big"), width)
+
+
+_PLUGINS = {
+    "exact": (lambda n, passes: ExactBitmapF0(2 * n, passes), lambda n, u, v, passes: 2 * n),
+    "truncated": (
+        lambda n, passes: TruncatedBitmapF0(2 * n, capacity_bits=17, passes=passes),
+        lambda n, u, v, passes: 17,
+    ),
+    "consume-only": (
+        lambda n, passes: _ConsumeOnlyBitmap(2 * n, passes),
+        lambda n, u, v, passes: 2 * n,
+    ),
+    # Alice's first snapshot covers u; with a second pass Bob's covers u and v
+    "growing": (
+        lambda n, passes: _GrowingSnapshotBitmap(2 * n, passes),
+        lambda n, u, v, passes: max(u if passes == 1 else u + v),
+    ),
+}
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+@pytest.mark.parametrize("plugin", sorted(_PLUGINS))
+def test_run_reports_match_the_oracle_and_the_ledger(plugin, passes):
+    make, snapshot_bits = _PLUGINS[plugin]
+    c = 1.5
+    for n in (9, 20, 33):
+        for d in sorted({0, 1, stream_gap(n, c) - 1, stream_gap(n, c), n}):
+            x, y = random_pair_at_distance(n, d, seed=derive_seed(n, d))
+            u, v = encode_streams(x, y, n)
+            _, run = ghd_via_streaming(lambda: make(n, passes), c, x, y)
+            assert run.distinct_count == exact_f0(u + v)
+            assert run.state_bits == snapshot_bits(n, u, v, passes)
+            assert run.state_bits == max(m.width for m in run.ledger.messages[:-1])
+            assert run.communication_bits == run.ledger.total_bits
+            assert len(run.ledger.messages) == 2 * passes
+            assert run.ledger.messages[-1].width == 1
+
+
 def test_zero_error_on_promise_randomized():
     n, c = 60, 1.4
     gap = stream_gap(n, c)
