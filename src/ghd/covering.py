@@ -15,10 +15,15 @@ the size guarantee ``|C| <= (0.694 * n + 1) * 2**n / V2(n, r)``.  After a
 pick newly covers k points, only words within 2r of it lose gain.  When
 2r < n and ``V2(n, r)**2`` fits the 8,000,000-entry chunk budget, the update
 counts the drops through a precomputed ``V2(n, r) x V2(n, r)`` slot table,
-O(min(k, V2(n, r) - k) * V2(n, r) + V2(n, 2r)) work per pick; otherwise it
-bincounts the k balls over the whole cube, O(k * V2(n, r) + 2**n).  Each pick
-also takes one O(2**n) argmax.  For larger
-n, :func:`random_covering_code` samples codewords until a sampled-point audit
+O(min(k, V2(n, r) - k) * V2(n, r)) work, and subtracts them from the int16
+gains of the 2r-ball, O(V2(n, 2r)).  The drops depend only on which slots of
+the ball are newly covered, and greedy picks come in runs of translates that
+share that mask, so a pick whose mask repeats the previous pick's reuses its
+drops.  Otherwise the update bincounts over the whole cube the k newly
+covered balls, or, when fewer than k points remain uncovered, rebuilds the
+gains from the remaining balls: O(min(k, remaining) * V2(n, r) + 2**n).
+Each pick also takes one O(2**n) argmax.  For larger n,
+:func:`random_covering_code` samples codewords until a sampled-point audit
 passes; its size is within the same envelope with statistical confidence
 only.
 
@@ -195,9 +200,10 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
     # Local updates need the 2r-ball to be smaller than the cube and the
     # volume x volume slot table to fit one chunk.
     local = 2 * radius < n and volume * volume <= _GAIN_CHUNK_ENTRIES
-    # int32 halves argmax's pass; the full-cube loop subtracts int64
-    # bincounts, and mixing widths there costs more than argmax saves.
-    gain = np.full(size, volume, dtype=np.int32 if local else np.int64)
+    # A gain never exceeds volume, and the chunk budget keeps the local
+    # path's volume below 2**15: int16 halves argmax's pass and the update's
+    # gather and scatter.  The full-cube loop works on int64 bincounts.
+    gain = np.full(size, volume, dtype=np.int16 if local else np.int64)
     uncovered = np.ones(size, dtype=bool)
     remaining = size
     codewords: list[int] = []
@@ -213,6 +219,9 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
         pairs = position[offsets[:, None] ^ offsets]
         del position
         whole = np.bincount(pairs.ravel(), minlength=len(reach))
+        # The drop depends only on fresh, the newly covered slots of the
+        # ball, and greedy picks come in runs of translates that share it.
+        last_fresh = None
 
     while remaining:
         pick = int(np.argmax(gain))
@@ -225,17 +234,27 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
         if remaining == 0:
             break
         if local:
-            if 2 * len(newly) > volume:
-                drop = whole - np.bincount(pairs[~fresh].ravel(), minlength=len(reach))
-            else:
-                drop = np.bincount(pairs[fresh].ravel(), minlength=len(reach))
-            gain[pick ^ reach] -= drop
+            if not np.array_equal(fresh, last_fresh):
+                if 2 * len(newly) > volume:
+                    drop = whole - np.bincount(pairs[~fresh].ravel(), minlength=len(reach))
+                else:
+                    drop = np.bincount(pairs[fresh].ravel(), minlength=len(reach))
+                drop = drop.astype(np.int16)
+                last_fresh = fresh
+            # np.subtract.at runs faster here than gain[pick ^ reach] -= drop
+            np.subtract.at(gain, pick ^ reach, drop)
             continue
-        # candidates within radius of a newly covered point lose one gain each
-        for start in range(0, len(newly), chunk_rows):
-            chunk = newly[start : start + chunk_rows]
+        # A gain counts the uncovered points within radius: subtract the
+        # newly covered balls, or rebuild from the remaining ones if fewer.
+        if remaining < len(newly):
+            gain[:] = 0
+            words, update = np.flatnonzero(uncovered), np.add
+        else:
+            words, update = newly, np.subtract
+        for start in range(0, len(words), chunk_rows):
+            chunk = words[start : start + chunk_rows]
             indices = (chunk[:, None] ^ offsets[None, :]).ravel()
-            gain -= np.bincount(indices, minlength=size)
+            update(gain, np.bincount(indices, minlength=size), out=gain)
     return CoveringCode(n, radius, tuple(codewords))
 
 

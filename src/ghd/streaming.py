@@ -317,12 +317,18 @@ def ghd_via_streaming(
     ``gap = ceil(n * (approx_factor - 1))``.  Communication is asserted to
     stay within ``2 * passes * S`` where S is the largest snapshot in the
     ledger.  With ``check_determinism`` the whole exchange is replayed and
-    any transcript divergence raises :class:`ContractViolationError`.
+    any transcript divergence raises :class:`ContractViolationError`.  A
+    plug-in that declares fewer than one pass raises ``ValueError`` before
+    the run.
     """
     if x.length != y.length:
         raise ValueError("inputs must have equal length")
     n = x.length
     gap = stream_gap(n, approx_factor)
+    # the declared p, not the ledger's: a check against the ledger always passes
+    passes = algorithm_factory().passes
+    if passes < 1:
+        raise ValueError(f"streaming plug-in declares passes = {passes!r}; it must be >= 1")
 
     def run_once() -> tuple[ProtocolOutcome, int]:
         meter = RunMeter()
@@ -346,8 +352,6 @@ def ghd_via_streaming(
                 "a single-machine execution disagree"
             )
 
-    # the declared p, not the ledger's: a check against the ledger always passes
-    passes = algorithm_factory().passes
     # every message but the final one-bit decision is one snapshot
     state_max = max(m.width for m in outcome.ledger.messages[:-1])
     communication = outcome.ledger.total_bits

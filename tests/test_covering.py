@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from ghd.bits import BitString, ball_volume, random_pair_at_distance
 from ghd.covering import (
+    _GAIN_CHUNK_ENTRIES,
+    GREEDY_MAX_N,
     CodeConstructionError,
     CoveringCode,
     audit_covering,
@@ -164,6 +166,39 @@ def test_kernels_match_loops_on_greedy_16_2(tmp_path):
     save_code(code, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "5c00bb79bb2df1b30114b896a8fbb34e8b69b09f249ea8a2d555f340835f7b32"
+
+
+# sha256 of the save_code files, taken from the subtract-only greedy that
+# loop_greedy mirrors.  (18, 3) .. (20, 3) take the local path with reused
+# drops; (14, 9..13) and (15, 6) take the full-cube loop, where (14, *)
+# rebuilds its gains after the first pick.
+PINNED_CODE_DIGESTS = {
+    (18, 3): "70531f6909ee14aff53b092621336b88471da592214e16fa8c78aca0d7893efa",
+    (19, 3): "d054e2306463ca1312a025c1d3062541321fb1747289100645059369a15ddaa0",
+    (20, 3): "8287ebd49e86da204fd773e7482192ab08b9c4a3825c3bb0513318f7b4778687",
+    (14, 9): "3f774e451a7679eaaab22655f21a11733548c4ec9db7a0ab46decf319f6fd573",
+    (14, 10): "9f6d3fea804802e367dff657906da822167b9bf05e3d0fd4c2eed824f9c673eb",
+    (14, 11): "4edffe035f86f824e78e9bd4ec43e9bc6e221214b04260db7bf04ec008b2f9d7",
+    (14, 12): "a9388d0ecf44bee7ed5be55f8898d59d1a8ec402b700a3d74a4ad19c3d200851",
+    (14, 13): "31813b205165a7ad415d538e1dba744353497434d038e42d08167e0766e918f0",
+    (15, 6): "d6a896b1a3400febe5f04379587c6bbaff5ca85be24a921c12d6ec096c0c83d1",
+}
+
+
+@pytest.mark.parametrize("n, r", list(PINNED_CODE_DIGESTS))
+def test_greedy_code_files_are_pinned(tmp_path, n, r):
+    path = tmp_path / "code.txt"
+    save_code(greedy_covering_code(n, r), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CODE_DIGESTS[n, r]
+
+
+def test_local_path_gains_fit_int16():
+    # the local update keeps gains (at most V2(n, r)) as int16
+    for n in range(1, GREEDY_MAX_N + 1):
+        for r in range(n + 1):
+            volume = ball_volume(n, r)
+            if 2 * r < n and volume * volume <= _GAIN_CHUNK_ENTRIES:
+                assert volume <= np.iinfo(np.int16).max, (n, r)
 
 
 def test_kernels_match_loops_on_random_codes():

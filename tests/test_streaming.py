@@ -237,6 +237,18 @@ def test_handoff_budget_per_pass():
         assert run.ledger.rounds == 2 * passes
 
 
+def test_zero_pass_plugin_is_refused_before_the_run():
+    x, y = random_pair_at_distance(4, 2, seed=5)
+
+    def make():
+        algo = ExactBitmapF0(8)
+        algo.passes = 0
+        return algo
+
+    with pytest.raises(ValueError, match=r"plug-in declares passes = 0; it must be >= 1"):
+        ghd_via_streaming(make, 1.5, x, y)
+
+
 class _GrowingSnapshotBitmap(_ConsumeOnlyBitmap):
     """Snapshots only up to the highest token seen, so their widths vary."""
 
