@@ -178,6 +178,12 @@ def _check_promise(
         raise ValueError("error_exponent must be finite")
 
 
+def _byte_rows(values, nbytes: int) -> np.ndarray:
+    """Each nonnegative int as ``nbytes`` big-endian bytes: a ``(len(values), nbytes)`` uint8 array."""
+    raw = b"".join(value.to_bytes(nbytes, "big") for value in values)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
+
+
 def _parse_decimal(text: str) -> int:
     """A non-negative ASCII decimal with no sign, underscore or leading zero."""
     if not (text.isascii() and text.isdigit()) or text != str(int(text)):

@@ -32,7 +32,10 @@ around every codeword in a 2**n bitmap, O(|C| * V2(n, r)) work.  Beyond that
 it checks sampled points.  For n <= 16 the nearest-codeword table is filled by
 the same expansion, in balls of growing radius.  Longer codes decode with one
 vector pass: popcounts of the XOR against the codewords, held as 64-bit
-limbs, then the first argmin.
+limbs, then the first argmin.  :meth:`CoveringCode.nearest_indices` decodes
+many words at once the same way (a table lookup, or the argmin in slices of
+bounded working set), and the deterministic protocol's ``pair_outputs``
+applies Bob's radius test to the whole batch.
 
 Cost bounds reported by :func:`det_complexity_bounds`:
 
@@ -53,13 +56,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 import random
 
 import numpy as np
 
-from .bits import BitString, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
-from .runtime import RECV, Protocol, Send, StreamReader
+from .bits import BitString, _byte_rows, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
+from .runtime import RECV, Protocol, Send, StreamReader, _in_batches
 
 __all__ = [
     "CoveringCode",
@@ -101,6 +104,12 @@ def _ball_offsets(n: int, radius: int) -> np.ndarray:
     ``c ^ _ball_offsets(n, r)`` is the ball around codeword c.
     """
     return np.flatnonzero(popcount_table(n) <= radius).astype(np.int64)
+
+
+def _limb_matrix(words: Sequence[int], n: int) -> np.ndarray:
+    """``(len(words), ceil(n / 64))`` uint64: each word as big-endian 64-bit limbs."""
+    limbs = (n + 63) // 64
+    return _byte_rows(words, 8 * limbs).view(">u8").astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -155,10 +164,7 @@ class CoveringCode:
 
     @cached_property
     def _limbs(self) -> np.ndarray:
-        # (size, ceil(n / 64)) uint64: codeword i as big-endian 64-bit limbs
-        nbytes = 8 * ((self.n + 63) // 64)
-        raw = b"".join(c.to_bytes(nbytes, "big") for c in self.codewords)
-        return np.frombuffer(raw, dtype=">u8").astype(np.uint64).reshape(self.size, -1)
+        return _limb_matrix(self.codewords, self.n)
 
     def nearest_index(self, word: int) -> int:
         """Index of the closest codeword, ties broken by lowest index."""
@@ -170,6 +176,27 @@ class CoveringCode:
         # argmin returns the first minimum: the lowest index among the nearest
         # (the method, because np.argmin's dispatch costs more than the scan)
         return int(np.bitwise_count(matrix ^ limbs).sum(axis=1).argmin())
+
+    def nearest_indices(self, words: Sequence[int]) -> np.ndarray:
+        """:meth:`nearest_index` of each word, as an int64 array.
+
+        A table lookup for n <= 16; beyond that the popcount argmin, over
+        slices of words whose XOR against every codeword stays within the
+        batch working set.  A word wider than n bits raises ``ValueError``.
+        """
+        limbs = _limb_matrix(words, self.n)
+        top = self.n - 64 * (limbs.shape[1] - 1)  # bits in the leading limb
+        if top < 64 and (limbs[:, 0] >> np.uint64(top)).any():
+            raise ValueError(f"word does not fit in {self.n} bits")
+        table = self._decode_table
+        if table is not None:
+            return table[limbs[:, 0].astype(np.int64)]
+        matrix = self._limbs
+        return _in_batches(
+            limbs,
+            matrix.size,
+            lambda rows: np.bitwise_count(rows[:, None, :] ^ matrix).sum(axis=2).argmin(axis=1),
+        )
 
 
 def greedy_size_bound(n: int, radius: int) -> float:
@@ -432,8 +459,17 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         yield Send(decision, 1)
         return decision
 
+    def pair_outputs(xs: Sequence[BitString], ys: Sequence[BitString]) -> np.ndarray:
+        chosen = code._limbs[code.nearest_indices([x.value for x in xs])]
+        theirs = _limb_matrix([y.value for y in ys], code.n)
+        return (np.bitwise_count(chosen ^ theirs).sum(axis=1) > radius).astype(np.int64)
+
     return Protocol(
-        name="deterministic-covering", alice=alice, bob=bob, cost_bits=params.cost_bits
+        name="deterministic-covering",
+        alice=alice,
+        bob=bob,
+        cost_bits=params.cost_bits,
+        pair_outputs=pair_outputs,
     )
 
 

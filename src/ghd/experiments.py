@@ -27,7 +27,17 @@ output-0 class, ``err_far`` on the output-1 class.
 
 Per-point seeds are derived from the master seed by a documented
 splitmix-style derivation (:func:`ghd.runtime.derive_seed`), so parallel and
-serial sweeps produce byte-identical reports.
+serial sweeps produce byte-identical reports.  ``run_experiment`` starts at
+most one worker per grid point.
+
+The det and stream sweeps score both classes from the protocol's
+``pair_outputs`` batch and make real protocol runs only on audited trials:
+trial 0 of each class and the first trial the batch scores as an error (see
+:mod:`ghd.runtime`).  Their ``measured_bits`` and ``state_bits`` come from the
+audited ledgers, which is exact: det declares its cost and every run's
+ledger must equal it, and every bitmap snapshot is ``capacity_bits`` wide, so
+every stream run sends ``(2p - 1) * 2n + 1`` bits.  A stream point whose
+bitmap cost exceeds the run budget ``64 n**2`` is skipped before any run.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .bits import BitString, GhdInstance, _read_text, log2_ball_volume, random_pair_at_distance
-from .runtime import DEFAULT_BUDGET_FACTOR, _error_trials, derive_seed
+from .runtime import DEFAULT_BUDGET_FACTOR, _audited_errors, _error_trials, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_protocol
 from .covering import (
@@ -53,7 +63,7 @@ from .covering import (
     load_code,
     save_code,
 )
-from .streaming import ExactBitmapF0, ghd_via_streaming, stream_gap
+from .streaming import ExactBitmapF0, ghd_via_streaming, stream_gap, streaming_protocol
 
 __all__ = [
     "ExperimentConfig",
@@ -265,18 +275,22 @@ def _sketch_setup(config: ExperimentConfig, n: int, lo: int, hi: int, s: float):
 _MONTE_CARLO_SETUPS = {"sampling": _sampling_setup, "sketch": _sketch_setup}
 
 
-def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
-    record = _blank_record(config.protocol, point)
-    n, lo, hi, s = point["n"], point["L"], point["U"], point["s"]
-    protocol, fields = _MONTE_CARLO_SETUPS[config.protocol](config, n, lo, hi, s)
-    expected = protocol.cost_bits
-    record.update(fields, expected_bits=expected)
+def _check_budget(n: int, expected: int) -> None:
     budget = DEFAULT_BUDGET_FACTOR * n * n
     if expected > budget:
         raise ValueError(
             f"expected cost {expected} bits exceeds the run budget "
             f"{budget} bits ({DEFAULT_BUDGET_FACTOR} n**2)"
         )
+
+
+def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
+    record = _blank_record(config.protocol, point)
+    n, lo, hi, s = point["n"], point["L"], point["U"], point["s"]
+    protocol, fields = _MONTE_CARLO_SETUPS[config.protocol](config, n, lo, hi, s)
+    expected = protocol.cost_bits
+    record.update(fields, expected_bits=expected)
+    _check_budget(n, expected)
     close = GhdInstance.at_distance(n, lo, hi, lo, derive_seed(point_seed, 0))
     far = GhdInstance.at_distance(n, lo, hi, hi, derive_seed(point_seed, 1))
     (err0, hw0), lo_bits0, hi_bits0 = _error_trials(
@@ -332,24 +346,32 @@ def prepare_codes(config: ExperimentConfig) -> None:
             save_code(greedy_covering_code(n, radius), path)
 
 
-def _exact_classes(config: ExperimentConfig, point_seed: int, n: int, gap: int, run):
-    """Run ``config.trials`` pairs x = y and distance in [gap, n] through ``run``.
+def _exact_classes(config: ExperimentConfig, point_seed: int, n: int, gap: int, protocol, run):
+    """Score ``config.trials`` pairs x = y and distance in [gap, n].
 
-    ``run(x, y)`` returns an object with ``output`` and ``ledger``.  Returns
-    the error count on each class, the worst ledger total and the last run.
+    ``protocol.pair_outputs`` scores each class; ``run(x, y)``, which returns
+    an object with ``output`` and ``ledger``, makes the audited runs.
+    Returns the error count on each class and the audited runs.
     """
-    errors0 = errors1 = worst = 0
     rng = random.Random(derive_seed(point_seed, 0))
+    close, far = [], []
     for _ in range(config.trials):
-        x = BitString.random(n, rng)
-        outcome = run(x, x)
-        errors0 += outcome.output != 0
-        worst = max(worst, outcome.ledger.total_bits)
+        close.append(BitString.random(n, rng))
         d = rng.randint(gap, n)
-        outcome = run(*random_pair_at_distance(n, d, rng.getrandbits(63)))
-        errors1 += outcome.output != 1
-        worst = max(worst, outcome.ledger.total_bits)
-    return errors0, errors1, worst, outcome
+        far.append(random_pair_at_distance(n, d, rng.getrandbits(63)))
+    classes = (("close", close, close, 0), ("far", [x for x, _ in far], [y for _, y in far], 1))
+    errors, audited = [], []
+    for name, xs, ys, truth in classes:
+        count, runs = _audited_errors(
+            config.trials,
+            truth,
+            lambda trial: run(xs[trial], ys[trial]),
+            lambda: protocol.pair_outputs(xs, ys),
+            lambda trial: f"trial {trial} of the {name} class",
+        )
+        errors.append(count)
+        audited += runs
+    return errors[0], errors[1], audited
 
 
 def _exact_fields(config: ExperimentConfig, errors0: int, errors1: int) -> dict:
@@ -369,9 +391,10 @@ def _run_det_point(config: ExperimentConfig, point: dict, point_seed: int) -> di
     params = det_protocol_params(n, gap, code=_obtain_code(config, n, (gap - 1) // 2))
     lower, upper = det_complexity_bounds(n, gap)
     protocol = det_protocol(params)
-    errors0, errors1, worst, _ = _exact_classes(
-        config, point_seed, n, gap, lambda x, y: protocol.run(x, y, 0)
+    errors0, errors1, audited = _exact_classes(
+        config, point_seed, n, gap, protocol, lambda x, y: protocol.run(x, y, 0)
     )
+    worst = max(outcome.ledger.total_bits for outcome in audited)
     record.update(
         _exact_fields(config, errors0, errors1),
         code_size=params.code.size,
@@ -392,17 +415,23 @@ def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) ->
     gap = stream_gap(n, c)
     if p < 1:
         raise ValueError("p must be >= 1")
+    # 2p - 1 snapshots of the 2n-bit bitmap and Bob's decision bit
+    _check_budget(n, (2 * p - 1) * 2 * n + 1)
 
     make = lambda: ExactBitmapF0(2 * n, passes=p)
     run = lambda x, y: ghd_via_streaming(make, c, x, y, check_determinism=False)[1]
-    errors0, errors1, worst, last = _exact_classes(config, point_seed, n, gap, run)
+    errors0, errors1, audited = _exact_classes(
+        config, point_seed, n, gap, streaming_protocol(make, c), run
+    )
+    worst = max(outcome.ledger.total_bits for outcome in audited)
+    state_bits = max(outcome.state_bits for outcome in audited)
     record.update(
         _exact_fields(config, errors0, errors1),
         t=gap,
-        state_bits=last.state_bits,
-        expected_bits=2 * p * last.state_bits,
+        state_bits=state_bits,
+        expected_bits=2 * p * state_bits,
         measured_bits=worst,
-        bits_ok=worst <= 2 * p * last.state_bits,
+        bits_ok=worst <= 2 * p * state_bits,
         lower_bits=(n - log2_ball_volume(n, gap // 2)) / (2.0 * p),
     )
     return record
@@ -474,12 +503,19 @@ def _format_csv(records: list[dict], columns: list[str]) -> str:
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Report:
-    """One record per grid point; deterministic given the config and seed."""
+    """One record per grid point; deterministic given the config and seed.
+
+    ``jobs`` caps the worker processes; no more start than there are grid
+    points, and ``jobs < 1`` raises ``ValueError``.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if config.protocol == "deterministic" and config.code_dir:
         prepare_codes(config)
     indices = range(len(config.grid))
-    if jobs > 1 and len(indices) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(indices))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_point, repeat(config), indices))
     else:
         records = [_run_point(config, index) for index in indices]

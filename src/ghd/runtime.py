@@ -40,16 +40,24 @@ the draw used.  A :class:`StreamReader` built directly has no memo.  The
 draw kernels take an array of seeds, so one call computes the same values for
 many streams at once; a reader calls them with its one seed.
 
-Batched Monte Carlo
--------------------
-A protocol may also set ``Protocol.batch_outputs(x, y, seeds)``: for an array
-of uint64 seeds it returns the int64 outputs, and for every seed the output
-must be exactly what ``run(x, y, seed)`` returns.  When it is set,
-:func:`estimate_error_rate` scores every trial from the batch and runs real
-ledgers only on audited trials: trial 0 before the batch (so a declared cost
-above the budget raises before anything is allocated) and the first trial the
-batch scores as an error.  A batch output that differs from its audited run
-is a contract violation.
+Batched trials
+--------------
+A protocol may set one of two batch hooks, each returning int64 outputs that
+must equal the real runs' outputs exactly:
+
+* ``Protocol.batch_outputs(x, y, seeds)``: for an array of uint64 seeds, the
+  output of ``run(x, y, seed)`` for each (Monte Carlo protocols);
+* ``Protocol.pair_outputs(xs, ys)``: for sequences of inputs, the output of
+  ``run(xs[i], ys[i], 0)`` for each i (protocols that read no shared
+  randomness).
+
+:func:`estimate_error_rate` uses ``batch_outputs``, and the exact sweeps of
+:mod:`ghd.experiments` use ``pair_outputs``.  Both score every trial from the
+batch and run real ledgers only on audited trials: trial 0 before the batch
+(so a declared cost above the budget raises before anything is allocated)
+and the first trial the batch scores as an error.  A batch output that
+differs from its audited run is a contract violation.  Each batch kernel
+works through its trials in slices of bounded size (:func:`_in_batches`).
 
 Transcript dump format (debugging): one line per message,
 ``direction bitcount hex-payload``, e.g. ``a->b 4 c``.
@@ -59,7 +67,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, NamedTuple
+from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,14 +200,15 @@ def _indices_below_values(seeds: np.ndarray, bound: int, count: int) -> np.ndarr
     return _indices_below(_raw_values(seeds, 0, count), bound)
 
 
-def _in_batches(seeds: np.ndarray, coordinates: int, kernel) -> np.ndarray:
-    """``kernel`` over consecutive slices of ``seeds``, outputs concatenated.
+def _in_batches(rows: Sequence, coordinates: int, kernel) -> np.ndarray:
+    """``kernel`` over consecutive slices of ``rows``, outputs concatenated.
 
-    Each slice holds ``max(1, _BATCH_COORDINATES // coordinates)`` seeds, where
-    ``coordinates`` is the working set of one trial.
+    ``rows`` holds one trial per entry (a seed, a word, or a pair of inputs).
+    Each slice holds ``max(1, _BATCH_COORDINATES // coordinates)`` trials,
+    where ``coordinates`` is the working set of one trial.
     """
     step = max(1, _BATCH_COORDINATES // coordinates)
-    parts = [kernel(seeds[i : i + step]) for i in range(0, len(seeds), step)]
+    parts = [kernel(rows[i : i + step]) for i in range(0, len(rows), step)]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -389,7 +398,9 @@ class Protocol:
     ``cost_bits``, when given, is the exact ledger total of every run, which
     :func:`run_protocol` enforces.  ``batch_outputs(x, y, seeds)``, when
     given, returns for each uint64 seed exactly the output of
-    ``run(x, y, seed)`` as an int64 array (see the module docstring).
+    ``run(x, y, seed)`` as an int64 array; ``pair_outputs(xs, ys)`` returns
+    for each i exactly the output of ``run(xs[i], ys[i], 0)`` (see the
+    module docstring).
     """
 
     name: str
@@ -397,6 +408,7 @@ class Protocol:
     bob: Strategy
     cost_bits: int | None = None
     batch_outputs: Callable[[BitString, BitString, np.ndarray], np.ndarray] | None = None
+    pair_outputs: Callable[[Sequence[BitString], Sequence[BitString]], np.ndarray] | None = None
 
     def run(
         self,
@@ -575,24 +587,41 @@ def _error_trials(
             errors += outcome.output != truth
             totals.add(outcome.ledger.total_bits)
     else:
-        audited = {0: protocol.run(x, y, seeds[0])}
-        outputs = protocol.batch_outputs(x, y, np.array(seeds, dtype=np.uint64))
-        if outputs.shape != (trials,):
-            raise ContractViolationError(
-                f"batch returned outputs of shape {outputs.shape} for {trials} trials"
-            )
-        wrong = np.flatnonzero(outputs != truth)
-        first_error = int(wrong[0]) if wrong.size else 0
-        if first_error not in audited:
-            audited[first_error] = protocol.run(x, y, seeds[first_error])
-        for trial, outcome in audited.items():
-            if outputs[trial] != outcome.output:
-                raise ContractViolationError(
-                    f"batch output {outputs[trial]} differs from the audited run's "
-                    f"{outcome.output} at trial {trial} (seed {seeds[trial]})"
-                )
-        errors = wrong.size
-        totals = {outcome.ledger.total_bits for outcome in audited.values()}
+        errors, audited = _audited_errors(
+            trials,
+            truth,
+            lambda trial: protocol.run(x, y, seeds[trial]),
+            lambda: protocol.batch_outputs(x, y, np.array(seeds, dtype=np.uint64)),
+            lambda trial: f"trial {trial} (seed {seeds[trial]})",
+        )
+        totals = {outcome.ledger.total_bits for outcome in audited}
     rate = errors / trials
     halfwidth = 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
     return ErrorEstimate(rate, halfwidth), min(totals), max(totals)
+
+
+def _audited_errors(trials: int, truth: int, run, score, where) -> tuple[int, list]:
+    """Errors of a batch-scored trial set, and the audited runs.
+
+    ``run(trial)`` makes a real run (an object with ``output`` and
+    ``ledger``), ``score()`` returns the batch's int64 outputs, and
+    ``where(trial)`` names a trial in errors.  Trial 0 runs before the batch
+    is scored, then the first trial the batch scores as an error.
+    """
+    audited = {0: run(0)}
+    outputs = score()
+    if outputs.shape != (trials,):
+        raise ContractViolationError(
+            f"batch returned outputs of shape {outputs.shape} for {trials} trials"
+        )
+    wrong = np.flatnonzero(outputs != truth)
+    first_error = int(wrong[0]) if wrong.size else 0
+    if first_error not in audited:
+        audited[first_error] = run(first_error)
+    for trial, outcome in audited.items():
+        if outputs[trial] != outcome.output:
+            raise ContractViolationError(
+                f"batch output {outputs[trial]} differs from the audited run's "
+                f"{outcome.output} at {where(trial)}"
+            )
+    return int(wrong.size), list(audited.values())

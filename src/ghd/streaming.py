@@ -25,6 +25,16 @@ one-dimensional int64 array.  Its default calls ``consume`` once per token,
 in order; an algorithm may override it with a batch update that leaves the
 same state.
 
+Sweeps score many streams at once through ``final_estimates(token_rows)``:
+for each row of a two-dimensional int64 token array, the estimate after
+``passes`` passes over that row, each run from the machine's state at the
+call, as an int64 array.  Its default uses only the five behaviors above: it
+takes one snapshot, and for each row restores it, runs every pass
+(``start_pass`` then ``consume_all``) and reads ``estimate()``.  An
+algorithm may override it with a batch kernel that returns the same
+estimates; the state it leaves is unspecified.  The reduction's
+single-machine check is a one-row call.
+
 The metered memory S is the largest snapshot in the run's ledger: every
 message but Bob's final one-bit decision is one snapshot at its exact bit
 length, so S is exactly what the reduction communicates per handoff.
@@ -51,7 +61,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bits import BitString, _parse_decimal, _read_text, hamming_distance, log2_ball_volume, random_pair_at_distance
+from .bits import BitString, _byte_rows, _parse_decimal, _read_text, hamming_distance, log2_ball_volume, random_pair_at_distance
 from .runtime import (
     RECV,
     ChannelLedger,
@@ -60,6 +70,7 @@ from .runtime import (
     ProtocolOutcome,
     Send,
     StreamReader,
+    _in_batches,
     derive_seed,
 )
 
@@ -138,6 +149,18 @@ class StreamingAlgorithm:
     def estimate(self) -> int:
         raise NotImplementedError
 
+    def final_estimates(self, token_rows: np.ndarray) -> np.ndarray:
+        """The estimate after ``passes`` passes over each row, from the current state."""
+        start = self.snapshot()
+        estimates = np.zeros(len(token_rows), dtype=np.int64)
+        for row, tokens in enumerate(token_rows):
+            self.restore(start)
+            for pass_index in range(self.passes):
+                self.start_pass(pass_index)
+                self.consume_all(tokens)
+            estimates[row] = self.estimate()
+        return estimates
+
 
 class ExactBitmapF0(StreamingAlgorithm):
     """Presence bitmap over the whole universe: exact, S = universe_size bits.
@@ -165,15 +188,30 @@ class ExactBitmapF0(StreamingAlgorithm):
         if token <= self.capacity_bits:
             self._bitmap |= 1 << (token - 1)
 
-    def consume_all(self, tokens: np.ndarray) -> None:
+    def _check_tokens(self, tokens: np.ndarray) -> None:
         outside = (tokens < 1) | (tokens > self.universe_size)
         if outside.any():
-            token = int(tokens[outside.argmax()])
+            token = int(tokens.flat[outside.argmax()])
             raise ValueError(f"token {token} outside universe [1, {self.universe_size}]")
+
+    def consume_all(self, tokens: np.ndarray) -> None:
+        self._check_tokens(tokens)
         present = np.zeros(self.universe_size, dtype=bool)
         present[tokens - 1] = True
         bits = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
         self._bitmap |= bits & ((1 << self.capacity_bits) - 1)
+
+    def final_estimates(self, token_rows: np.ndarray) -> np.ndarray:
+        # Every pass sets the same bits, so one presence matrix over the rows,
+        # merged with the bits already held and cut at the capacity, counts
+        # each row's final bitmap.
+        self._check_tokens(token_rows)
+        capacity = self.capacity_bits
+        present = np.zeros((len(token_rows), self.universe_size), dtype=bool)
+        present[np.arange(len(token_rows))[:, None], token_rows - 1] = True
+        held = np.frombuffer(self._bitmap.to_bytes((capacity + 7) // 8, "little"), dtype=np.uint8)
+        held = np.unpackbits(held, count=capacity, bitorder="little").view(bool)
+        return (present[:, :capacity] | held).sum(axis=1, dtype=np.int64)
 
     def snapshot(self) -> StateSnapshot:
         nbytes = (self.capacity_bits + 7) // 8
@@ -213,6 +251,14 @@ def _tokens(x: BitString) -> np.ndarray:
     # int64 before the product: n * bit in uint8 would wrap for n >= 256
     n = x.length
     return x.bit_array().astype(np.int64) * n + np.arange(1, n + 1, dtype=np.int64)
+
+
+def _bit_rows(strings: Sequence[BitString], n: int) -> np.ndarray:
+    """``(len(strings), n)`` uint8 whose row i is ``strings[i].bit_array()``."""
+    if any(s.length != n for s in strings):
+        raise ValueError("input lengths do not match n")
+    nbytes = (n + 7) // 8
+    return np.unpackbits(_byte_rows([s.value for s in strings], nbytes), axis=1)[:, 8 * nbytes - n :]
 
 
 def exact_f0(stream: Iterable[int]) -> int:
@@ -262,7 +308,9 @@ def streaming_protocol(
 
     ``algorithm_factory`` builds one machine per party; state travels over
     the channel as snapshots, charged at their exact bit length.  When a
-    ``meter`` is given it records Bob's final estimate.
+    ``meter`` is given it records Bob's final estimate.  ``pair_outputs``
+    decides each pair from one machine's ``final_estimates`` over the
+    concatenated streams, a fresh machine per slice of pairs.
     """
     _check_factor(approx_factor)
 
@@ -301,7 +349,21 @@ def streaming_protocol(
         yield Send(decision, 1)
         return decision
 
-    return Protocol(name="streaming-reduction", alice=alice, bob=bob)
+    def pair_outputs(xs: Sequence[BitString], ys: Sequence[BitString]) -> np.ndarray:
+        if not len(xs):
+            return np.zeros(0, dtype=np.int64)
+        n = xs[0].length
+        threshold = n + stream_gap(n, approx_factor)
+        positions = np.tile(np.arange(1, n + 1, dtype=np.int64), 2)
+
+        def decide(pairs: list) -> np.ndarray:
+            bits = np.concatenate([_bit_rows(strings, n) for strings in zip(*pairs)], axis=1)
+            estimates = algorithm_factory().final_estimates(bits.astype(np.int64) * n + positions)
+            return (estimates >= threshold).astype(np.int64)
+
+        return _in_batches(list(zip(xs, ys, strict=True)), 2 * n, decide)
+
+    return Protocol(name="streaming-reduction", alice=alice, bob=bob, pair_outputs=pair_outputs)
 
 
 def ghd_via_streaming(
@@ -381,12 +443,8 @@ def _final_estimate(
     y: BitString,
 ) -> int:
     # Reference single-machine execution over the concatenated stream.
-    machine = algorithm_factory()
     tokens = np.concatenate((_tokens(x), _tokens(y)))
-    for pass_index in range(machine.passes):
-        machine.start_pass(pass_index)
-        machine.consume_all(tokens)
-    return machine.estimate()
+    return int(algorithm_factory().final_estimates(tokens[None, :])[0])
 
 
 class SpaceBound(NamedTuple):

@@ -115,6 +115,16 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert "error: " + message in err, argv
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    config = tmp_path / "det.cfg"
+    config.write_text("trials = 5\npoint n=8 t=3\n")
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "det", "--config", str(config), "--jobs", jobs])
+    assert info.value.code == 64
+    assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [

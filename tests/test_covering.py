@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ghd import covering, runtime
 from ghd.bits import BitString, ball_volume, random_pair_at_distance
 from ghd.covering import (
     _GAIN_CHUNK_ENTRIES,
@@ -351,6 +352,110 @@ def test_vector_decode_matches_scan_property(n, seed, size):
     for _ in range(20):
         w = rng.choice(pool) ^ (1 << rng.randrange(n)) if rng.random() < 0.5 else rng.getrandbits(n)
         assert code.nearest_index(w) == scan_nearest_index(code, w)
+
+
+# ------------------------------------------------------------ batch decode
+
+
+def _flipped(rng: random.Random, n: int, word: int, most: int) -> int:
+    for position in rng.sample(range(n), rng.randint(0, min(n, most))):
+        word ^= 1 << position
+    return word
+
+
+def assert_pair_outputs_match_runs(params, words, rng):
+    """Batch decode and decisions against nearest_index and real runs."""
+    code, n = params.code, params.n
+    assert code.nearest_indices(words).tolist() == [code.nearest_index(w) for w in words]
+    proto = det_protocol(params)
+    # partners within a few flips of the decision radius, so both outputs occur
+    xs = [BitString(n, w) for w in words]
+    ys = [BitString(n, _flipped(rng, n, w, 2 * params.decision_radius + 2)) for w in words]
+    expected = [proto.run(x, y, 0).output for x, y in zip(xs, ys)]
+    outputs = proto.pair_outputs(xs, ys)
+    assert outputs.dtype == np.int64 and outputs.tolist() == expected
+    return expected
+
+
+def test_pair_outputs_match_runs_on_every_word_of_small_greedy_codes():
+    rng = random.Random(12)
+    for n in range(1, 13):
+        for gap in range(1, n + 1, 2):  # each radius (gap - 1) // 2 once
+            params = det_protocol_params(n, gap)
+            assert_pair_outputs_match_runs(params, range(1 << n), rng)
+
+
+def test_pair_outputs_match_runs_on_the_table_path_16_2():
+    params = det_protocol_params(16, 5)
+    assert params.code._decode_table is not None
+    rng = random.Random(16)
+    expected = assert_pair_outputs_match_runs(params, [rng.getrandbits(16) for _ in range(3000)], rng)
+    assert 0 < sum(expected) < len(expected)
+
+
+@pytest.mark.parametrize("n", [17, 18, 19])
+def test_pair_outputs_match_runs_on_the_scan_path(n, monkeypatch):
+    params = det_protocol_params(n, 7)
+    assert params.code._decode_table is None
+    steps = []
+    kernel = runtime._in_batches
+
+    def in_batches(rows, coordinates, step_kernel):
+        steps.append((len(rows), coordinates))
+        return kernel(rows, coordinates, step_kernel)
+
+    monkeypatch.setattr(covering, "_in_batches", in_batches)
+    rng = random.Random(n)
+    expected = assert_pair_outputs_match_runs(params, [rng.getrandbits(n) for _ in range(2000)], rng)
+    assert 0 < sum(expected) < len(expected)
+    # the working set of one word is one XOR row against every codeword
+    assert steps == [(2000, params.code.size)] * 2
+    assert runtime._BATCH_COORDINATES // params.code.size < 2000
+
+
+@pytest.mark.parametrize("n", [70, 130])
+def test_pair_outputs_match_runs_beyond_one_limb(n):
+    rng = random.Random(n)
+    code = CoveringCode(n, 20, tuple(rng.getrandbits(n) for _ in range(300)))
+    params = det_protocol_params(n, 41, code=code)
+    # half the words a few flips from a codeword, so the minimum is often unique
+    words = [
+        _flipped(rng, n, rng.choice(code.codewords), 5) if i % 2 else rng.getrandbits(n)
+        for i in range(600)
+    ]
+    expected = assert_pair_outputs_match_runs(params, words, rng)
+    assert 0 < sum(expected) < len(expected)
+
+
+@pytest.mark.parametrize("n", [17, 70])
+def test_batch_decode_ties_go_to_the_lowest_index(n):
+    center = (1 << (n - 1)) | 1
+    far = center ^ 0b1110  # distance 3
+    near = [center ^ (1 << a) ^ (1 << b) for a, b in ((1, n - 2), (2, n - 3), (n - 1, 0), (4, 5))]
+    for codewords in ((far, near[0], far, *near[1:], near[0]), (far, *reversed(near))):
+        code = CoveringCode(n, 2, codewords)
+        assert code.nearest_indices([center, center, far]).tolist() == [1, 1, 0]
+        params = det_protocol_params(n, 5, code=code)
+        assert_pair_outputs_match_runs(params, [center, far, near[2]], random.Random(n))
+
+
+def test_batch_decode_of_a_permuted_radius_zero_code():
+    code = CoveringCode(2, 0, (3, 2, 1, 0))
+    assert code.nearest_indices(range(4)).tolist() == [3, 2, 1, 0]
+    proto = det_protocol(det_protocol_params(2, 1, code=code))
+    xs = [BitString(2, v) for v in range(4) for _ in range(4)]
+    ys = [BitString(2, v) for _ in range(4) for v in range(4)]
+    outputs = proto.pair_outputs(xs, ys).tolist()
+    assert outputs == [proto.run(x, y, 0).output for x, y in zip(xs, ys)]
+    assert outputs == [int(x != y) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("n", [12, 17, 70])
+def test_batch_decode_rejects_words_wider_than_n(n):
+    code = CoveringCode(n, 1, (0, 1))
+    assert code.nearest_indices([]).tolist() == []
+    with pytest.raises(ValueError, match=f"word does not fit in {n} bits"):
+        code.nearest_indices([3, 1 << n])
 
 
 # ------------------------------------------------------------ the protocol

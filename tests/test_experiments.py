@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import random
 import re
 
 import pytest
@@ -16,9 +18,11 @@ from ghd.experiments import (
     parse_config,
     run_experiment,
 )
-from ghd.runtime import ContractViolationError, StreamReader
+from ghd.bits import BitString, random_pair_at_distance
+from ghd.runtime import ContractViolationError, StreamReader, derive_seed
 from ghd.sampling import derive_sampling_params
 from ghd.sketch import derive_sketch_params
+from ghd.streaming import TruncatedBitmapF0, ghd_via_streaming, stream_gap, streaming_protocol
 
 SKETCH_CONFIG = """
 # small sketch sweep
@@ -243,6 +247,138 @@ def test_reports_match_parent_digests(tmp_path, name):
     text, digest = DIGEST_SWEEPS[name]
     report = run_experiment(parse_config(text.format(code_dir=tmp_path / "codes")))
     assert hashlib.sha256((report.to_csv() + report.to_json()).encode()).hexdigest() == digest
+
+
+# --------------------------------------------------- batched exact sweeps
+
+
+def _looped_classes(trials, point_seed, n, gap, run):
+    """Every trial of both classes through ``run``, in the sweep's draw order."""
+    errors0 = errors1 = 0
+    rng = random.Random(derive_seed(point_seed, 0))
+    for _ in range(trials):
+        x = BitString.random(n, rng)
+        errors0 += run(x, x).output != 0
+        d = rng.randint(gap, n)
+        errors1 += run(*random_pair_at_distance(n, d, rng.getrandbits(63))).output != 1
+    return errors0, errors1
+
+
+@pytest.mark.parametrize("point_seed, audited_far", [(1, 2), (2, 1)])
+def test_exact_classes_audit_trial_zero_and_the_first_error(point_seed, audited_far):
+    # a 17-bit bitmap at n = 9 drops token 18, so far pairs at distance 5 err
+    n, c = 9, 1.5
+    gap = stream_gap(n, c)
+    make = lambda: TruncatedBitmapF0(2 * n, capacity_bits=17, passes=2)
+    runs = []
+
+    def run(x, y):
+        runs.append(x)
+        return ghd_via_streaming(make, c, x, y, check_determinism=False)[1]
+
+    config = parse_config("protocol = stream\ntrials = 60\n")
+    errors0, errors1, audited = experiments._exact_classes(
+        config, point_seed, n, gap, streaming_protocol(make, c), run
+    )
+    assert len(runs) == len(audited) == 1 + audited_far
+    assert (errors0, errors1) == _looped_classes(60, point_seed, n, gap, run)
+    assert errors0 == 0 < errors1
+
+
+def _doctor(factory, name, trial):
+    """``factory`` whose protocol's batch flips one output of one class."""
+
+    def doctored(*args):
+        protocol = factory(*args)
+
+        def pair_outputs(xs, ys):
+            outputs = protocol.pair_outputs(xs, ys)
+            if (xs is ys) == (name == "close"):  # the close class pairs x with itself
+                outputs[trial] ^= 1
+            return outputs
+
+        return dataclasses.replace(protocol, pair_outputs=pair_outputs)
+
+    return doctored
+
+
+@pytest.mark.parametrize("name, trial", [("close", 0), ("far", 0), ("close", 7), ("far", 3)])
+@pytest.mark.parametrize(
+    "factory, text",
+    [
+        ("det_protocol", "protocol = det\ntrials = 20\npoint n=10 t=4\n"),
+        ("streaming_protocol", "protocol = stream\ntrials = 20\npoint n=20 c=1.5 p=2\n"),
+    ],
+)
+def test_doctored_pair_outputs_raise_at_the_audited_trial(monkeypatch, factory, text, name, trial):
+    # no trial errs, so a flipped output at trial 7 or 3 is the first error
+    monkeypatch.setattr(experiments, factory, _doctor(getattr(experiments, factory), name, trial))
+    message = rf"^batch output \d differs from the audited run's \d at trial {trial} of the {name} class$"
+    with pytest.raises(ContractViolationError, match=message):
+        run_experiment(parse_config(text))
+
+
+def test_stream_point_over_the_budget_is_skipped_before_any_run(monkeypatch):
+    text = (
+        "protocol = stream\ntrials = 10\nseed = 4\npoint n=8 c=1.5 p=2\n"
+        "point n=4 c=1.5 p=100\npoint n=4 c=1.5 p=1000000000\npoint n=8 c=1.5 p=1\n"
+    )
+    expected = run_experiment(parse_config(text)).records
+    low, high, huge, last = expected
+    assert (high["status"], high["reason"]) == (
+        "skipped",
+        "expected cost 1593 bits exceeds the run budget 1024 bits (64 n**2)",
+    )
+    assert huge["status"] == "skipped" and "expected cost 15999999993 bits" in huge["reason"]
+    # the neighbours are the rows of sweeps without the skipped points
+    alone = run_experiment(parse_config(text.replace("point n=4", "# point n=4"))).records
+    assert [low, last] == alone
+    assert low["status"] == last["status"] == "ok"
+    assert low["measured_bits"] == 3 * 16 + 1 and last["measured_bits"] == 16 + 1
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a skipped point ran the protocol")
+
+    monkeypatch.setattr(experiments, "ghd_via_streaming", no_run)
+    monkeypatch.setattr(experiments, "streaming_protocol", no_run)
+    config = parse_config("protocol = stream\ntrials = 10\npoint n=4 c=1.5 p=1000000000\n")
+    assert run_experiment(config).records == [huge]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, points, workers", [(64, 2, [2]), (2, 5, [2]), (8, 1, []), (1, 3, [])])
+def test_jobs_start_at_most_one_worker_per_point(monkeypatch, jobs, points, workers):
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    grid = "".join(f"point n={8 + i} t=3\n" for i in range(points))
+    config = parse_config("protocol = det\ntrials = 5\n" + grid)
+    report = run_experiment(config, jobs=jobs)
+    assert _RecordingPool.started == workers
+    assert report.to_csv() == run_experiment(config).to_csv()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_raise(monkeypatch, jobs):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+        run_experiment(parse_config("protocol = det\ntrials = 5\npoint n=8 t=3\n"), jobs=jobs)
 
 
 # ---------------------------------------------------------- bad inputs

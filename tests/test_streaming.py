@@ -21,6 +21,7 @@ from ghd.streaming import (
     search_counterexample,
     space_lower_bound,
     stream_gap,
+    streaming_protocol,
     write_stream_fixture,
 )
 
@@ -292,6 +293,69 @@ def test_run_reports_match_the_oracle_and_the_ledger(plugin, passes):
             assert run.communication_bits == run.ledger.total_bits
             assert len(run.ledger.messages) == 2 * passes
             assert run.ledger.messages[-1].width == 1
+
+
+# ------------------------------------------------------- batch decisions
+
+
+def _spread_pairs(n: int, count: int, seed: int):
+    # distances over all of 0..n, so both outputs occur and an undersized
+    # bitmap errs on some pairs
+    rng = random.Random(seed)
+    return [random_pair_at_distance(n, rng.randint(0, n), rng.getrandbits(63)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("passes", [1, 2, 3])
+@pytest.mark.parametrize("plugin", sorted(_PLUGINS))
+def test_pair_outputs_equal_the_reduction_runs(plugin, passes):
+    make, _ = _PLUGINS[plugin]
+    c = 1.5
+    # 250 pairs of n = 40 take three slices of 2**13 // 80 pairs
+    for n, count in ((9, 40), (40, 250)):
+        pairs = _spread_pairs(n, count, seed=n + passes)
+        factory = lambda: make(n, passes)
+        expected = [ghd_via_streaming(factory, c, x, y, check_determinism=False)[0] for x, y in pairs]
+        outputs = streaming_protocol(factory, c).pair_outputs([x for x, _ in pairs], [y for _, y in pairs])
+        assert outputs.dtype == np.int64 and outputs.tolist() == expected
+        truth = [int(hamming_distance(x, y) >= stream_gap(n, c)) for x, y in pairs]
+        if plugin == "truncated" and n == 40:
+            assert sum(expected) == 0 < sum(truth)  # 17 bits never reach n + gap
+        else:
+            assert 0 < sum(expected) < count
+
+
+@pytest.mark.parametrize("make", BITMAPS)
+def test_bitmap_final_estimates_equal_the_default(make):
+    rng = random.Random(6)
+    rows = np.array([[rng.randint(1, 40) for _ in range(30)] for _ in range(25)], dtype=np.int64)
+    # from a fresh machine, and from one that already holds bits
+    for held in ([], [3, 17, 18, 40]):
+        machine, reference = make(), make()
+        for m in (machine, reference):
+            m.passes = 2
+            m.consume_all(np.array(held, dtype=np.int64))
+        expected = StreamingAlgorithm.final_estimates(reference, rows)
+        assert machine.final_estimates(rows).tolist() == expected.tolist()
+    assert make().final_estimates(rows[:0]).tolist() == []
+    with pytest.raises(ValueError, match=r"^token 41 outside universe \[1, 40\]$"):
+        make().final_estimates(np.array([[5, 6], [40, 41]], dtype=np.int64))
+
+
+def test_default_final_estimates_restore_the_state_for_every_row():
+    machine = _ConsumeOnlyBitmap(10, passes=2)
+    machine.consume(7)
+    rows = np.array([[1, 2, 2], [7, 7, 7], [3, 4, 5]], dtype=np.int64)
+    assert machine.final_estimates(rows).tolist() == [3, 1, 4]
+
+
+def test_pair_outputs_refuse_inputs_of_another_length():
+    proto = streaming_protocol(lambda: ExactBitmapF0(8), 1.5)
+    x, y = random_pair_at_distance(4, 2, seed=5)
+    assert proto.pair_outputs([], []).tolist() == []
+    with pytest.raises(ValueError, match="input lengths do not match n"):
+        proto.pair_outputs([x, x], [y, BitString(5, 0)])
+    with pytest.raises(ValueError):
+        proto.pair_outputs([x, x], [y])
 
 
 def test_zero_error_on_promise_randomized():
