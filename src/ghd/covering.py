@@ -112,6 +112,20 @@ def _limb_matrix(words: Sequence[int], n: int) -> np.ndarray:
     return _byte_rows(words, 8 * limbs).view(">u8").astype(np.uint64)
 
 
+def _within(points: np.ndarray, codewords: np.ndarray, radius: int) -> np.ndarray:
+    """For each row of ``points``, whether some row of ``codewords`` lies within ``radius``.
+
+    Both are :func:`_limb_matrix` arrays of one width.
+    """
+    hit = np.zeros(len(points), dtype=bool)
+    rest = np.arange(len(points))  # the points no row has reached yet
+    for row in codewords:
+        near = np.bitwise_count(points[rest] ^ row).sum(axis=1) <= radius
+        hit[rest[near]] = True
+        rest = rest[~near]
+    return hit
+
+
 @dataclass(frozen=True)
 class CoveringCode:
     """An ordered codeword set with its transmission index width."""
@@ -320,10 +334,7 @@ def random_covering_code(
     cap = math.ceil(2.0 * union_bound) + 16
 
     probe_rng = random.Random(seed ^ 0x5EED_AD17)
-    points = [probe_rng.getrandbits(n) for _ in range(audit_points)]
-    use_numpy = n <= 64
-    if use_numpy:
-        points_arr = np.array(points, dtype=np.uint64)
+    points = _limb_matrix([probe_rng.getrandbits(n) for _ in range(audit_points)], n)
     covered = np.zeros(audit_points, dtype=bool)
 
     codewords: list[int] = []
@@ -337,20 +348,7 @@ def random_covering_code(
                 fresh.append(w)
         codewords.extend(fresh)
         open_idx = np.flatnonzero(~covered)
-        if use_numpy:
-            open_points = points_arr[open_idx]
-            hit = np.zeros(len(open_idx), dtype=bool)
-            for c in fresh:
-                hit |= np.bitwise_count(open_points ^ np.uint64(c)) <= radius
-        else:
-            hit = np.array(
-                [
-                    any((points[i] ^ c).bit_count() <= radius for c in fresh)
-                    for i in open_idx
-                ],
-                dtype=bool,
-            )
-        covered[open_idx[hit]] = True
+        covered[open_idx[_within(points[open_idx], _limb_matrix(fresh, n), radius)]] = True
         if covered.all():
             return CoveringCode(n, radius, tuple(codewords))
         if len(codewords) >= cap:
@@ -381,19 +379,8 @@ def audit_covering(
             covered[codewords[start : start + rows, None] ^ offsets] = True
         return bool(covered.all())
     rng = random.Random(seed)
-    if n <= 64:
-        points = np.array([rng.getrandbits(n) for _ in range(sample_points)], dtype=np.uint64)
-        covered = np.zeros(sample_points, dtype=bool)
-        for c in code.codewords:
-            covered |= np.bitwise_count(points ^ np.uint64(c)) <= r
-            if covered.all():
-                return True
-        return bool(covered.all())
-    for _ in range(sample_points):
-        p = rng.getrandbits(n)
-        if all((p ^ c).bit_count() > r for c in code.codewords):
-            return False
-    return True
+    points = _limb_matrix([rng.getrandbits(n) for _ in range(sample_points)], n)
+    return bool(_within(points, code._limbs, r).all())
 
 
 def nearest_codeword(code: CoveringCode, x: BitString) -> tuple[BitString, int]:

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from .bits import BitString, GhdInstance, _read_text, log2_ball_volume, random_pair_at_distance
+from .bits import BitString, GhdInstance, _read_text, random_pair_at_distance
 from .runtime import DEFAULT_BUDGET_FACTOR, _audited_errors, _error_trials, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_protocol
@@ -63,7 +63,7 @@ from .covering import (
     load_code,
     save_code,
 )
-from .streaming import ExactBitmapF0, ghd_via_streaming, stream_gap, streaming_protocol
+from .streaming import ExactBitmapF0, ghd_via_streaming, space_lower_bound, stream_gap, streaming_protocol
 
 __all__ = [
     "ExperimentConfig",
@@ -432,7 +432,7 @@ def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) ->
         expected_bits=2 * p * state_bits,
         measured_bits=worst,
         bits_ok=worst <= 2 * p * state_bits,
-        lower_bits=(n - log2_ball_volume(n, gap // 2)) / (2.0 * p),
+        lower_bits=space_lower_bound(n, c, p).state_bits_floor,
     )
     return record
 

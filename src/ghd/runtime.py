@@ -577,24 +577,16 @@ def _error_trials(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     x, y = instance.x, instance.y
-    truth = instance.truth_bit()
     seeds = [derive_seed(seed, trial) for trial in range(trials)]
-    if protocol.batch_outputs is None:
-        errors = 0
-        totals = set()
-        for trial_seed in seeds:
-            outcome = protocol.run(x, y, trial_seed)
-            errors += outcome.output != truth
-            totals.add(outcome.ledger.total_bits)
-    else:
-        errors, audited = _audited_errors(
-            trials,
-            truth,
-            lambda trial: protocol.run(x, y, seeds[trial]),
-            lambda: protocol.batch_outputs(x, y, np.array(seeds, dtype=np.uint64)),
-            lambda trial: f"trial {trial} (seed {seeds[trial]})",
-        )
-        totals = {outcome.ledger.total_bits for outcome in audited}
+    batch = protocol.batch_outputs
+    errors, runs = _audited_errors(
+        trials,
+        instance.truth_bit(),
+        lambda trial: protocol.run(x, y, seeds[trial]),
+        None if batch is None else lambda: batch(x, y, np.array(seeds, dtype=np.uint64)),
+        lambda trial: f"trial {trial} (seed {seeds[trial]})",
+    )
+    totals = [outcome.ledger.total_bits for outcome in runs]
     rate = errors / trials
     halfwidth = 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
     return ErrorEstimate(rate, halfwidth), min(totals), max(totals)
@@ -606,8 +598,13 @@ def _audited_errors(trials: int, truth: int, run, score, where) -> tuple[int, li
     ``run(trial)`` makes a real run (an object with ``output`` and
     ``ledger``), ``score()`` returns the batch's int64 outputs, and
     ``where(trial)`` names a trial in errors.  Trial 0 runs before the batch
-    is scored, then the first trial the batch scores as an error.
+    is scored, then the first trial the batch scores as an error.  With
+    ``score=None`` (a protocol without a batch hook) every trial is run, and
+    every run is returned.
     """
+    if score is None:
+        runs = [run(trial) for trial in range(trials)]
+        return sum(outcome.output != truth for outcome in runs), runs
     audited = {0: run(0)}
     outputs = score()
     if outputs.shape != (trials,):

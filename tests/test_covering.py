@@ -236,6 +236,52 @@ def test_random_code_infeasible_radius_raises():
         random_covering_code(120, 1, seed=5)
 
 
+# Codewords and default sampled-audit verdicts of random codes, one width to
+# either side of 64 bits and both verdicts (the audit probes are not the
+# construction's, so a sampled audit may find a point the build missed).
+RANDOM_CODE_CASES = [(14, 7), (30, 10), (24, 8), (40, 14), (70, 28), (100, 42), (17, 5)]
+RANDOM_CODE_VERDICTS = [True, False, False, True, True, True, True]
+RANDOM_CODE_DIGEST = "78dfe8fdea4823db1b22dd90fe74085f0d5ce35795abac16c29e9fe0e7ec1a09"
+
+
+def test_random_codes_and_audit_verdicts_are_pinned():
+    digest = hashlib.sha256()
+    verdicts = []
+    for n, r in RANDOM_CODE_CASES:
+        code = random_covering_code(n, r)
+        verdicts.append(audit_covering(code))
+        digest.update(f"{n} {r} {verdicts[-1]} {','.join(map(str, code.codewords))}\n".encode())
+    assert verdicts == RANDOM_CODE_VERDICTS
+    assert digest.hexdigest() == RANDOM_CODE_DIGEST
+
+
+@pytest.mark.parametrize("n", [22, 40, 64, 65, 130])
+def test_sampled_audit_rejects_a_code_that_does_not_cover(n):
+    rng = random.Random(n)
+    code = CoveringCode(n, n // 4, tuple(rng.getrandbits(n) for _ in range(50)))
+    assert not audit_covering(code)
+
+
+@pytest.mark.parametrize("n, r", [(70, 28), (100, 42)])
+def test_sampled_audit_accepts_random_codes_beyond_one_limb(n, r):
+    assert audit_covering(random_covering_code(n, r))
+
+
+@pytest.mark.parametrize("n", [22, 40, 64, 65, 130])
+def test_sampled_audit_matches_a_per_probe_oracle(n):
+    # both verdicts at each width, against the probes the audit draws
+    verdicts = set()
+    spread = math.isqrt(n)
+    for seed, radius in enumerate(range(n // 2 - spread, n // 2 + spread + 1, max(1, spread // 2))):
+        rng = random.Random(1000 * n + seed)
+        code = CoveringCode(n, radius, tuple(rng.getrandbits(n) for _ in range(20)))
+        probes = random.Random(seed)
+        expected = all(oracle_covered(code, probes.getrandbits(n)) for _ in range(300))
+        assert audit_covering(code, sample_points=300, seed=seed) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 # ------------------------------------------------------------ decoding
 
 
