@@ -184,6 +184,13 @@ def _byte_rows(values, nbytes: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
 
 
+def _check_lengths(n: int, *inputs: BitString) -> None:
+    """Reject an input whose length is not n."""
+    for x in inputs:
+        if x.length != n:
+            raise ValueError(f"input length {x.length} does not match n = {n}")
+
+
 def _parse_decimal(text: str) -> int:
     """A non-negative ASCII decimal with no sign, underscore or leading zero."""
     if not (text.isascii() and text.isdigit()) or text != str(int(text)):

@@ -29,13 +29,17 @@ only.
 
 :func:`audit_covering` is exhaustive for n <= 20: it marks the radius-r ball
 around every codeword in a 2**n bitmap, O(|C| * V2(n, r)) work.  Beyond that
-it checks sampled points.  For n <= 16 the nearest-codeword table is filled by
+it checks sampled points.  Sampled audits and :func:`random_covering_code`
+share one coverage check that works at any n: probes and codewords as
+64-bit limb matrices, each codeword marking the probes within radius by a
+popcount of the XOR.  For n <= 16 the nearest-codeword table is filled by
 the same expansion, in balls of growing radius.  Longer codes decode with one
 vector pass: popcounts of the XOR against the codewords, held as 64-bit
 limbs, then the first argmin.  :meth:`CoveringCode.nearest_indices` decodes
 many words at once the same way (a table lookup, or the argmin in slices of
 bounded working set), and the deterministic protocol's ``pair_outputs``
-applies Bob's radius test to the whole batch.
+applies Bob's radius test to the whole batch.  Both decoders refuse a word
+wider than n bits, and the protocol refuses inputs whose length is not n.
 
 Cost bounds reported by :func:`det_complexity_bounds`:
 
@@ -54,14 +58,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 import random
 
 import numpy as np
 
-from .bits import BitString, _byte_rows, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
+from .bits import BitString, _byte_rows, _check_lengths, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
 from .runtime import RECV, Protocol, Send, StreamReader, _in_batches
 
 __all__ = [
@@ -180,8 +185,18 @@ class CoveringCode:
     def _limbs(self) -> np.ndarray:
         return _limb_matrix(self.codewords, self.n)
 
+    def _check_width(self, word: int) -> None:
+        # word >> n is nonzero exactly when word lies outside [0, 2**n); the
+        # bitwise OR of many words lies outside when one of them does
+        if word >> self.n:
+            raise ValueError(f"word does not fit in {self.n} bits")
+
     def nearest_index(self, word: int) -> int:
-        """Index of the closest codeword, ties broken by lowest index."""
+        """Index of the closest codeword, ties broken by lowest index.
+
+        A word wider than n bits raises ``ValueError``.
+        """
+        self._check_width(word)
         table = self._decode_table
         if table is not None:
             return int(table[word])
@@ -198,10 +213,8 @@ class CoveringCode:
         slices of words whose XOR against every codeword stays within the
         batch working set.  A word wider than n bits raises ``ValueError``.
         """
+        self._check_width(reduce(or_, words, 0))
         limbs = _limb_matrix(words, self.n)
-        top = self.n - 64 * (limbs.shape[1] - 1)  # bits in the leading limb
-        if top < 64 and (limbs[:, 0] >> np.uint64(top)).any():
-            raise ValueError(f"word does not fit in {self.n} bits")
         table = self._decode_table
         if table is not None:
             return table[limbs[:, 0].astype(np.int64)]
@@ -385,8 +398,7 @@ def audit_covering(
 
 def nearest_codeword(code: CoveringCode, x: BitString) -> tuple[BitString, int]:
     """Closest codeword and its distance; ties go to the lowest index."""
-    if x.length != code.n:
-        raise ValueError("input length does not match the code")
+    _check_lengths(code.n, x)
     index = code.nearest_index(x.value)
     word = code.codewords[index]
     return BitString(code.n, word), (word ^ x.value).bit_count()
@@ -431,6 +443,7 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
     radius = params.decision_radius
 
     def alice(x: BitString, reader: StreamReader):
+        _check_lengths(code.n, x)
         index = code.nearest_index(x.value)
         if width > 0:
             yield Send(index, width)
@@ -438,6 +451,7 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         return answer
 
     def bob(y: BitString, reader: StreamReader):
+        _check_lengths(code.n, y)
         index = 0
         if width > 0:
             index, _ = yield RECV
@@ -447,6 +461,7 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         return decision
 
     def pair_outputs(xs: Sequence[BitString], ys: Sequence[BitString]) -> np.ndarray:
+        _check_lengths(code.n, *xs, *ys)
         chosen = code._limbs[code.nearest_indices([x.value for x in xs])]
         theirs = _limb_matrix([y.value for y in ys], code.n)
         return (np.bitwise_count(chosen ^ theirs).sum(axis=1) > radius).astype(np.int64)

@@ -18,7 +18,10 @@ the runtime by yielding commands:
   resumed with the ``(payload, width)`` pair.
 * ``return bit`` — terminate with this party's output.
 
-Both parties must terminate with the same output bit.  A strategy sees only
+Both parties must terminate with the same output bit.  The two inputs have
+equal length: :func:`run_protocol` refuses others with ``ValueError`` before
+either party starts, and a protocol built for a fixed n refuses an input of
+another length the same way.  A strategy sees only
 its own input, its reader, and the bits it receives, so input isolation holds
 by construction; the runtime additionally rejects deadlocks, disagreeing
 outputs, and runs that exceed the bit budget (default ``64 * n**2``).  A
@@ -56,8 +59,10 @@ must equal the real runs' outputs exactly:
 batch and run real ledgers only on audited trials: trial 0 before the batch
 (so a declared cost above the budget raises before anything is allocated)
 and the first trial the batch scores as an error.  A batch output that
-differs from its audited run is a contract violation.  Each batch kernel
-works through its trials in slices of bounded size (:func:`_in_batches`).
+differs from its audited run is a contract violation.  A protocol without a
+batch hook goes through the same scorer (:func:`_audited_errors`), which
+then runs every trial.  Each batch kernel works through its trials in
+slices of bounded size (:func:`_in_batches`).
 
 Transcript dump format (debugging): one line per message,
 ``direction bitcount hex-payload``, e.g. ``a->b 4 c``.
@@ -451,8 +456,11 @@ def run_protocol(
     disagreeing outputs, or a ledger total other than a declared
     ``cost_bits``, and :class:`BudgetExceededError` once more than
     ``bit_budget`` bits have been sent (default ``64 * n**2``), or before
-    either party starts when ``cost_bits`` exceeds the budget.
+    either party starts when ``cost_bits`` exceeds the budget.  Inputs of
+    unequal length raise ``ValueError`` before either party starts.
     """
+    if x.length != y.length:
+        raise ValueError(f"inputs of unequal length: {x.length} and {y.length} bits")
     shared = _as_shared(shared)
     if bit_budget is None:
         bit_budget = DEFAULT_BUDGET_FACTOR * x.length * x.length

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, _check_promise
+from .bits import BitString, _check_lengths, _check_promise
 from .runtime import RECV, Protocol, Send, StreamReader, _in_batches, _indices_below_values
 
 __all__ = [
@@ -102,12 +102,14 @@ def sampling_protocol(params: SamplingParams) -> Protocol:
     pad = (-m) % 8
 
     def alice(x: BitString, reader: StreamReader):
+        _check_lengths(params.n, x)
         bits = x.bit_array()[reader.indices_below(params.n, m)]
         yield Send(int.from_bytes(np.packbits(bits).tobytes(), "big") >> pad, m)
         answer, _ = yield RECV
         return answer
 
     def bob(y: BitString, reader: StreamReader):
+        _check_lengths(params.n, y)
         indices = reader.indices_below(params.n, m)
         payload, _ = yield RECV
         data = np.frombuffer((payload << pad).to_bytes((m + pad) // 8, "big"), dtype=np.uint8)
@@ -118,6 +120,7 @@ def sampling_protocol(params: SamplingParams) -> Protocol:
 
     def batch_outputs(x: BitString, y: BitString, seeds: np.ndarray) -> np.ndarray:
         # Bob's decision for each seed: the two strategies on a leading seed axis.
+        _check_lengths(params.n, x, y)
         differ = x.bit_array() ^ y.bit_array()
 
         def decide(chunk: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, _check_promise
+from .bits import BitString, _check_lengths, _check_promise
 from .runtime import (
     RECV,
     Protocol,
@@ -373,11 +373,13 @@ def sketch_protocol(params: SketchParams) -> Protocol:
     if params.trivial_mode:
 
         def alice(x: BitString, reader: StreamReader):
+            _check_lengths(params.n, x)
             yield Send(x.value, params.n)
             answer, _ = yield RECV
             return answer
 
         def bob(y: BitString, reader: StreamReader):
+            _check_lengths(params.n, y)
             payload, width = yield RECV
             distance = (payload ^ y.value).bit_count()
             decision = 1 if distance > params.close_bound else 0

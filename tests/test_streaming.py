@@ -396,6 +396,45 @@ def test_nondeterministic_algorithm_detected():
         ghd_via_streaming(lambda: Flaky(60), 1.5, x, x)
 
 
+def test_a_restore_that_drops_the_state_is_detected():
+    class Forgetful(ExactBitmapF0):
+        def restore(self, snapshot: StateSnapshot) -> None:
+            super().restore(snapshot)
+            self._bitmap = 0
+
+    # Bob's handoff estimate counts only his own 8 tokens; one machine counts 12
+    x, y = random_pair_at_distance(8, 4, seed=3)
+    with pytest.raises(ContractViolationError, match="^snapshot round-trip broke the run"):
+        ghd_via_streaming(lambda: Forgetful(16), 1.5, x, y)
+
+
+def test_a_snapshot_with_bits_beyond_its_length_is_refused():
+    class Overfull(ExactBitmapF0):
+        def snapshot(self) -> StateSnapshot:
+            inner = super().snapshot()
+            return StateSnapshot(b"\x01" + inner.data, inner.bit_length)
+
+    x, y = random_pair_at_distance(8, 4, seed=3)
+    with pytest.raises(
+        ContractViolationError, match="^snapshot has set bits beyond its declared bit length$"
+    ):
+        ghd_via_streaming(lambda: Overfull(16), 1.5, x, y)
+
+
+def test_communication_beyond_the_declared_passes_is_refused():
+    # the declared p is read from the first machine (1 pass); the runs' machines
+    # make 3, so 5 snapshots of 16 bits and the decision bit exceed 2 * 1 * 16
+    machines = []
+
+    def factory():
+        machines.append(ExactBitmapF0(16, passes=1 if not machines else 3))
+        return machines[-1]
+
+    x, y = random_pair_at_distance(8, 4, seed=3)
+    with pytest.raises(ContractViolationError, match=re.escape("communication 81 exceeds 2*p*S = 32")):
+        ghd_via_streaming(factory, 1.5, x, y, check_determinism=False)
+
+
 # ----------------------------------------------------------- lower bound
 
 
