@@ -236,9 +236,10 @@ def test_random_code_infeasible_radius_raises():
         random_covering_code(120, 1, seed=5)
 
 
-# Codewords and default sampled-audit verdicts of random codes, one width to
-# either side of 64 bits and both verdicts (the audit probes are not the
-# construction's, so a sampled audit may find a point the build missed).
+# Codewords and default sampled-audit verdicts of random codes: sampled
+# audits accept the codes at n = 70 and 100, beyond one 64-bit limb, and
+# reject those at n = 30 and 24 (the audit's probes are not the
+# construction's, so it may find a point the build missed).
 RANDOM_CODE_CASES = [(14, 7), (30, 10), (24, 8), (40, 14), (70, 28), (100, 42), (17, 5)]
 RANDOM_CODE_VERDICTS = [True, False, False, True, True, True, True]
 RANDOM_CODE_DIGEST = "78dfe8fdea4823db1b22dd90fe74085f0d5ce35795abac16c29e9fe0e7ec1a09"
@@ -256,20 +257,9 @@ def test_random_codes_and_audit_verdicts_are_pinned():
 
 
 @pytest.mark.parametrize("n", [22, 40, 64, 65, 130])
-def test_sampled_audit_rejects_a_code_that_does_not_cover(n):
-    rng = random.Random(n)
-    code = CoveringCode(n, n // 4, tuple(rng.getrandbits(n) for _ in range(50)))
-    assert not audit_covering(code)
-
-
-@pytest.mark.parametrize("n, r", [(70, 28), (100, 42)])
-def test_sampled_audit_accepts_random_codes_beyond_one_limb(n, r):
-    assert audit_covering(random_covering_code(n, r))
-
-
-@pytest.mark.parametrize("n", [22, 40, 64, 65, 130])
 def test_sampled_audit_matches_a_per_probe_oracle(n):
-    # both verdicts at each width, against the probes the audit draws
+    # both verdicts at each width, against the probes the audit draws: a
+    # False verdict names a probe that no codeword covers
     verdicts = set()
     spread = math.isqrt(n)
     for seed, radius in enumerate(range(n // 2 - spread, n // 2 + spread + 1, max(1, spread // 2))):
