@@ -24,6 +24,7 @@ from .bits import (
     hamming_distance,
     log2_ball_volume,
     random_pair_at_distance,
+    random_pairs_at_distances,
 )
 from .runtime import (
     ChannelLedger,

@@ -3,6 +3,15 @@
 The shared vocabulary of every protocol module: fixed-length binary words
 packed into Python integers (arbitrary precision, hardware popcount via
 ``int.bit_count``), promise instances, and exact combinatorial volumes.
+
+Random pairs at a given distance come from :func:`random_pair_at_distance`,
+one seeded ``random.Random`` per pair.  :func:`random_pairs_at_distances`
+returns the same pairs for many seeds at once: it reproduces CPython's
+``Random.sample`` pool branch (a partial Fisher-Yates shuffle) and
+``_randbelow``'s rejection loop in numpy lanes over each seed's raw
+Mersenne Twister outputs, and hands every pair it cannot reproduce that way
+to the per-pair function.  The tests compare the two pair for pair, so they
+fail if a Python release changes either method.
 """
 
 from __future__ import annotations
@@ -24,10 +33,11 @@ __all__ = [
     "log2_ball_volume",
     "log2_exact",
     "random_pair_at_distance",
+    "random_pairs_at_distances",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitString:
     """Fixed-length binary word packed into a single integer.
 
@@ -179,7 +189,16 @@ def _check_promise(
 
 
 def _byte_rows(values, nbytes: int) -> np.ndarray:
-    """Each nonnegative int as ``nbytes`` big-endian bytes: a ``(len(values), nbytes)`` uint8 array."""
+    """Each nonnegative int as ``nbytes`` big-endian bytes: a ``(len(values), nbytes)`` uint8 array.
+
+    A value that does not fit raises ``OverflowError``, as ``int.to_bytes`` does.
+    """
+    if nbytes <= 8:
+        # numpy raises OverflowError below 0 and from 2**64 up
+        words = np.array(values, dtype=np.uint64)
+        if nbytes < 8 and (words >> (8 * nbytes)).any():
+            raise OverflowError(f"int too big to convert to {nbytes} bytes")
+        return words.astype(">u8").view(np.uint8).reshape(len(values), 8)[:, 8 - nbytes :]
     raw = b"".join(value.to_bytes(nbytes, "big") for value in values)
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
 
@@ -260,17 +279,146 @@ def log2_ball_volume(n: int, r: int) -> float:
     return log2_exact(ball_volume(n, r))
 
 
+def _check_pair_args(n: int, distances) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    for d in distances:
+        if not 0 <= d <= n:
+            raise ValueError(f"distance must satisfy 0 <= d <= n, got {d}")
+
+
 def random_pair_at_distance(n: int, d: int, seed: int) -> tuple[BitString, BitString]:
     """A uniformly random x and a y at Hamming distance exactly d from it.
 
     The d flipped positions are a uniform size-d subset; fully deterministic
     given the seed.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= d <= n:
-        raise ValueError(f"distance must satisfy 0 <= d <= n, got {d}")
+    _check_pair_args(n, (d,))
     rng = random.Random(seed)
     x = BitString.random(n, rng)
     y = x.flip(rng.sample(range(n), d))
     return x, y
+
+
+# The lanes of random_pairs_at_distances: the raw outputs one lockstep step
+# reads per lane, the raw words and pool slots one slice of lanes may hold,
+# and the fewest lanes worth a lockstep pass (each step costs tens of
+# microseconds whatever the lane count).
+_LANE_WINDOW = 16
+_LANE_CELLS = 1 << 18
+_MIN_LANES = 64
+
+
+def _sample_setsize(k: int) -> int:
+    """CPython's ``Random.sample(range(n), k)`` shuffles a pool when
+    ``n <= _sample_setsize(k)`` and tracks a set of picks otherwise."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return setsize
+
+
+def random_pairs_at_distances(n: int, distances, seeds) -> list[tuple[BitString, BitString]]:
+    """``[random_pair_at_distance(n, d, s) for d, s in zip(distances, seeds)]``, drawn in lanes.
+
+    Pair for pair equal to the per-pair function, which stays the oracle;
+    ``distances`` and ``seeds`` must have one entry per pair.  Each pair whose d takes the pool branch of CPython's ``Random.sample``
+    (``n <= _sample_setsize(d)``) becomes a lane: its seed goes through
+    ``random.Random.seed`` and one ``getrandbits`` call takes all of its raw
+    Mersenne Twister outputs, from which x is the first ``ceil(n / 32)``.
+    The lanes then run the pool's partial Fisher-Yates shuffle in lockstep,
+    and each lane finds ``_randbelow``'s accepted draw as the first one
+    below the bound in a window of its outputs.  A lane whose window or
+    output budget runs out, a pair on the set branch, and every pair when
+    there are too few lanes or a slice could not hold enough of them, go to
+    the oracle.  The equality tests fail if CPython changes either method.
+    """
+    distances, seeds = list(distances), list(seeds)
+    if len(distances) != len(seeds):
+        raise ValueError(f"{len(distances)} distances but {len(seeds)} seeds")
+    _check_pair_args(n, distances)
+    pairs: list = [None] * len(distances)
+    pool_branch = {d: n <= _sample_setsize(d) for d in set(distances)}
+    lanes = sorted((i for i, d in enumerate(distances) if pool_branch[d]), key=lambda i: -distances[i])
+    capacity = _LANE_CELLS // (_lane_outputs(n, distances[lanes[0]]) + 2 * n) if lanes else 0
+    if len(lanes) >= _MIN_LANES and capacity >= _MIN_LANES:
+        slices = -(-len(lanes) // capacity)
+        size = -(-len(lanes) // slices)  # slices of equal size, give or take one
+        for start in range(0, len(lanes), size):
+            chunk = lanes[start : start + size]
+            drawn = _pool_lanes(n, [distances[i] for i in chunk], [seeds[i] for i in chunk])
+            for i, pair in zip(chunk, drawn):
+                pairs[i] = pair
+    for i, pair in enumerate(pairs):
+        if pair is None:
+            pairs[i] = random_pair_at_distance(n, distances[i], seeds[i])
+    return pairs
+
+
+def _lane_outputs(n: int, max_distance: int) -> int:
+    """Raw outputs drawn per lane: x's words, two per pick, and one window."""
+    return (n + 31) // 32 + 2 * max_distance + _LANE_WINDOW
+
+
+def _pool_lanes(n: int, distances: list[int], seeds: list) -> list:
+    """The pairs of pool-branch lanes sorted by descending distance; ``None``
+    for a lane whose accepted draw was not in its window or past its outputs."""
+    count, words, steps = len(distances), (n + 31) // 32, distances[0]
+    picks = np.array(distances)
+    outputs = _lane_outputs(n, steps)
+    rng = random.Random()
+
+    def raw(seed) -> bytes:
+        rng.seed(seed)
+        return rng.getrandbits(32 * outputs).to_bytes(4 * outputs, "little")
+
+    # Output k of a lane is bits 32k..32k+31 of its getrandbits result.  A
+    # window may read past the lane's row (a cursor moves at most one window
+    # a step, and the zero tail keeps the last lane in range); only a lane
+    # whose cursor ends past its row consumed what it did not draw.
+    tail = bytes(4 * _LANE_WINDOW * (steps + 1))
+    flat = np.frombuffer(b"".join([*map(raw, seeds), tail]), dtype="<u4")
+    lanes = np.arange(count)
+    lane_start = lanes * outputs
+    window = np.arange(_LANE_WINDOW)
+    window_start = lanes * _LANE_WINDOW
+    cursor = lane_start + words  # in flat; _randbelow's draws follow x's words
+    # pool[slot, lane]; a draw past the bound (a failed lane) reads and
+    # writes slots above it, which no later step reads
+    pool = np.zeros((2 * n, count), dtype=np.int16)
+    pool[:n] = np.arange(n, dtype=np.int16)[:, None]
+    flat_pool = pool.ravel()
+    taken = np.zeros((steps, count), dtype=np.uint32)  # the draw of each step
+    chosen = np.zeros((steps, count), dtype=np.int16)  # the position it picked
+    # distances descend, so the lanes still picking at step i are a prefix
+    live = np.searchsorted(-picks, -np.arange(steps), side="left")
+    for i, active in enumerate(live.tolist()):
+        bound = n - i
+        at = cursor[:active]
+        values = flat[at[:, None] + window] >> (32 - bound.bit_length())
+        first = (values < bound).argmax(axis=1)
+        at += first + 1
+        j = values.ravel().take(window_start[:active] + first, out=taken[i, :active])
+        slot = j * count + lanes[:active]
+        flat_pool.take(slot, out=chosen[i, :active])
+        flat_pool[slot] = pool[bound - 1, :active]
+    bounds = n - np.arange(steps)
+    failed = (taken >= bounds[:, None]).any(axis=0) | (cursor - lane_start > outputs)
+    pick_step, pick_lane = np.nonzero(np.arange(steps)[:, None] < picks)
+    flipped = np.zeros((count, 32 * words), dtype=bool)  # bit q set in x ^ y
+    flipped[pick_lane, n - 1 - chosen[pick_step, pick_lane]] = True
+    x_words = flat[: count * outputs].reshape(count, outputs)[:, :words].copy()
+    x_words[:, -1] >>= 32 * words - n  # getrandbits(n) drops the top word's low bits
+    x_bytes = x_words.astype("<u4").view(np.uint8)
+    y_bytes = x_bytes ^ np.packbits(flipped, axis=1, bitorder="little")
+    xs, ys, width = x_bytes.tobytes(), y_bytes.tobytes(), 4 * words
+    pairs: list = []
+    for lane, bad in enumerate(failed.tolist()):
+        if bad:
+            pairs.append(None)
+            continue
+        lo, hi = lane * width, (lane + 1) * width
+        pairs.append(
+            (BitString(n, int.from_bytes(xs[lo:hi], "little")), BitString(n, int.from_bytes(ys[lo:hi], "little")))
+        )
+    return pairs

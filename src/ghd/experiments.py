@@ -38,6 +38,14 @@ audited ledgers, which is exact: det declares its cost and every run's
 ledger must equal it, and every bitmap snapshot is ``capacity_bits`` wide, so
 every stream run sends ``(2p - 1) * 2n + 1`` bits.  A stream point whose
 bitmap cost exceeds the run budget ``64 n**2`` is skipped before any run.
+
+Both exact sweeps draw their instances from one ``random.Random`` per point:
+per trial a close word x = y, a distance in [gap, n] and a 63-bit pair seed.
+The far pairs are then drawn all at once by
+:func:`ghd.bits.random_pairs_at_distances`, which reproduces
+``random_pair_at_distance`` pair for pair (CPython's ``Random.sample`` pool
+branch and ``_randbelow``, run in numpy lanes), so every report is the one
+the per-pair draws give.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from .bits import BitString, GhdInstance, _read_text, random_pair_at_distance
+from .bits import BitString, GhdInstance, _read_text, random_pairs_at_distances
 from .runtime import DEFAULT_BUDGET_FACTOR, _audited_errors, _error_trials, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_protocol
@@ -349,16 +357,19 @@ def prepare_codes(config: ExperimentConfig) -> None:
 def _exact_classes(config: ExperimentConfig, point_seed: int, n: int, gap: int, protocol, run):
     """Score ``config.trials`` pairs x = y and distance in [gap, n].
 
+    The far pairs are ``random_pair_at_distance``'s, drawn in lanes after
+    the class RNG has drawn every trial's close word, distance and seed.
     ``protocol.pair_outputs`` scores each class; ``run(x, y)``, which returns
     an object with ``output`` and ``ledger``, makes the audited runs.
     Returns the error count on each class and the audited runs.
     """
     rng = random.Random(derive_seed(point_seed, 0))
-    close, far = [], []
+    close, distances, seeds = [], [], []
     for _ in range(config.trials):
         close.append(BitString.random(n, rng))
-        d = rng.randint(gap, n)
-        far.append(random_pair_at_distance(n, d, rng.getrandbits(63)))
+        distances.append(rng.randint(gap, n))
+        seeds.append(rng.getrandbits(63))
+    far = random_pairs_at_distances(n, distances, seeds)
     classes = (("close", close, close, 0), ("far", [x for x, _ in far], [y for _, y in far], 1))
     errors, audited = [], []
     for name, xs, ys, truth in classes:

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -245,7 +246,12 @@ class StreamReader:
         self.seed = seed & MASK64
         self.position = position
         self._draws = draws
-        self._seeds = np.array([self.seed], dtype=np.uint64)
+
+    @cached_property
+    def _seeds(self) -> np.ndarray:
+        """The seed as the one-element array the draw kernels take; built on
+        the first draw, since most readers (det, stream) never draw."""
+        return np.array([self.seed], dtype=np.uint64)
 
     def _raw_block(self, count: int) -> np.ndarray:
         values = _raw_values(self._seeds, self.position, count)[0]

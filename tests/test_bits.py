@@ -1,11 +1,14 @@
 import math
+import pickle
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghd import bits
 from ghd.bits import (
     BitString,
     GhdInstance,
@@ -15,6 +18,7 @@ from ghd.bits import (
     log2_ball_volume,
     log2_exact,
     random_pair_at_distance,
+    random_pairs_at_distances,
 )
 
 
@@ -64,6 +68,35 @@ def test_complement_and_flip():
     s = BitString.from_text("1010")
     assert str(s.complement()) == "0101"
     assert str(s.flip([0, 3])) == "0011"
+
+
+def test_bitstring_has_slots_and_pickles():
+    s = BitString(100, (1 << 99) | 12345)
+    assert not hasattr(s, "__dict__")
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and hash(copy) == hash(s)
+    with pytest.raises(AttributeError):
+        s.value = 0
+
+
+# ---------------------------------------------------------------- byte rows
+
+
+def _to_bytes_rows(values, nbytes):
+    raw = b"".join(value.to_bytes(nbytes, "big") for value in values)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
+
+
+@pytest.mark.parametrize("nbytes", range(1, 10))
+def test_byte_rows_match_to_bytes(nbytes):
+    top = (1 << (8 * nbytes)) - 1
+    for values in ([0], [top], [], [top, 0, 1, top >> 1]):
+        rows = bits._byte_rows(values, nbytes)
+        assert rows.dtype == np.uint8 and rows.shape == (len(values), nbytes)
+        assert rows.tolist() == _to_bytes_rows(values, nbytes).tolist()
+    for oversize in (top + 1, -1):
+        with pytest.raises(OverflowError):
+            bits._byte_rows([0, oversize], nbytes)
 
 
 # ---------------------------------------------------------------- distance
@@ -248,3 +281,121 @@ def test_instance_at_distance_promise():
     inst = GhdInstance.at_distance(50, 10, 30, 30, seed=4)
     assert inst.promise is Promise.FAR
     assert inst.truth_bit() == 1
+
+
+# ------------------------------------------------------------ pair lanes
+
+
+def _oracle_pairs(n, distances, seeds):
+    return [random_pair_at_distance(n, d, s) for d, s in zip(distances, seeds)]
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """A list that grows by one per call the lanes make to the oracle."""
+    calls = []
+
+    def counted(n, d, seed):
+        calls.append((n, d))
+        return random_pair_at_distance(n, d, seed)
+
+    monkeypatch.setattr(bits, "random_pair_at_distance", counted)
+    return calls
+
+
+def _sample_takes_pool(n, k):
+    """Whether CPython's ``Random.sample(range(n), k)`` shuffles a pool: its
+    second draw is then below n - 1, where the set branch draws below n."""
+    bounds = []
+
+    class Recording(random.Random):
+        def _randbelow(self, bound):
+            bounds.append(bound)
+            return super()._randbelow(bound)
+
+    Recording(0).sample(range(n), k)
+    return bounds[1] == n - 1
+
+
+@pytest.mark.parametrize("k", [2, 5, 6, 21, 22, 85, 86, 300])
+def test_sample_setsize_matches_cpython(k):
+    edge = bits._sample_setsize(k)
+    for n in (max(k, edge - 1), max(k, edge), edge + 1):
+        assert _sample_takes_pool(n, k) == (n <= edge)
+
+
+PAIR_LENGTHS = [1, 2, 16, 18, 21, 22, 31, 32, 33, 64, 65, 100, 130]
+
+
+@pytest.mark.parametrize("n", PAIR_LENGTHS)
+def test_pair_lanes_match_the_oracle(n, oracle_calls):
+    rng = random.Random(n)
+    distances = [d for d in (0, 1, 5, 6, n // 2, n) if d <= n for _ in range(80)]
+    seeds = [rng.getrandbits(63) for _ in distances]
+    assert random_pairs_at_distances(n, distances, seeds) == _oracle_pairs(n, distances, seeds)
+    # every pool-branch d has 80 >= _MIN_LANES pairs, and they need no oracle
+    assert all(n > bits._sample_setsize(d) for _, d in oracle_calls)
+    if n <= 21:
+        assert oracle_calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 200).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n), st.integers(0, 2**64)), max_size=40),
+        )
+    )
+)
+def test_pair_lanes_property(case):
+    n, draws = case
+    distances = [d for d, _ in draws]
+    seeds = [s for _, s in draws]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bits, "_MIN_LANES", 1)
+        assert random_pairs_at_distances(n, distances, seeds) == _oracle_pairs(n, distances, seeds)
+
+
+@pytest.mark.parametrize("tiny", ["window", "budget"])
+def test_pair_lanes_fall_back_when_window_or_budget_runs_out(monkeypatch, oracle_calls, tiny):
+    if tiny == "window":
+        monkeypatch.setattr(bits, "_LANE_WINDOW", 2)
+    else:  # one output per pick beyond x's words
+        monkeypatch.setattr(bits, "_lane_outputs", lambda n, max_distance: (n + 31) // 32 + max_distance)
+    rng = random.Random(7)
+    for n in (18, 100):
+        oracle_calls.clear()
+        distances = [rng.randint(n // 2, n) for _ in range(200)]
+        seeds = [rng.getrandbits(63) for _ in distances]
+        assert random_pairs_at_distances(n, distances, seeds) == _oracle_pairs(n, distances, seeds)
+        assert 0 < len(oracle_calls) < len(distances)
+
+
+def test_pair_lanes_fall_back_when_a_slice_would_be_too_small(monkeypatch, oracle_calls):
+    rng = random.Random(8)
+    distances = [rng.randint(8, 16) for _ in range(100)]
+    seeds = [rng.getrandbits(63) for _ in distances]
+    monkeypatch.setattr(bits, "_LANE_CELLS", 63 * (bits._lane_outputs(16, 16) + 32))
+    assert random_pairs_at_distances(16, distances, seeds) == _oracle_pairs(16, distances, seeds)
+    assert len(oracle_calls) == 100
+    # room for 64 lanes a slice: two balanced slices of 50
+    oracle_calls.clear()
+    monkeypatch.setattr(bits, "_LANE_CELLS", 64 * (bits._lane_outputs(16, 16) + 32))
+    assert random_pairs_at_distances(16, distances, seeds) == _oracle_pairs(16, distances, seeds)
+    assert oracle_calls == []
+
+
+def test_pair_lanes_edge_inputs(oracle_calls):
+    assert random_pairs_at_distances(16, [], []) == []
+    # fewer than _MIN_LANES pairs go to the oracle
+    assert random_pairs_at_distances(16, [3, 4], [1, 2]) == _oracle_pairs(16, [3, 4], [1, 2])
+    assert len(oracle_calls) == 2
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        random_pairs_at_distances(0, [0], [1])
+    with pytest.raises(ValueError, match="0 <= d <= n"):
+        random_pairs_at_distances(8, [3, 9], [1, 2])
+    with pytest.raises(ValueError, match="0 <= d <= n"):
+        random_pairs_at_distances(8, [-1], [1])
+    with pytest.raises(ValueError, match="2 distances but 1 seeds"):
+        random_pairs_at_distances(8, [3, 4], [1])

@@ -4,12 +4,14 @@ import json
 import math
 import random
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghd import experiments, sampling
+from ghd import bits, experiments, sampling
 from ghd.experiments import (
     COLUMNS,
     ExperimentConfig,
@@ -283,6 +285,39 @@ def test_exact_classes_audit_trial_zero_and_the_first_error(point_seed, audited_
     assert len(runs) == len(audited) == 1 + audited_far
     assert (errors0, errors1) == _looped_classes(60, point_seed, n, gap, run)
     assert errors0 == 0 < errors1
+
+
+@pytest.mark.parametrize("n, gap", [(16, 5), (18, 7), (100, stream_gap(100, 1.5))])
+def test_exact_classes_draw_far_pairs_in_lanes(monkeypatch, n, gap):
+    # the exact_sweep points: det (16, t = 5), det (18, t = 7), stream (100, c = 1.5)
+    oracle_calls = []
+
+    def counted(*args):
+        oracle_calls.append(args)
+        return random_pair_at_distance(*args)
+
+    monkeypatch.setattr(bits, "random_pair_at_distance", counted)
+    scored = []
+
+    def pair_outputs(xs, ys):
+        scored.append(list(zip(xs, ys)))
+        return np.array([int(x != y) for x, y in zip(xs, ys)], dtype=np.int64)
+
+    config = parse_config("protocol = det\ntrials = 500\n")
+    errors0, errors1, _ = experiments._exact_classes(
+        config, 3, n, gap, SimpleNamespace(pair_outputs=pair_outputs),
+        lambda x, y: SimpleNamespace(output=int(x != y), ledger=None),
+    )
+    assert (errors0, errors1) == (0, 0)
+    assert len(oracle_calls) <= 5
+    # the class RNG draws close word, distance, pair seed, trial by trial
+    rng = random.Random(derive_seed(3, 0))
+    close, far = [], []
+    for _ in range(500):
+        close.append(BitString.random(n, rng))
+        d = rng.randint(gap, n)
+        far.append(random_pair_at_distance(n, d, rng.getrandbits(63)))
+    assert scored == [list(zip(close, close)), far]
 
 
 def _doctor(factory, name, trial):

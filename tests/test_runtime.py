@@ -102,6 +102,16 @@ def test_vectorized_and_scalar_stream_paths_agree():
     assert [int(v) for v in block] == [scalar.next_raw() for _ in range(32)]
 
 
+def test_reader_builds_its_seed_array_on_the_first_block_draw():
+    reader = StreamReader(-1)
+    reader.next_raw()
+    assert "_seeds" not in vars(reader)
+    block = reader._raw_block(4)
+    assert reader._seeds.tolist() == [2**64 - 1]
+    scalar = StreamReader(-1, 1)
+    assert [int(v) for v in block] == [scalar.next_raw() for _ in range(4)]
+
+
 def test_gaussians_consume_two_positions_each():
     shared = SharedRandomness(11)
     r1 = shared.reader()
