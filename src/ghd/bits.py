@@ -9,8 +9,10 @@ one seeded ``random.Random`` per pair.  :func:`random_pairs_at_distances`
 returns the same pairs for many seeds at once: it reproduces CPython's
 ``Random.sample`` pool branch (a partial Fisher-Yates shuffle) and
 ``_randbelow``'s rejection loop in numpy lanes over each seed's raw
-Mersenne Twister outputs, and hands every pair it cannot reproduce that way
-to the per-pair function.  The tests compare the two pair for pair, so they
+Mersenne Twister outputs, held row by row in one buffer.  At each lockstep
+step a lane records its decisions as it makes them: the picked position's
+bit of ``x ^ y``, and a failure flag for a draw past the bound.  Every pair
+it cannot reproduce that way goes to the per-pair function.  The tests compare the two pair for pair, so they
 fail if a Python release changes either method.
 """
 
@@ -337,7 +339,7 @@ def random_pairs_at_distances(n: int, distances, seeds) -> list[tuple[BitString,
     if len(distances) != len(seeds):
         raise ValueError(f"{len(distances)} distances but {len(seeds)} seeds")
     _check_pair_args(n, distances)
-    pairs: list = [None] * len(distances)
+    drawn: dict = {}  # input position -> lane pair, None where the lane failed
     pool_branch = {d: n <= _sample_setsize(d) for d in set(distances)}
     lanes = sorted((i for i, d in enumerate(distances) if pool_branch[d]), key=lambda i: -distances[i])
     capacity = _LANE_CELLS // (_lane_outputs(n, distances[lanes[0]]) + 2 * n) if lanes else 0
@@ -346,13 +348,8 @@ def random_pairs_at_distances(n: int, distances, seeds) -> list[tuple[BitString,
         size = -(-len(lanes) // slices)  # slices of equal size, give or take one
         for start in range(0, len(lanes), size):
             chunk = lanes[start : start + size]
-            drawn = _pool_lanes(n, [distances[i] for i in chunk], [seeds[i] for i in chunk])
-            for i, pair in zip(chunk, drawn):
-                pairs[i] = pair
-    for i, pair in enumerate(pairs):
-        if pair is None:
-            pairs[i] = random_pair_at_distance(n, distances[i], seeds[i])
-    return pairs
+            drawn.update(zip(chunk, _pool_lanes(n, [distances[i] for i in chunk], [seeds[i] for i in chunk])))
+    return [drawn.get(i) or random_pair_at_distance(n, distances[i], seeds[i]) for i in range(len(distances))]
 
 
 def _lane_outputs(n: int, max_distance: int) -> int:
@@ -364,61 +361,56 @@ def _pool_lanes(n: int, distances: list[int], seeds: list) -> list:
     """The pairs of pool-branch lanes sorted by descending distance; ``None``
     for a lane whose accepted draw was not in its window or past its outputs."""
     count, words, steps = len(distances), (n + 31) // 32, distances[0]
-    picks = np.array(distances)
     outputs = _lane_outputs(n, steps)
+    # Row `lane` of one buffer holds that lane's getrandbits result, so its
+    # output k is bits 32k..32k+31 of it.  A window may read past the lane's
+    # row (a cursor moves at most one window a step, and the zero tail keeps
+    # the last lane in range); only a lane whose cursor ends past its row
+    # consumed what it did not draw.
+    row = 4 * outputs
+    buffer = bytearray(count * row + 4 * _LANE_WINDOW * (steps + 1))
     rng = random.Random()
-
-    def raw(seed) -> bytes:
+    for lane, seed in enumerate(seeds):
         rng.seed(seed)
-        return rng.getrandbits(32 * outputs).to_bytes(4 * outputs, "little")
-
-    # Output k of a lane is bits 32k..32k+31 of its getrandbits result.  A
-    # window may read past the lane's row (a cursor moves at most one window
-    # a step, and the zero tail keeps the last lane in range); only a lane
-    # whose cursor ends past its row consumed what it did not draw.
-    tail = bytes(4 * _LANE_WINDOW * (steps + 1))
-    flat = np.frombuffer(b"".join([*map(raw, seeds), tail]), dtype="<u4")
+        buffer[lane * row : (lane + 1) * row] = rng.getrandbits(32 * outputs).to_bytes(row, "little")
+    flat = np.frombuffer(buffer, dtype="<u4")
     lanes = np.arange(count)
     lane_start = lanes * outputs
     window = np.arange(_LANE_WINDOW)
     window_start = lanes * _LANE_WINDOW
     cursor = lane_start + words  # in flat; _randbelow's draws follow x's words
-    # pool[slot, lane]; a draw past the bound (a failed lane) reads and
-    # writes slots above it, which no later step reads
+    # pool[slot, lane] holds a position p as n - 1 - p, its bit of x ^ y; a
+    # draw past the bound (a failed lane) reads and writes slots above it,
+    # which no later step reads
     pool = np.zeros((2 * n, count), dtype=np.int16)
-    pool[:n] = np.arange(n, dtype=np.int16)[:, None]
+    pool[:n] = np.arange(n - 1, -1, -1, dtype=np.int16)[:, None]
     flat_pool = pool.ravel()
-    taken = np.zeros((steps, count), dtype=np.uint32)  # the draw of each step
-    chosen = np.zeros((steps, count), dtype=np.int16)  # the position it picked
+    # each step sets its pick's bit q of x ^ y and flags a draw past the bound
+    flipped = np.zeros((count, 32 * words), dtype=bool)
+    failed = np.zeros(count, dtype=bool)
     # distances descend, so the lanes still picking at step i are a prefix
-    live = np.searchsorted(-picks, -np.arange(steps), side="left")
+    live = np.searchsorted(-np.array(distances), -np.arange(steps), side="left")
     for i, active in enumerate(live.tolist()):
         bound = n - i
         at = cursor[:active]
         values = flat[at[:, None] + window] >> (32 - bound.bit_length())
         first = (values < bound).argmax(axis=1)
         at += first + 1
-        j = values.ravel().take(window_start[:active] + first, out=taken[i, :active])
+        j = values.ravel()[window_start[:active] + first]
+        failed[:active] |= j >= bound
         slot = j * count + lanes[:active]
-        flat_pool.take(slot, out=chosen[i, :active])
+        flipped[lanes[:active], flat_pool[slot]] = True
         flat_pool[slot] = pool[bound - 1, :active]
-    bounds = n - np.arange(steps)
-    failed = (taken >= bounds[:, None]).any(axis=0) | (cursor - lane_start > outputs)
-    pick_step, pick_lane = np.nonzero(np.arange(steps)[:, None] < picks)
-    flipped = np.zeros((count, 32 * words), dtype=bool)  # bit q set in x ^ y
-    flipped[pick_lane, n - 1 - chosen[pick_step, pick_lane]] = True
+    failed |= cursor - lane_start > outputs
     x_words = flat[: count * outputs].reshape(count, outputs)[:, :words].copy()
     x_words[:, -1] >>= 32 * words - n  # getrandbits(n) drops the top word's low bits
-    x_bytes = x_words.astype("<u4").view(np.uint8)
+    x_bytes = x_words.view(np.uint8)
     y_bytes = x_bytes ^ np.packbits(flipped, axis=1, bitorder="little")
     xs, ys, width = x_bytes.tobytes(), y_bytes.tobytes(), 4 * words
-    pairs: list = []
-    for lane, bad in enumerate(failed.tolist()):
-        if bad:
-            pairs.append(None)
-            continue
-        lo, hi = lane * width, (lane + 1) * width
-        pairs.append(
-            (BitString(n, int.from_bytes(xs[lo:hi], "little")), BitString(n, int.from_bytes(ys[lo:hi], "little")))
+    return [
+        None if bad else (
+            BitString(n, int.from_bytes(xs[lo : lo + width], "little")),
+            BitString(n, int.from_bytes(ys[lo : lo + width], "little")),
         )
-    return pairs
+        for lo, bad in zip(range(0, len(xs), width), failed.tolist())
+    ]

@@ -23,9 +23,10 @@ drops.  Otherwise the update bincounts over the whole cube the k newly
 covered balls, or, when fewer than k points remain uncovered, rebuilds the
 gains from the remaining balls: O(min(k, remaining) * V2(n, r) + 2**n).
 Each pick also takes one O(2**n) argmax.  For larger n,
-:func:`random_covering_code` samples codewords until a sampled-point audit
-passes; its size is within the same envelope with statistical confidence
-only.
+:func:`random_covering_code` samples codewords until every point the
+default :func:`audit_covering` checks is covered, so the code passes that
+audit and reloads; its size is within the same envelope with statistical
+confidence only.
 
 :func:`audit_covering` is exhaustive for n <= 20: it marks the radius-r ball
 around every codeword in a 2**n bitmap, O(|C| * V2(n, r)) work.  Beyond that
@@ -214,13 +215,12 @@ class CoveringCode:
         batch working set.  A word wider than n bits raises ``ValueError``.
         """
         self._check_width(reduce(or_, words, 0))
-        limbs = _limb_matrix(words, self.n)
         table = self._decode_table
         if table is not None:
-            return table[limbs[:, 0].astype(np.int64)]
+            return table[np.array(words, dtype=np.int64)]
         matrix = self._limbs
         return _in_batches(
-            limbs,
+            _limb_matrix(words, self.n),
             matrix.size,
             lambda rows: np.bitwise_count(rows[:, None, :] ^ matrix).sum(axis=2).argmin(axis=1),
         )
@@ -312,17 +312,21 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
     return CoveringCode(n, radius, tuple(codewords))
 
 
-def random_covering_code(
-    n: int,
-    radius: int,
-    confidence: float = 0.99,
-    seed: int = 0,
-    audit_points: int = 100_000,
-) -> CoveringCode:
+def _audit_points(n: int, count: int = 100_000, seed: int = 0) -> np.ndarray:
+    """The points :func:`audit_covering` checks, as a :func:`_limb_matrix`:
+    every word for n <= 20, and beyond that ``count`` probes from
+    ``random.Random(seed)``."""
+    if n <= _EXHAUSTIVE_AUDIT_MAX_N:
+        return np.arange(1 << n, dtype=np.uint64)[:, None]
+    rng = random.Random(seed)
+    return _limb_matrix([rng.getrandbits(n) for _ in range(count)], n)
+
+
+def random_covering_code(n: int, radius: int, confidence: float = 0.99, seed: int = 0) -> CoveringCode:
     """Sampled covering code for n beyond the exhaustive limit.
 
-    Draws uniform codewords in growing batches until every one of
-    ``audit_points`` random probe points is covered, starting from the volume
+    Draws uniform codewords in growing batches until every point that the
+    default :func:`audit_covering` checks is covered, starting from the volume
     lower bound ``2**n / V2(n, r)`` and capped at twice the union-bound size
     ``ln(2**n / (1 - confidence)) * 2**n / V2(n, r)``.  Covering holds with
     the declared statistical confidence only.
@@ -346,9 +350,8 @@ def random_covering_code(
     union_bound = ratio * (n * math.log(2.0) + math.log(1.0 / delta))
     cap = math.ceil(2.0 * union_bound) + 16
 
-    probe_rng = random.Random(seed ^ 0x5EED_AD17)
-    points = _limb_matrix([probe_rng.getrandbits(n) for _ in range(audit_points)], n)
-    covered = np.zeros(audit_points, dtype=bool)
+    points = _audit_points(n)
+    covered = np.zeros(len(points), dtype=bool)
 
     codewords: list[int] = []
     seen: set[int] = set()
@@ -391,9 +394,7 @@ def audit_covering(
         for start in range(0, len(codewords), rows):
             covered[codewords[start : start + rows, None] ^ offsets] = True
         return bool(covered.all())
-    rng = random.Random(seed)
-    points = _limb_matrix([rng.getrandbits(n) for _ in range(sample_points)], n)
-    return bool(_within(points, code._limbs, r).all())
+    return bool(_within(_audit_points(n, sample_points, seed), code._limbs, r).all())
 
 
 def nearest_codeword(code: CoveringCode, x: BitString) -> tuple[BitString, int]:

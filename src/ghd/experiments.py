@@ -232,16 +232,9 @@ def parse_config(text: str, protocol: str | None = None) -> ExperimentConfig:
     else:
         raise ValueError("no protocol given (neither in config nor by the caller)")
 
-    return ExperimentConfig(
-        protocol=protocol,
-        grid=tuple(grid),
-        trials=settings.get("trials", 1000),
-        seed=settings.get("seed", 0),
-        output_format=settings.get("format", "csv"),
-        rate=settings.get("rate", "hoeffding"),
-        linear_rate_constant=settings.get("linear_rate_constant", 8.0),
-        code_dir=settings.get("code_dir"),
-    )
+    # only the settings the text sets: the dataclass holds the defaults
+    options = {"output_format" if key == "format" else key: value for key, value in settings.items() if key != "protocol"}
+    return ExperimentConfig(protocol, tuple(grid), **options)
 
 
 def load_config(path: str | Path, protocol: str | None = None) -> ExperimentConfig:

@@ -386,6 +386,27 @@ def test_pair_lanes_fall_back_when_a_slice_would_be_too_small(monkeypatch, oracl
     assert oracle_calls == []
 
 
+def test_pair_lanes_across_slices_at_the_default_constants(monkeypatch, oracle_calls):
+    # d up to 100 at n = 100: the default 2**18 cells hold 624 lanes a slice,
+    # so 1,300 lanes run in three slices of at most 434
+    rng = random.Random(16)
+    distances = [rng.randint(50, 100) for _ in range(1300)]
+    seeds = [rng.getrandbits(63) for _ in distances]
+    assert max(distances) == 100
+    assert bits._LANE_CELLS // (bits._lane_outputs(100, 100) + 200) == 624
+    sizes = []
+    pool_lanes = bits._pool_lanes
+
+    def recorded(n, distances, seeds):
+        sizes.append(len(distances))
+        return pool_lanes(n, distances, seeds)
+
+    monkeypatch.setattr(bits, "_pool_lanes", recorded)
+    assert random_pairs_at_distances(100, distances, seeds) == _oracle_pairs(100, distances, seeds)
+    assert sizes == [434, 434, 432]
+    assert len(oracle_calls) == 1  # the one lane of this seed that fails
+
+
 def test_pair_lanes_edge_inputs(oracle_calls):
     assert random_pairs_at_distances(16, [], []) == []
     # fewer than _MIN_LANES pairs go to the oracle

@@ -59,6 +59,10 @@ def test_parse_config_round_trip():
     assert config.grid[0] == {"n": 128, "L": 2, "U": 64, "s": 1.0}
 
 
+def test_parse_config_defaults_are_the_dataclass_defaults():
+    assert parse_config("protocol = det\n") == ExperimentConfig("deterministic", ())
+
+
 def test_parse_config_protocol_aliases_and_conflicts():
     assert parse_config("point n=10 t=4\n", protocol="det").protocol == "deterministic"
     assert parse_config("protocol = stream\npoint n=10 c=1.5 p=1\n").protocol == "streaming"
