@@ -12,8 +12,9 @@ returns the same pairs for many seeds at once: it reproduces CPython's
 Mersenne Twister outputs, held row by row in one buffer.  At each lockstep
 step a lane records its decisions as it makes them: the picked position's
 bit of ``x ^ y``, and a failure flag for a draw past the bound.  Every pair
-it cannot reproduce that way goes to the per-pair function.  The tests compare the two pair for pair, so they
-fail if a Python release changes either method.
+it cannot reproduce that way goes to the per-pair function.  The tests
+compare the two pair for pair, so they fail if a Python release changes
+either method.
 """
 
 from __future__ import annotations
