@@ -6,6 +6,7 @@ Subcommands::
     ghd bounds det N T                 deterministic-protocol cost bounds in bits
     ghd bounds stream N C P            streaming space floor for a c-approximation
     ghd bench PROTOCOL --config FILE   run a sweep, write csv/json records
+                                       (--timings FILE: per-point wall times as JSON)
     ghd demo stream                    worked example of the streaming reduction
 
 Exit codes: 0 on success, 2 when a bench run produced any bound-violation
@@ -15,12 +16,13 @@ record (for CI gating), 64 on usage errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from .bits import ball_volume, hamming_distance, log2_ball_volume, random_pair_at_distance
 from .covering import det_complexity_bounds
-from .experiments import load_config, normalize_protocol, run_experiment
+from .experiments import load_config, normalize_protocol, point_timings, run_experiment
 from .streaming import ExactBitmapF0, encode_streams, exact_f0, ghd_via_streaming, space_lower_bound, stream_gap, write_stream_fixture
 
 __all__ = ["main"]
@@ -58,6 +60,9 @@ def _build_parser() -> _Parser:
     bench.add_argument("--out", help="write the report here instead of stdout")
     bench.add_argument("--jobs", type=int, default=1, help="parallel workers over grid points")
     bench.add_argument("--code-dir", help="det only: read-through cache of covering-code files")
+    bench.add_argument(
+        "--timings", help="also write per-point wall time, trials and runs/s here (JSON)"
+    )
 
     demo = sub.add_parser("demo", help="worked examples")
     demo_sub = demo.add_subparsers(dest="what", required=True)
@@ -104,6 +109,9 @@ def _cmd_bench(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    if args.timings:
+        timings = {"protocol": config.protocol, "jobs": args.jobs, "points": point_timings(config, report)}
+        Path(args.timings).write_text(json.dumps(timings, indent=2) + "\n")
     return 2 if report.has_violation else 0
 
 

@@ -313,13 +313,21 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
 
 
 def _audit_points(n: int, count: int = 100_000, seed: int = 0) -> np.ndarray:
-    """The points :func:`audit_covering` checks, as a :func:`_limb_matrix`:
-    every word for n <= 20, and beyond that ``count`` probes from
-    ``random.Random(seed)``."""
-    if n <= _EXHAUSTIVE_AUDIT_MAX_N:
-        return np.arange(1 << n, dtype=np.uint64)[:, None]
+    """The probes the sampled :func:`audit_covering` checks beyond n = 20,
+    as a :func:`_limb_matrix`: ``count`` words from ``random.Random(seed)``."""
     rng = random.Random(seed)
     return _limb_matrix([rng.getrandbits(n) for _ in range(count)], n)
+
+
+def _mark_balls(covered: np.ndarray, codewords: np.ndarray, offsets: np.ndarray) -> None:
+    """Set ``covered[c ^ offsets]`` for every codeword c (int64 words).
+
+    ``covered`` is a bitmap over the whole cube; each chunk's index array
+    holds at most ``len(covered)`` entries.
+    """
+    rows = max(1, len(covered) // len(offsets))
+    for start in range(0, len(codewords), rows):
+        covered[codewords[start : start + rows, None] ^ offsets] = True
 
 
 def random_covering_code(n: int, radius: int, confidence: float = 0.99, seed: int = 0) -> CoveringCode:
@@ -351,8 +359,14 @@ def random_covering_code(n: int, radius: int, confidence: float = 0.99, seed: in
     union_bound = ratio * (n * math.log(2.0) + math.log(1.0 / delta))
     cap = math.ceil(2.0 * union_bound) + 16
 
-    points = _audit_points(n)
-    covered = np.zeros(len(points), dtype=bool)
+    # every word as a bitmap up to n = 20, the audit's probes beyond
+    exhaustive = n <= _EXHAUSTIVE_AUDIT_MAX_N
+    if exhaustive:
+        offsets = _ball_offsets(n, radius)
+        covered = np.zeros(1 << n, dtype=bool)
+    else:
+        points = _audit_points(n)
+        covered = np.zeros(len(points), dtype=bool)
 
     codewords: list[int] = []
     seen: set[int] = set()
@@ -364,8 +378,11 @@ def random_covering_code(n: int, radius: int, confidence: float = 0.99, seed: in
                 seen.add(w)
                 fresh.append(w)
         codewords.extend(fresh)
-        open_idx = np.flatnonzero(~covered)
-        covered[open_idx[_within(points[open_idx], _limb_matrix(fresh, n), radius)]] = True
+        if exhaustive:
+            _mark_balls(covered, np.array(fresh, dtype=np.int64), offsets)
+        else:
+            open_idx = np.flatnonzero(~covered)
+            covered[open_idx[_within(points[open_idx], _limb_matrix(fresh, n), radius)]] = True
         if covered.all():
             return CoveringCode(n, radius, tuple(codewords))
         if len(codewords) >= cap:
@@ -387,13 +404,8 @@ def audit_covering(
     """
     n, r = code.n, code.radius
     if n <= _EXHAUSTIVE_AUDIT_MAX_N:
-        offsets = _ball_offsets(n, r)
-        codewords = np.array(code.codewords, dtype=np.int64)
         covered = np.zeros(1 << n, dtype=bool)
-        # each chunk's index array holds at most 2**n entries
-        rows = max(1, (1 << n) // len(offsets))
-        for start in range(0, len(codewords), rows):
-            covered[codewords[start : start + rows, None] ^ offsets] = True
+        _mark_balls(covered, np.array(code.codewords, dtype=np.int64), _ball_offsets(n, r))
         return bool(covered.all())
     return bool(_within(_audit_points(n, sample_points, seed), code._limbs, r).all())
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -79,6 +80,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "run_experiment",
+    "point_timings",
     "compare_bounds",
     "COLUMNS",
     "COMPARE_COLUMNS",
@@ -465,9 +467,20 @@ def _run_point(config: ExperimentConfig, index: int) -> dict:
         return record
 
 
+def _timed_point(config: ExperimentConfig, index: int) -> tuple[dict, float]:
+    """:func:`_run_point` and its wall time in seconds."""
+    start = time.perf_counter()
+    record = _run_point(config, index)
+    return record, time.perf_counter() - start
+
+
 @dataclass
 class Report:
+    """The records of a sweep; ``seconds`` holds each point's wall time
+    when :func:`run_experiment` made it, and never enters the output."""
+
     records: list[dict] = field(default_factory=list)
+    seconds: list[float] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def has_violation(self) -> bool:
@@ -520,10 +533,30 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Report:
     workers = min(jobs, len(indices))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_point, repeat(config), indices))
+            timed = list(pool.map(_timed_point, repeat(config), indices))
     else:
-        records = [_run_point(config, index) for index in indices]
-    return Report(records)
+        timed = [_timed_point(config, index) for index in indices]
+    return Report([record for record, _ in timed], [seconds for _, seconds in timed])
+
+
+def point_timings(config: ExperimentConfig, report: Report) -> list[dict]:
+    """Per grid point of a :func:`run_experiment` report: its status, wall
+    seconds, trials per class, trials scored (both classes, none when
+    skipped) and trials scored per second."""
+    rows = []
+    for point, record, seconds in zip(config.grid, report.records, report.seconds):
+        runs = 2 * config.trials if record["status"] == "ok" else 0
+        rows.append(
+            {
+                "point": point,
+                "status": record["status"],
+                "seconds": seconds,
+                "trials": config.trials,
+                "runs": runs,
+                "runs_per_s": runs / seconds,
+            }
+        )
+    return rows
 
 
 def compare_bounds(records: list[dict]) -> list[dict]:

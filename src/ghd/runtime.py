@@ -41,7 +41,10 @@ run the first party to ask computes the vectors, the second gets the same
 read-only array, and each reader's cursor advances by exactly the positions
 the draw used.  A :class:`StreamReader` built directly has no memo.  The
 draw kernels take an array of seeds, so one call computes the same values for
-many streams at once; a reader calls them with its one seed.
+many streams at once; a reader calls them with its one seed.  The array mix
+(``_mix64_array``) works in place on a temporary its caller builds, and the
+Gaussians are formed in place, one operation at a time in the order of
+``sqrt(-2 log u1) * cos(2 pi u2)``.
 
 Batched trials
 --------------
@@ -130,9 +133,16 @@ def derive_seed(master: int, *path: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """:func:`mix64` of every entry of a uint64 array, in place.
+
+    ``z`` is overwritten and returned: callers pass a temporary.
+    """
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 # Working-set cap of one batch step: trials per step times coordinates per
@@ -140,12 +150,12 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 _BATCH_COORDINATES = 1 << 13
 
 
-def _raw_values(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Stream values at positions start + 1 .. start + count of each uint64 seed.
+def _raw_values(seeds: np.ndarray, start: int, count: int, step: int = 1) -> np.ndarray:
+    """Stream values at positions start + 1, start + 1 + step, ... of each uint64 seed.
 
-    Shape ``(len(seeds), count)``.
+    Shape ``(len(seeds), count)``; ``count`` positions per seed.
     """
-    positions = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    positions = np.arange(start + 1, start + step * count + 1, step, dtype=np.uint64)
     return _mix64_array(seeds[:, None] + positions * np.uint64(_GOLDEN))
 
 
@@ -153,16 +163,43 @@ def _gaussian_values(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
     """Box-Muller Gaussians (cosine branch) of each seed from position ``start``.
 
     Coordinate k uses positions (start + 2k, start + 2k + 1); shape
-    ``(len(seeds), count)``.
+    ``(len(seeds), count)``.  The two positions of every coordinate are
+    mixed as two contiguous arrays, and each factor is formed in place in
+    the order ``sqrt(-2 log u1) * cos(2 pi u2)`` takes.
     """
-    raw = _raw_values(seeds, start, 2 * count).reshape(len(seeds), count, 2)
-    u1 = ((raw[..., 0] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (raw[..., 1] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    u1 = (_raw_values(seeds, start, count, 2) >> np.uint64(11)).astype(np.float64)
+    u1 += 1.0
+    u1 *= 2.0**-53
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 = (_raw_values(seeds, start + 1, count, 2) >> np.uint64(11)).astype(np.float64)
+    u2 *= 2.0**-53
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` of a float array, bit for bit.
+
+    Numpy sums fewer than 8 terms left to right from +0.0, so a short last
+    axis is summed by column adds in that order, one pass per column; from
+    8 terms up numpy's pairwise order applies and its own sum is used.
+    """
+    length = a.shape[-1]
+    if not 0 < length < 8:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0  # +0.0 first, as numpy's sum: -0.0 + 0.0 is +0.0
+    for j in range(1, length):
+        out += a[..., j]
+    return out
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    return np.sqrt((g * g).sum(axis=-1))
+    norms = _sum_last(g * g)
+    return np.sqrt(norms, out=norms)
 
 
 def _unit_vector_values(seeds: np.ndarray, rows: int, dim: int) -> np.ndarray:
@@ -175,10 +212,10 @@ def _unit_vector_values(seeds: np.ndarray, rows: int, dim: int) -> np.ndarray:
     norms = _row_norms(g)
     redraw = (norms == 0.0).any(axis=1)
     norms[redraw] = 1.0
-    vectors = g / norms[..., None]
+    g /= norms[..., None]
     for trial in np.flatnonzero(redraw):
-        vectors[trial] = StreamReader(int(seeds[trial])).unit_vectors(rows, dim)
-    return vectors
+        g[trial] = StreamReader(int(seeds[trial])).unit_vectors(rows, dim)
+    return g
 
 
 def _indices_below(raw: np.ndarray, bound: int) -> np.ndarray:
@@ -314,11 +351,11 @@ class StreamReader:
             bad = norms == 0.0
             g[bad] = self.gaussians(int(bad.sum()) * dim).reshape(-1, dim)
             norms = _row_norms(g)
-        vectors = g / norms[..., None]
+        g /= norms[..., None]
         if self._draws is not None:
-            vectors.flags.writeable = False
-            self._draws[key] = (vectors, self.position)
-        return vectors
+            g.flags.writeable = False
+            self._draws[key] = (g, self.position)
+        return g
 
 
 @dataclass(frozen=True)
@@ -580,6 +617,12 @@ def estimate_error_rate(
     return _error_trials(protocol, instance, trials, seed)[0]
 
 
+def _trial_seeds(seed: int, trials: int) -> np.ndarray:
+    """``derive_seed(seed, trial)`` for trial 0 .. trials - 1, as uint64."""
+    steps = np.arange(1, trials + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix64_array(steps ^ np.uint64(mix64(seed)))
+
+
 def _error_trials(
     protocol: Protocol, instance: GhdInstance, trials: int, seed: int
 ) -> tuple[ErrorEstimate, int, int]:
@@ -591,13 +634,13 @@ def _error_trials(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     x, y = instance.x, instance.y
-    seeds = [derive_seed(seed, trial) for trial in range(trials)]
+    seeds = _trial_seeds(seed, trials)
     batch = protocol.batch_outputs
     errors, runs = _audited_errors(
         trials,
         instance.truth_bit(),
-        lambda trial: protocol.run(x, y, seeds[trial]),
-        None if batch is None else lambda: batch(x, y, np.array(seeds, dtype=np.uint64)),
+        lambda trial: protocol.run(x, y, int(seeds[trial])),
+        None if batch is None else lambda: batch(x, y, seeds),
         lambda trial: f"trial {trial} (seed {seeds[trial]})",
     )
     totals = [outcome.ledger.total_bits for outcome in runs]

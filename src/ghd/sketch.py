@@ -48,6 +48,7 @@ from .runtime import (
     StreamReader,
     _as_shared,
     _in_batches,
+    _sum_last,
     _unit_vector_values,
 )
 
@@ -283,7 +284,7 @@ def _project(x: BitString, params: SketchParams, vectors: np.ndarray) -> np.ndar
     """
     padded = np.zeros(params.padded_length, dtype=np.float64)
     padded[: x.length] = x.bit_array()
-    return (padded.reshape(params.block_count, params.block_length) * vectors).sum(axis=-1)
+    return _sum_last(padded.reshape(params.block_count, params.block_length) * vectors)
 
 
 def _statistic(received: np.ndarray, own: np.ndarray) -> np.ndarray:

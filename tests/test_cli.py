@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import pytest
@@ -42,6 +43,23 @@ def test_bench_sketch_csv(tmp_path, capsys):
     lines = out_file.read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("protocol,status,")
+
+
+def test_bench_timings_sidecar_leaves_the_report_unchanged(tmp_path):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("trials = 20\nseed = 3\npoint n=128 L=2 U=64 s=1\npoint n=10 L=9 U=3 s=1\n")
+    plain, timed, sidecar = tmp_path / "plain.csv", tmp_path / "timed.csv", tmp_path / "t.json"
+    assert main(["bench", "sketch", "--config", str(config), "--out", str(plain)]) == 0
+    argv = ["bench", "sketch", "--config", str(config), "--out", str(timed), "--timings", str(sidecar)]
+    assert main(argv) == 0
+    assert timed.read_bytes() == plain.read_bytes()
+    timings = json.loads(sidecar.read_text())
+    assert (timings["protocol"], timings["jobs"]) == ("sketch", 1)
+    ok, skipped = timings["points"]
+    assert ok["point"] == {"n": 128, "L": 2, "U": 64, "s": 1.0} and ok["status"] == "ok"
+    assert (ok["trials"], ok["runs"]) == (20, 40)
+    assert ok["seconds"] > 0 and ok["runs_per_s"] == 40 / ok["seconds"]
+    assert (skipped["status"], skipped["runs"], skipped["runs_per_s"]) == ("skipped", 0, 0.0)
 
 
 def test_bench_stdout_and_json(tmp_path, capsys):

@@ -255,6 +255,22 @@ def test_random_codes_and_audit_verdicts_are_pinned():
     assert digest.hexdigest() == RANDOM_CODE_DIGEST
 
 
+# sha256 of the codewords at n <= 20, taken while the stop rule still
+# checked every word by popcount; the ball bitmap must stop at the same batch.
+RANDOM_BITMAP_DIGESTS = {
+    (19, 5): "f59297a3f6d50f721e4ccf6cb8c48ad1fa9a1e9536bb971506b84f84c49227ed",
+    (20, 4): "dbe1e5031284d470a33351c2b8aa08cc565d14d47673adb7dccde032114f30e5",
+}
+
+
+@pytest.mark.parametrize("n, r", list(RANDOM_BITMAP_DIGESTS))
+def test_random_codes_by_ball_bitmap_are_pinned(n, r):
+    code = random_covering_code(n, r)
+    digest = hashlib.sha256(",".join(map(str, code.codewords)).encode()).hexdigest()
+    assert digest == RANDOM_BITMAP_DIGESTS[n, r]
+    assert audit_covering(code)
+
+
 def test_random_codes_reload(tmp_path):
     # load_code runs the default audit, which the construction stops on
     for n, r in RANDOM_CODE_CASES:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -110,6 +111,75 @@ def test_reader_builds_its_seed_array_on_the_first_block_draw():
     assert reader._seeds.tolist() == [2**64 - 1]
     scalar = StreamReader(-1, 1)
     assert [int(v) for v in block] == [scalar.next_raw() for _ in range(4)]
+
+
+# sha256 of the kernels' float64 bytes, taken before the Gaussians were
+# formed in place and short sums became column adds: the shared stream of
+# every sketch run is these values, bit for bit.
+_KERNEL_SEEDS = np.array([0, 1, 2**63, derive_seed(7, 0), 2**64 - 1], dtype=np.uint64)
+GAUSSIAN_DIGESTS = {
+    (0, 1): "1b6c0e7650604f61eb1ef18e52e024174fdd663dac9ccddcf306093720c99949",
+    (0, 7): "890d84bae8a2ffc7efb6e0edc77a658c2c502813703f9a04e917b7f54be98a44",
+    (0, 814): "c36bde8e28bef71cd4977a2641396b2dc759812a8c8d6100aa677f5a70ea1560",
+    (3, 1): "193cd7bd6bf37b4f4e6c623d4ebd89362cf1b9b97e7ef765d34a9b5525f15a25",
+    (3, 7): "d90f4dae264914fc315569aebe59e96b9ff2d3e3248e11aa2f5d2cdd2b9b5c58",
+    (3, 814): "f98bf0b355af63f5cbff0a70495cb6e29cf2cb2bc43ed1534155117554506590",
+}
+UNIT_VECTOR_DIGESTS = {
+    (407, 2): "38f5559c6175b2dcfc01fd40490130d06fa498a32a89be51f13780c3684913d3",
+    (466, 2): "820eda371d7ba9c2e887453e2f8714d060f62b79ccc3479cd43701a6d7654de2",
+    (1025, 2): "9fc606f3f44e16b62ff219c3dea89d3f039240740eef1a492bc5d36937a027a3",
+    (40, 13): "9b60b1dc3c1829aaee99de4050d10465e179385378443a82e3a30a0cd7a3b5c2",
+}
+
+
+@pytest.mark.parametrize("start, count", list(GAUSSIAN_DIGESTS))
+def test_gaussian_kernel_is_pinned(start, count):
+    values = runtime._gaussian_values(_KERNEL_SEEDS, start, count)
+    assert values.shape == (5, count) and values.dtype == np.float64
+    assert hashlib.sha256(values.tobytes()).hexdigest() == GAUSSIAN_DIGESTS[start, count]
+
+
+@pytest.mark.parametrize("rows, dim", list(UNIT_VECTOR_DIGESTS))
+def test_unit_vector_kernel_is_pinned(rows, dim):
+    vectors = runtime._unit_vector_values(_KERNEL_SEEDS, rows, dim)
+    assert vectors.shape == (5, rows, dim)
+    assert hashlib.sha256(vectors.tobytes()).hexdigest() == UNIT_VECTOR_DIGESTS[rows, dim]
+
+
+def test_draw_kernels_leave_their_seeds_unchanged():
+    # the array mix works in place, so a kernel must hand it a temporary
+    seeds = _KERNEL_SEEDS.copy()
+    runtime._raw_values(seeds, 0, 9)
+    runtime._raw_values(seeds, 2, 9, 2)
+    runtime._gaussian_values(seeds, 3, 7)
+    runtime._unit_vector_values(seeds, 4, 2)
+    assert seeds.tobytes() == _KERNEL_SEEDS.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (10, 407)])
+def test_sum_last_equals_numpy_sum_bitwise(lead):
+    rng = np.random.default_rng(len(lead))
+    for length in range(1, 13):
+        for _ in range(20):
+            shape = lead + (length,)
+            values = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape)
+            # zeros of both signs, alone and beside values
+            values[rng.random(shape) < 0.3] = 0.0
+            values[rng.random(shape) < 0.3] = -0.0
+            for a in (values, np.full(shape, -0.0), np.where(values < 0, -0.0, 0.0)):
+                expected = np.asarray(a.sum(axis=-1))
+                got = np.asarray(runtime._sum_last(a))
+                assert got.shape == expected.shape
+                assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), (lead, length)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("trials", [1, 2, 1000])
+def test_trial_seeds_equal_derive_seed(seed, trials):
+    seeds = runtime._trial_seeds(seed, trials)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(seed, trial) for trial in range(trials)]
 
 
 def test_gaussians_consume_two_positions_each():

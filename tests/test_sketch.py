@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -453,6 +454,29 @@ def test_ledgers_match_pinned_digest():
             outcome = proto.run(x, y, derive_seed(42, p, trial))
             digest.update(f"{outcome.output} {outcome.ledger.rounds}\n{outcome.ledger.dump()}\n".encode())
     assert digest.hexdigest() == LEDGER_DIGEST
+
+
+# sha256 of the exact and received statistics' float64 bits of 10 instances
+# per point (5 close, 5 far), taken before the short block sums became
+# column adds and the Gaussians were formed in place.
+STATISTIC_DIGESTS = {
+    (512, 4, 256, 2): "8fcfcde0eb717afda94215d7a93fca55035399d1211bd9a14cb9db6e5b3cac3f",
+    (512, 4, 256, 3): "3295594d92ef01843d0f9a48bcac6779c37a2a5373460fad67042312055427bc",
+    (2048, 8, 1024, 2): "c9b227164f0797f4e975d139ab1a24145925d20f5afe01f4fff4b224769489d6",
+}
+
+
+@pytest.mark.parametrize("n, lo, hi, s", list(STATISTIC_DIGESTS))
+def test_statistics_bits_are_pinned(n, lo, hi, s):
+    params = derive_sketch_params(n, lo, hi, s)
+    assert params.block_length == 2
+    digest = hashlib.sha256()
+    for d in (lo, hi):
+        for trial in range(5):
+            x, y = random_pair_at_distance(n, d, seed=derive_seed(1401, d, trial))
+            stats = sketch_statistics(x, y, params, derive_seed(1402, d, trial))
+            digest.update(struct.pack("<dd", stats.exact_statistic, stats.received_statistic))
+    assert digest.hexdigest() == STATISTIC_DIGESTS[n, lo, hi, s]
 
 
 # ------------------------------------------------------- batched decisions
