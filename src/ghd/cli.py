@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .bits import ball_volume, hamming_distance, log2_ball_volume, random_pair_at_distance
 from .covering import det_complexity_bounds
-from .experiments import load_config, normalize_protocol, point_timings, run_experiment
+from .experiments import load_config, normalize_protocol, run_experiment
 from .streaming import ExactBitmapF0, encode_streams, exact_f0, ghd_via_streaming, space_lower_bound, stream_gap, write_stream_fixture
 
 __all__ = ["main"]
@@ -97,6 +97,25 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _point_timings(config, report) -> list[dict]:
+    """Per grid point: status, wall seconds, trials per class, trials scored
+    (both classes, none when skipped) and trials scored per second."""
+    rows = []
+    for point, record, seconds in zip(config.grid, report.records, report.seconds):
+        runs = 2 * config.trials if record["status"] == "ok" else 0
+        rows.append(
+            {
+                "point": point,
+                "status": record["status"],
+                "seconds": seconds,
+                "trials": config.trials,
+                "runs": runs,
+                "runs_per_s": runs / seconds,
+            }
+        )
+    return rows
+
+
 def _cmd_bench(args) -> int:
     config = load_config(args.config, protocol=normalize_protocol(args.protocol))
     if args.code_dir:
@@ -110,7 +129,7 @@ def _cmd_bench(args) -> int:
     else:
         sys.stdout.write(text)
     if args.timings:
-        timings = {"protocol": config.protocol, "jobs": args.jobs, "points": point_timings(config, report)}
+        timings = {"protocol": config.protocol, "jobs": args.jobs, "points": _point_timings(config, report)}
         Path(args.timings).write_text(json.dumps(timings, indent=2) + "\n")
     return 2 if report.has_violation else 0
 

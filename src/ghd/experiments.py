@@ -80,7 +80,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "run_experiment",
-    "point_timings",
     "compare_bounds",
     "COLUMNS",
     "COMPARE_COLUMNS",
@@ -537,26 +536,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Report:
     else:
         timed = [_timed_point(config, index) for index in indices]
     return Report([record for record, _ in timed], [seconds for _, seconds in timed])
-
-
-def point_timings(config: ExperimentConfig, report: Report) -> list[dict]:
-    """Per grid point of a :func:`run_experiment` report: its status, wall
-    seconds, trials per class, trials scored (both classes, none when
-    skipped) and trials scored per second."""
-    rows = []
-    for point, record, seconds in zip(config.grid, report.records, report.seconds):
-        runs = 2 * config.trials if record["status"] == "ok" else 0
-        rows.append(
-            {
-                "point": point,
-                "status": record["status"],
-                "seconds": seconds,
-                "trials": config.trials,
-                "runs": runs,
-                "runs_per_s": runs / seconds,
-            }
-        )
-    return rows
 
 
 def compare_bounds(records: list[dict]) -> list[dict]:
