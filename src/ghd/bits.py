@@ -82,9 +82,6 @@ class BitString:
             raise IndexError(f"position {position} out of range")
         return (self.value >> (self.length - 1 - position)) & 1
 
-    def weight(self) -> int:
-        return self.value.bit_count()
-
     def complement(self) -> "BitString":
         return BitString(self.length, self.value ^ ((1 << self.length) - 1))
 

@@ -156,9 +156,6 @@ class CoveringCode:
     def index_width(self) -> int:
         return (self.size - 1).bit_length()
 
-    def codeword(self, index: int) -> BitString:
-        return BitString(self.n, self.codewords[index])
-
     @cached_property
     def _decode_table(self) -> np.ndarray | None:
         if self.n > 16:

@@ -41,10 +41,10 @@ run the first party to ask computes the vectors, the second gets the same
 read-only array, and each reader's cursor advances by exactly the positions
 the draw used.  A :class:`StreamReader` built directly has no memo.  The
 draw kernels take an array of seeds, so one call computes the same values for
-many streams at once; a reader calls them with its one seed.  The array mix
-(``_mix64_array``) works in place on a temporary its caller builds, and the
-Gaussians are formed in place, one operation at a time in the order of
-``sqrt(-2 log u1) * cos(2 pi u2)``.
+many streams at once; a reader's array draws call them with its one seed from
+its cursor.  The array mix (``_mix64_array``) works in place on a temporary
+its caller builds, and the Gaussians are formed in place, one operation at a
+time in the order of ``sqrt(-2 log u1) * cos(2 pi u2)``.
 
 Batched trials
 --------------
@@ -237,10 +237,10 @@ def _check_bound(bound: int) -> None:
         raise ValueError("bound must be >= 1")
 
 
-def _indices_below_values(seeds: np.ndarray, bound: int, count: int) -> np.ndarray:
-    """The first ``indices_below(bound, count)`` of a fresh reader of each seed."""
+def _indices_below_values(seeds: np.ndarray, bound: int, count: int, start: int = 0) -> np.ndarray:
+    """``indices_below(bound, count)`` of a reader of each seed at position ``start``."""
     _check_bound(bound)
-    return _indices_below(_raw_values(seeds, 0, count), bound)
+    return _indices_below(_raw_values(seeds, start, count), bound)
 
 
 def _in_batches(rows: Sequence, coordinates: int, kernel) -> np.ndarray:
@@ -290,11 +290,6 @@ class StreamReader:
         the first draw, since most readers (det, stream) never draw."""
         return np.array([self.seed], dtype=np.uint64)
 
-    def _raw_block(self, count: int) -> np.ndarray:
-        values = _raw_values(self._seeds, self.position, count)[0]
-        self.position += count
-        return values
-
     def next_raw(self) -> int:
         value = mix64((self.seed + (self.position + 1) * _GOLDEN) & MASK64)
         self.position += 1
@@ -311,8 +306,9 @@ class StreamReader:
 
     def indices_below(self, bound: int, count: int) -> np.ndarray:
         """``count`` successive :meth:`index_below` draws as one int64 array."""
-        _check_bound(bound)
-        return _indices_below(self._raw_block(count), bound)
+        values = _indices_below_values(self._seeds, bound, count, self.position)[0]
+        self.position += count
+        return values
 
     def gaussians(self, count: int) -> np.ndarray:
         """Standard normal draws; exactly two stream positions per coordinate.
@@ -320,8 +316,6 @@ class StreamReader:
         Box-Muller cosine branch: coordinate k uses positions
         (cursor + 2k, cursor + 2k + 1).
         """
-        if count == 0:
-            return np.zeros(0)
         values = _gaussian_values(self._seeds, self.position, count)[0]
         self.position += 2 * count
         return values
@@ -625,8 +619,8 @@ def _trial_seeds(seed: int, trials: int) -> np.ndarray:
 
 def _error_trials(
     protocol: Protocol, instance: GhdInstance, trials: int, seed: int
-) -> tuple[ErrorEstimate, int, int]:
-    """The error estimate and the min and max ledger totals over the run trials.
+) -> tuple[ErrorEstimate, list]:
+    """The error estimate and the runs made.
 
     Every trial is run unless the protocol has ``batch_outputs``; then only
     the audited trials are (see the module docstring).
@@ -643,10 +637,9 @@ def _error_trials(
         None if batch is None else lambda: batch(x, y, seeds),
         lambda trial: f"trial {trial} (seed {seeds[trial]})",
     )
-    totals = [outcome.ledger.total_bits for outcome in runs]
     rate = errors / trials
     halfwidth = 3.0 * math.sqrt(rate * (1.0 - rate) / trials)
-    return ErrorEstimate(rate, halfwidth), min(totals), max(totals)
+    return ErrorEstimate(rate, halfwidth), runs
 
 
 def _audited_errors(trials: int, truth: int, run, score, where) -> tuple[int, list]:

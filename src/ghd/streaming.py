@@ -61,7 +61,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bits import BitString, _byte_rows, _parse_decimal, _read_text, hamming_distance, log2_ball_volume, random_pair_at_distance
+from .bits import BitString, _byte_rows, _parse_decimal, _read_text, hamming_distance, random_pair_at_distance
+from .covering import det_complexity_bounds
 from .runtime import (
     RECV,
     ChannelLedger,
@@ -456,17 +457,17 @@ class SpaceBound(NamedTuple):
 def space_lower_bound(n: int, approx_factor: float, passes: int) -> SpaceBound:
     """Memory floor implied by the reduction for a sound algorithm.
 
-    ``state_bits_floor`` is the exact precursor
-    ``(n - log2(V2(n, floor(gap/2)))) / (2 * passes)`` with
-    ``gap = ceil(n * (approx_factor - 1))``; any correct deterministic
-    approximation within the factor must use at least that many state bits up
-    to an O(log n) term.  ``asymptotic`` is the familiar
+    ``state_bits_floor`` is the lower bound of :func:`~ghd.covering.det_complexity_bounds`
+    at ``gap = ceil(n * (approx_factor - 1))`` over ``2 * passes``, since a
+    p-pass algorithm with S state bits is a 2pS-bit protocol: any correct
+    deterministic approximation within the factor needs that many state bits
+    up to an O(log n) term.  ``asymptotic`` is the familiar
     ``n * (2 - approx_factor)**2 / passes`` shape, for comparison.
     """
     gap = stream_gap(n, approx_factor)
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    precursor = (n - log2_ball_volume(n, gap // 2)) / (2.0 * passes)
+    precursor = det_complexity_bounds(n, gap).lower / (2.0 * passes)
     asymptotic = n * (2.0 - approx_factor) ** 2 / passes
     return SpaceBound(gap, precursor, asymptotic)
 

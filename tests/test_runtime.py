@@ -98,16 +98,18 @@ def test_indices_below_rejects_a_bound_below_one_before_drawing():
 
 def test_vectorized_and_scalar_stream_paths_agree():
     shared = SharedRandomness(23)
-    block = shared.reader()._raw_block(32)
-    scalar = shared.reader()
-    assert [int(v) for v in block] == [scalar.next_raw() for _ in range(32)]
+    block, scalar = shared.reader(), shared.reader()
+    for bound in (7, 2**40, 2**64):  # 32-bit halves, Python ints; 2**64 keeps each raw value
+        draws = block.indices_below(bound, 32)
+        assert draws.tolist() == [scalar.index_below(bound) for _ in range(32)]
+        assert block.position == scalar.position
 
 
 def test_reader_builds_its_seed_array_on_the_first_block_draw():
     reader = StreamReader(-1)
     reader.next_raw()
     assert "_seeds" not in vars(reader)
-    block = reader._raw_block(4)
+    block = reader.indices_below(2**64, 4)
     assert reader._seeds.tolist() == [2**64 - 1]
     scalar = StreamReader(-1, 1)
     assert [int(v) for v in block] == [scalar.next_raw() for _ in range(4)]
@@ -593,9 +595,10 @@ def test_batched_error_trials_equal_the_run_loop(case):
     proto, instance = list(_batch_cases())[case]
     unbatched = dataclasses.replace(proto, batch_outputs=None)
     for trials, seed in ((1, 3), (120, 4)):
-        assert _error_trials(proto, instance, trials, seed) == _error_trials(
-            unbatched, instance, trials, seed
-        )
+        estimate, runs = _error_trials(proto, instance, trials, seed)
+        every_estimate, every_run = _error_trials(unbatched, instance, trials, seed)
+        assert estimate == every_estimate and len(every_run) == trials
+        assert {outcome.ledger.total_bits for outcome in runs + every_run} == {proto.cost_bits}
 
 
 def test_batch_steps_stay_within_the_working_set(monkeypatch):
@@ -653,15 +656,16 @@ def test_batch_audits_trial_zero_and_the_first_error():
         runs.append(reader)
         return (yield from proto.alice(x, reader))
 
-    estimate, low, high = _error_trials(dataclasses.replace(proto, alice=alice), split, 60, 18)
+    estimate, audited = _error_trials(dataclasses.replace(proto, alice=alice), split, 60, 18)
     assert len(runs) == 2 and estimate.error_rate == outputs.sum() / 60
-    assert low == high == proto.cost_bits
+    assert [outcome.output for outcome in audited] == [0, 1]  # trials 0 and 2
+    assert [outcome.ledger.total_bits for outcome in audited] == [proto.cost_bits] * 2
     # a false error before trial 2 becomes the first error, so it is run
     with pytest.raises(ContractViolationError, match="at trial 1 "):
         _error_trials(_doctored(proto, 1), split, 60, 18)
     # trials past the first error are scored from the batch alone
     later = int(np.flatnonzero(outputs == 0)[-1])
-    estimate, _, _ = _error_trials(_doctored(proto, later), split, 60, 18)
+    estimate, _ = _error_trials(_doctored(proto, later), split, 60, 18)
     assert estimate.error_rate == (outputs.sum() + 1) / 60
 
 
