@@ -10,7 +10,8 @@ Subcommands::
     ghd demo stream                    worked example of the streaming reduction
 
 Exit codes: 0 on success, 2 when a bench run produced any bound-violation
-record (for CI gating), 64 on usage errors.
+record (for CI gating), 64 on usage errors, a file that cannot be read or
+written included.
 """
 
 from __future__ import annotations
@@ -178,8 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
-        # a bad argument value is a usage error, not a crash
+    except (ValueError, OSError) as exc:
+        # a bad argument value or an unusable path is a usage error, not a crash
         parser.error(str(exc))
 
 

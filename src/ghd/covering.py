@@ -332,10 +332,12 @@ def random_covering_code(n: int, radius: int, confidence: float = 0.99, seed: in
 
     Draws uniform codewords in growing batches until every point that the
     default :func:`audit_covering` checks is covered, starting from the volume
-    lower bound ``2**n / V2(n, r)`` and capped at twice the union-bound size
-    ``ln(2**n / (1 - confidence)) * 2**n / V2(n, r)``.  Covering is exact
-    for n <= 20, where the audit checks every word, and holds with the
-    declared statistical confidence only beyond that.
+    lower bound ``2**n / V2(n, r)``.  Covering is exact for n <= 20, where the
+    audit checks every word.  Beyond that the construction stops once the
+    audit's 100,000 probes are covered, and nothing is claimed for the other
+    words.  ``confidence`` only sets the size cap, twice the union-bound size
+    ``ln(2**n / (1 - confidence)) * 2**n / V2(n, r)``, at which
+    :class:`CodeConstructionError` is raised.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1 for the sampled construction")

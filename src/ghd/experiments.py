@@ -14,7 +14,9 @@ Configs are key-value text files::
 
 Point keys by protocol: sampling/sketch use n, L, U, s; det uses n, t;
 stream uses n, c, p.  Points that violate a protocol precondition are
-reported as skipped with the reason, never silently dropped.
+reported as skipped with the reason, never silently dropped; so is a point
+with a key its protocol does not read.  A key repeated on one point line is
+a parse error.
 
 Every record carries the same fixed column set (unused columns are empty):
 the grid parameters, the derived quantities (m, block_count, block_length,
@@ -23,7 +25,8 @@ derived stream gap), the measured worst-case bits next to the expected
 formula value, empirical error rates per class with 3-sigma halfwidths, the
 theoretical bound (exact zero where the guarantee is one-sided or
 deterministic), and ok-flags.  ``err_close`` is the error rate on the
-output-0 class, ``err_far`` on the output-1 class.
+output-0 class, ``err_far`` on the output-1 class.  A CSV cell holding a
+comma, quote or newline (a skip reason may) is quoted.
 
 Per-point seeds are derived from the master seed by a documented
 splitmix-style derivation (:func:`ghd.runtime.derive_seed`), so parallel and
@@ -31,13 +34,15 @@ serial sweeps produce byte-identical reports.  ``run_experiment`` starts at
 most one worker per grid point.
 
 The det and stream sweeps score both classes from the protocol's
-``pair_outputs`` batch and make real protocol runs only on audited trials:
-trial 0 of each class and the first trial the batch scores as an error (see
-:mod:`ghd.runtime`).  Their ``measured_bits`` and ``state_bits`` come from the
-audited ledgers, which is exact: det declares its cost and every run's
-ledger must equal it, and every bitmap snapshot is ``capacity_bits`` wide, so
-every stream run sends ``(2p - 1) * 2n + 1`` bits.  A stream point whose
-bitmap cost exceeds the run budget ``64 n**2`` is skipped before any run.
+``pair_outputs`` batch, the Monte Carlo sweeps from ``batch_outputs``, and
+all make real protocol runs only on audited trials: trial 0 of each class
+and the first trial the batch scores as an error (see :mod:`ghd.runtime`).
+Every sweep's ``measured_bits`` (and the stream's ``state_bits``) comes from
+the audited ledgers, which is exact: sampling, sketch and det declare their
+cost and every run's ledger must equal it, and every bitmap snapshot is
+``capacity_bits`` wide, so every stream run sends ``(2p - 1) * 2n + 1`` bits.
+A stream point whose bitmap cost exceeds the run budget ``64 n**2`` is
+skipped before any run.
 
 Both exact sweeps draw their instances from one ``random.Random`` per point:
 per trial a close word x = y, a distance in [gap, n] and a 63-bit pair seed.
@@ -50,6 +55,8 @@ the per-pair draws give.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
@@ -195,6 +202,8 @@ def parse_config(text: str, protocol: str | None = None) -> ExperimentConfig:
                 if "=" not in item:
                     raise ValueError(f"line {lineno}: malformed point entry {item!r}")
                 key, value = item.split("=", 1)
+                if key in point:
+                    raise ValueError(f"line {lineno}: repeated point key {key!r}")
                 if key in _INT_KEYS:
                     point[key] = _convert(int, value, lineno, key)
                 elif key in _FLOAT_KEYS:
@@ -436,19 +445,23 @@ def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) ->
     return record
 
 
+# each protocol's runner and the point keys it reads
 _POINT_RUNNERS = {
-    "sampling": _run_monte_carlo_point,
-    "sketch": _run_monte_carlo_point,
-    "deterministic": _run_det_point,
-    "streaming": _run_stream_point,
+    "sampling": (_run_monte_carlo_point, ("n", "L", "U", "s")),
+    "sketch": (_run_monte_carlo_point, ("n", "L", "U", "s")),
+    "deterministic": (_run_det_point, ("n", "t")),
+    "streaming": (_run_stream_point, ("n", "c", "p")),
 }
 
 
 def _run_point(config: ExperimentConfig, index: int) -> dict:
     point = config.grid[index]
     point_seed = derive_seed(config.seed, index)
-    runner = _POINT_RUNNERS[config.protocol]
+    runner, keys = _POINT_RUNNERS[config.protocol]
     try:
+        for key in point:
+            if key not in keys:
+                raise ValueError(f"unused point key {key!r}")
         return runner(config, point, point_seed)
     except (ValueError, KeyError) as exc:
         record = _blank_record(config.protocol, point)
@@ -506,10 +519,12 @@ def _format_cell(value) -> str:
 
 
 def _format_csv(records: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for record in records:
-        lines.append(",".join(_format_cell(record.get(column)) for column in columns))
-    return "\n".join(lines) + "\n"
+    """RFC 4180 quoting: a cell holding a comma, quote or newline is quoted."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_format_cell(record.get(column)) for column in columns] for record in records)
+    return buffer.getvalue()
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Report:

@@ -420,3 +420,22 @@ def test_pair_lanes_edge_inputs(oracle_calls):
         random_pairs_at_distances(8, [-1], [1])
     with pytest.raises(ValueError, match="2 distances but 1 seeds"):
         random_pairs_at_distances(8, [3, 4], [1])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: BitString(4, 5).bit(4), IndexError, "position 4 out of range"),
+        (lambda: BitString(4, 5).flip([1, -1]), IndexError, "position -1 out of range"),
+        (
+            lambda: GhdInstance(8, 1, 4, BitString(8, 0), BitString(7, 0)),
+            ValueError,
+            "input lengths do not match n",
+        ),
+    ],
+    ids=["bit", "flip", "instance-length"],
+)
+def test_out_of_range_arguments_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -133,6 +133,26 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert "error: " + message in err, argv
 
 
+@pytest.mark.parametrize("case", ["missing config", "out in a missing directory", "code dir is a file"])
+def test_bench_file_errors_are_usage_errors(tmp_path, capsys, case):
+    config = tmp_path / "det.cfg"
+    config.write_text("trials = 5\npoint n=8 t=3\n")
+    (tmp_path / "file").write_text("")
+    argv, message = {
+        "missing config": (["--config", str(tmp_path / "nope.cfg")], "No such file or directory"),
+        "out in a missing directory": (
+            ["--config", str(config), "--out", str(tmp_path / "no" / "r.csv")],
+            "No such file or directory",
+        ),
+        "code dir is a file": (["--config", str(config), "--code-dir", str(tmp_path / "file")], "File exists"),
+    }[case]
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "det", *argv])
+    assert info.value.code == 64
+    err = capsys.readouterr().err
+    assert "error: [Errno " in err and message in err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_bench_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     config = tmp_path / "det.cfg"

@@ -769,3 +769,26 @@ def test_load_mutated_file_loads_or_names_file_and_line(tmp_path, code, data):
         if target > 2 and len(token.splitlines()) == 1 and token.strip():
             # the header and every other row are intact: the row is at fault
             assert f"line {target - 1}:" in message
+
+
+def _load_empty(tmp_path):
+    (tmp_path / "empty.txt").write_text("")
+    return load_code(tmp_path / "empty.txt")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp: CoveringCode(4, 5, (0,)), "radius out of range"),
+        (lambda tmp: CoveringCode(4, 1, ()), "a code must contain at least one codeword"),
+        (lambda tmp: CoveringCode(4, 1, (16,)), "codeword does not fit in n bits"),
+        (lambda tmp: random_covering_code(10, 2, confidence=1.0), "confidence must be in (0, 1)"),
+        (lambda tmp: covering.DetProtocolParams(8, 3, CoveringCode(7, 1, (0,))), "code length does not match n"),
+        (_load_empty, "empty code file: {tmp}/empty.txt"),
+    ],
+    ids=["radius", "no-codewords", "wide-codeword", "confidence", "code-length", "empty-file"],
+)
+def test_invalid_codes_and_arguments_raise(tmp_path, call, message):
+    with pytest.raises(ValueError) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)

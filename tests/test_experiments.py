@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import random
@@ -219,25 +221,25 @@ DIGEST_SWEEPS = {
         "protocol = sampling\ntrials = 40\nseed = 11\n"
         "point n=64 L=2 U=40 s=1\npoint n=96 L=4 U=48 s=2.5\npoint n=64 L=10 U=30 s=0.3\n"
         "point n=64 L=2 U=40\npoint n=64 L=40 U=40 s=1\npoint n=64 L=2 U=40 s=0\n",
-        "f865bfc8c8cfbd0bbb4d06e827ae189c2886d245a9d974118cb2090a20a650c8",
+        "87f18b8ca8069f75f250e8f52d04d2a80b8e889b6ee6d540de8da5f1447a0235",
     ),
     "sampling-linear": (
         "protocol = sampling\ntrials = 40\nseed = 12\nrate = linear\nlinear_rate_constant = 6.5\n"
         "point n=64 L=2 U=40 s=1\npoint n=96 L=4 U=48 s=2.5\n"
         "point n=64 L=41 U=40 s=1\npoint L=2 U=40 s=1\n",
-        "889e1b4ba7757e724225912b6e1d4328d027f78d0845884e5f8d2dc98e317985",
+        "ffc65ce262612fdf76efc94b10ccbdf1a7584332978bc47a959c190c04d2f59b",
     ),
     "sketch": (
         "protocol = sketch\ntrials = 40\nseed = 13\n"
         "point n=64 L=1 U=32 s=1\npoint n=64 L=1 U=32 s=0.01\npoint n=96 L=2 U=48 s=2\n"
         "point n=200 L=0 U=3 s=1\npoint n=64 L=2 U=40 s=0.0001\n"
         "point n=64 L=40 U=40 s=1\npoint n=64 L=2 s=1\n",
-        "c13c2dd52ec7ecd14aca9a15f85a556eac0a61fab5a9f87a9fc4b6c75ead3ab3",
+        "7173621fa2fb281828bbbc271cd0f5c39ee0ee9f621e56d73648ecd299f67e96",
     ),
     "det": (
         "protocol = det\ntrials = 60\nseed = 14\ncode_dir = {code_dir}\n"
         "point n=10 t=4\npoint n=8 t=8\npoint n=9 t=1\npoint n=8 t=9\npoint n=8\n",
-        "d7784489d5b5743eddcf89a1c60e84cd8e98eb1f232e67b962ee6fc2362adc09",
+        "c2fb22c60dd0168c6e7d12a5d6816faabe50747be9210c85e14192d06af9e0e5",
     ),
     "stream": (
         "protocol = stream\ntrials = 20\nseed = 15\n"
@@ -253,6 +255,18 @@ def test_reports_match_parent_digests(tmp_path, name):
     text, digest = DIGEST_SWEEPS[name]
     report = run_experiment(parse_config(text.format(code_dir=tmp_path / "codes")))
     assert hashlib.sha256((report.to_csv() + report.to_json()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_SWEEPS))
+def test_csv_rows_read_back_as_the_columns(tmp_path, name):
+    # skip reasons such as "got (40, 2, n=64)" hold commas, so their cells are quoted
+    text, _ = DIGEST_SWEEPS[name]
+    report = run_experiment(parse_config(text.format(code_dir=tmp_path / "codes")))
+    header, *rows = csv.reader(io.StringIO(report.to_csv()))
+    assert header == COLUMNS and len(rows) == len(report.records)
+    for row, record in zip(rows, report.records):
+        assert len(row) == len(COLUMNS)
+        assert row[COLUMNS.index("reason")] == (record["reason"] or "")
 
 
 # --------------------------------------------------- batched exact sweeps
@@ -504,6 +518,25 @@ def test_parse_config_errors_name_line_and_key(tmp_path, text, where):
             parse_config(text)
 
 
+def test_repeated_point_key_names_the_line():
+    with pytest.raises(ValueError, match="^line 2: repeated point key 'n'$"):
+        parse_config("protocol = sketch\npoint n=64 n=32 L=2 U=20 s=1\n")
+
+
+@pytest.mark.parametrize(
+    "protocol, point, key",
+    [
+        ("sampling", "n=64 L=2 U=40 s=1 c=1.5", "c"),
+        ("sketch", "n=64 L=2 U=40 s=1 t=3 p=9", "t"),
+        ("det", "n=8 t=3 s=1", "s"),
+        ("stream", "n=40 c=1.5 p=2 L=2", "L"),
+    ],
+)
+def test_unused_point_key_skips_the_point(protocol, point, key):
+    (record,) = run_experiment(parse_config(f"protocol = {protocol}\ntrials = 5\npoint {point}\n")).records
+    assert (record["status"], record["reason"]) == ("skipped", f"unused point key {key!r}")
+
+
 def test_conflicting_protocol_names_its_line():
     with pytest.raises(ValueError, match="^line 3: config names protocol 'sketch' but 'sampling'"):
         parse_config(SKETCH_CONFIG, protocol="sampling")
@@ -552,3 +585,17 @@ def test_parse_config_parses_or_names_the_line(lines, protocol):
             assert str(before).startswith("no protocol given"), str(before)
     else:
         assert config.protocol in experiments.PROTOCOLS
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: experiments.normalize_protocol("nope"), "unknown protocol 'nope'"),
+        (lambda: parse_config("protocol = sketch\npoint n10\n"), "line 2: malformed point entry 'n10'"),
+    ],
+    ids=["protocol", "point-entry"],
+)
+def test_unknown_names_and_malformed_entries_raise(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

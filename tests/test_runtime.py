@@ -675,3 +675,25 @@ def test_batch_of_the_wrong_shape_raises():
     close = GhdInstance.at_distance(512, 4, 256, 4, seed=4)
     with pytest.raises(ContractViolationError, match=r"^batch returned outputs of shape \(2,\) for 5 trials$"):
         _error_trials(short, close, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StreamReader(0).unit_vectors(3, 0), "dim must be >= 1"),
+        (
+            lambda: estimate_error_rate(
+                sampling_protocol(derive_sampling_params(512, 4, 256, 2)),
+                GhdInstance.at_distance(512, 4, 256, 4, seed=4),
+                trials=0,
+                seed=0,
+            ),
+            "trials must be >= 1",
+        ),
+    ],
+    ids=["unit-vector-dim", "trials"],
+)
+def test_out_of_range_arguments_raise(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

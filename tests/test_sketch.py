@@ -573,3 +573,30 @@ def test_batched_error_rate_matches_the_run_loop():
     far = GhdInstance.at_distance(512, 4, 9, 9, seed=9)
     unbatched = dataclasses.replace(proto, batch_outputs=None)
     assert estimate_error_rate(proto, far, 150, 3) == estimate_error_rate(unbatched, far, 150, 3)
+
+
+def _bob_receives_width(extra):
+    params = derive_sketch_params(512, 4, 256, 2)
+    bob = sketch_protocol(params).bob(BitString(512, 0), StreamReader(0))
+    next(bob)
+    bob.send((0, params.block_count * params.word_width + extra))
+
+
+def _payload_wider_than_the_message():
+    params = derive_sketch_params(512, 4, 256, 2)
+    SketchMessage.from_payload(1 << params.block_count * params.word_width, params)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (_payload_wider_than_the_message, "payload does not fit the declared message length"),
+        (lambda: _bob_receives_width(1), "unexpected sketch message length"),
+        (lambda: _bob_receives_width(-1), "unexpected sketch message length"),
+    ],
+    ids=["wide-payload", "long-message", "short-message"],
+)
+def test_malformed_sketch_messages_raise(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -548,3 +548,22 @@ def test_fixture_parses_or_names_the_line(tmp_path, lines):
         read_stream_fixture(path)
     else:
         assert all(type(token) is int and token >= 1 for token in tokens)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ExactBitmapF0(0), "universe_size must be >= 1"),
+        (lambda: TruncatedBitmapF0(8, 9), "capacity must be in [1, universe_size]"),
+        (lambda: encode_streams(BitString(4, 0), BitString(4, 0), 5), "input lengths do not match n"),
+        (
+            lambda: ghd_via_streaming(lambda: ExactBitmapF0(8), 1.5, BitString(4, 0), BitString(3, 0)),
+            "inputs must have equal length",
+        ),
+    ],
+    ids=["universe", "capacity", "encode-length", "unequal-inputs"],
+)
+def test_invalid_streaming_arguments_raise(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
