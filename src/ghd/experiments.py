@@ -519,7 +519,7 @@ def _format_cell(value) -> str:
 
 
 def _format_csv(records: list[dict], columns: list[str]) -> str:
-    """RFC 4180 quoting: a cell holding a comma, quote or newline is quoted."""
+    """A cell holding a comma, quote or newline is quoted, inner quotes doubled."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)

@@ -133,21 +133,19 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert "error: " + message in err, argv
 
 
-@pytest.mark.parametrize("case", ["missing config", "out in a missing directory", "code dir is a file"])
-def test_bench_file_errors_are_usage_errors(tmp_path, capsys, case):
-    config = tmp_path / "det.cfg"
-    config.write_text("trials = 5\npoint n=8 t=3\n")
-    (tmp_path / "file").write_text("")
-    argv, message = {
-        "missing config": (["--config", str(tmp_path / "nope.cfg")], "No such file or directory"),
-        "out in a missing directory": (
-            ["--config", str(config), "--out", str(tmp_path / "no" / "r.csv")],
-            "No such file or directory",
-        ),
-        "code dir is a file": (["--config", str(config), "--code-dir", str(tmp_path / "file")], "File exists"),
-    }[case]
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--config", "{tmp}/nope.cfg"], "No such file or directory"),
+        (["--config", "{tmp}/det.cfg", "--out", "{tmp}/no/report.csv"], "No such file or directory"),
+        (["--config", "{tmp}/det.cfg", "--code-dir", "{tmp}/det.cfg"], "File exists"),
+    ],
+    ids=["missing-config", "out-in-a-missing-dir", "code-dir-is-a-file"],
+)
+def test_bench_file_errors_are_usage_errors(tmp_path, capsys, argv, message):
+    (tmp_path / "det.cfg").write_text("trials = 5\npoint n=8 t=3\n")
     with pytest.raises(SystemExit) as info:
-        main(["bench", "det", *argv])
+        main(["bench", "det", *(arg.format(tmp=tmp_path) for arg in argv)])
     assert info.value.code == 64
     err = capsys.readouterr().err
     assert "error: [Errno " in err and message in err
