@@ -6,15 +6,17 @@ packed into Python integers (arbitrary precision, hardware popcount via
 
 Random pairs at a given distance come from :func:`random_pair_at_distance`,
 one seeded ``random.Random`` per pair.  :func:`random_pairs_at_distances`
-returns the same pairs for many seeds at once: it reproduces CPython's
-``Random.sample`` pool branch (a partial Fisher-Yates shuffle) and
-``_randbelow``'s rejection loop in numpy lanes over each seed's raw
-Mersenne Twister outputs, held row by row in one buffer.  At each lockstep
-step a lane records its decisions as it makes them: the picked position's
-bit of ``x ^ y``, and a failure flag for a draw past the bound.  Every pair
-it cannot reproduce that way goes to the per-pair function.  The tests
-compare the two pair for pair, so they fail if a Python release changes
-either method.
+returns the same pairs for many seeds at once, as two limb matrices (rows
+of big-endian 64-bit limbs, the format the batch hooks read).  It
+reproduces CPython's ``Random.sample`` pool branch (a partial Fisher-Yates
+shuffle) and ``_randbelow``'s rejection loop in numpy lanes over each
+seed's raw Mersenne Twister outputs, held row by row in one buffer, and
+assembles the limbs straight from that buffer.  At each lockstep step a
+lane records its decisions as it makes them: the picked position's bit of
+``x ^ y``, and a failure flag for a draw past the bound.  Every pair it
+cannot reproduce that way goes to the per-pair function and is written
+into the matrices.  The tests compare the two pair for pair, so they fail
+if a Python release changes either method.
 """
 
 from __future__ import annotations
@@ -210,6 +212,34 @@ def _check_lengths(n: int, *inputs: BitString) -> None:
             raise ValueError(f"input length {x.length} does not match n = {n}")
 
 
+def _limb_matrix(words, n: int) -> np.ndarray:
+    """``(len(words), ceil(n / 64))`` uint64: each word as big-endian 64-bit limbs."""
+    limbs = (n + 63) // 64
+    return _byte_rows(words, 8 * limbs).view(">u8").astype(np.uint64)
+
+
+def _limb_value(row: np.ndarray) -> int:
+    """The word one row of a :func:`_limb_matrix` holds."""
+    return int.from_bytes(row.astype(">u8").tobytes(), "big")
+
+
+def _check_limb_pairs(n: int, xs: np.ndarray, ys: np.ndarray) -> None:
+    """Reject pair matrices that are not :func:`_limb_matrix` rows of n-bit
+    words: a wrong dtype or limb count, unequal row counts, or a word wider
+    than n bits."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    limbs = (n + 63) // 64
+    for matrix in (xs, ys):
+        if matrix.dtype != np.uint64 or matrix.ndim != 2 or matrix.shape[1] != limbs:
+            raise ValueError(f"need {limbs} uint64 limbs a row for n = {n}, got {matrix.dtype} of shape {matrix.shape}")
+        # the top limb holds n - 64 (limbs - 1) bits of the word
+        if n % 64 and (matrix[:, 0] >> np.uint64(n % 64)).any():
+            raise ValueError(f"word does not fit in {n} bits")
+    if len(xs) != len(ys):
+        raise ValueError(f"{len(xs)} x rows but {len(ys)} y rows")
+
+
 def _parse_decimal(text: str) -> int:
     """A non-negative ASCII decimal with no sign, underscore or leading zero."""
     if not (text.isascii() and text.isdigit()) or text != str(int(text)):
@@ -318,11 +348,13 @@ def _sample_setsize(k: int) -> int:
     return setsize
 
 
-def random_pairs_at_distances(n: int, distances, seeds) -> list[tuple[BitString, BitString]]:
-    """``[random_pair_at_distance(n, d, s) for d, s in zip(distances, seeds)]``, drawn in lanes.
+def random_pairs_at_distances(n: int, distances, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """``random_pair_at_distance(n, d, s)`` for each d, s in ``zip(distances, seeds)``, drawn in lanes.
 
-    Pair for pair equal to the per-pair function, which stays the oracle;
-    ``distances`` and ``seeds`` must have one entry per pair.  Each pair whose d takes the pool branch of CPython's ``Random.sample``
+    Returns the x words and the y words as two :func:`_limb_matrix` arrays,
+    row i from pair i.  Pair for pair equal to the per-pair function, which
+    stays the oracle; ``distances`` and ``seeds`` must have one entry per
+    pair.  Each pair whose d takes the pool branch of CPython's ``Random.sample``
     (``n <= _sample_setsize(d)``) becomes a lane: its seed goes through
     ``random.Random.seed`` and one ``getrandbits`` call takes all of its raw
     Mersenne Twister outputs, from which x is the first ``ceil(n / 32)``.
@@ -337,7 +369,9 @@ def random_pairs_at_distances(n: int, distances, seeds) -> list[tuple[BitString,
     if len(distances) != len(seeds):
         raise ValueError(f"{len(distances)} distances but {len(seeds)} seeds")
     _check_pair_args(n, distances)
-    drawn: dict = {}  # input position -> lane pair, None where the lane failed
+    xs = np.zeros((len(distances), (n + 63) // 64), dtype=np.uint64)
+    ys = np.zeros_like(xs)
+    drawn = np.zeros(len(distances), dtype=bool)
     pool_branch = {d: n <= _sample_setsize(d) for d in set(distances)}
     lanes = sorted((i for i, d in enumerate(distances) if pool_branch[d]), key=lambda i: -distances[i])
     capacity = _LANE_CELLS // (_lane_outputs(n, distances[lanes[0]]) + 2 * n) if lanes else 0
@@ -346,8 +380,15 @@ def random_pairs_at_distances(n: int, distances, seeds) -> list[tuple[BitString,
         size = -(-len(lanes) // slices)  # slices of equal size, give or take one
         for start in range(0, len(lanes), size):
             chunk = lanes[start : start + size]
-            drawn.update(zip(chunk, _pool_lanes(n, [distances[i] for i in chunk], [seeds[i] for i in chunk])))
-    return [drawn.get(i) or random_pair_at_distance(n, distances[i], seeds[i]) for i in range(len(distances))]
+            lane_xs, lane_ys, failed = _pool_lanes(n, [distances[i] for i in chunk], [seeds[i] for i in chunk])
+            done = np.array(chunk)[~failed]
+            xs[done], ys[done], drawn[done] = lane_xs[~failed], lane_ys[~failed], True
+    rest = np.flatnonzero(~drawn).tolist()
+    if rest:
+        pairs = [random_pair_at_distance(n, distances[i], seeds[i]) for i in rest]
+        xs[rest] = _limb_matrix([x.value for x, _ in pairs], n)
+        ys[rest] = _limb_matrix([y.value for _, y in pairs], n)
+    return xs, ys
 
 
 def _lane_outputs(n: int, max_distance: int) -> int:
@@ -355,9 +396,10 @@ def _lane_outputs(n: int, max_distance: int) -> int:
     return (n + 31) // 32 + 2 * max_distance + _LANE_WINDOW
 
 
-def _pool_lanes(n: int, distances: list[int], seeds: list) -> list:
-    """The pairs of pool-branch lanes sorted by descending distance; ``None``
-    for a lane whose accepted draw was not in its window or past its outputs."""
+def _pool_lanes(n: int, distances: list[int], seeds: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x and y limb matrices of pool-branch lanes sorted by descending
+    distance, and a bool array that flags each lane whose accepted draw was
+    not in its window or past its outputs (its rows are then meaningless)."""
     count, words, steps = len(distances), (n + 31) // 32, distances[0]
     outputs = _lane_outputs(n, steps)
     # Row `lane` of one buffer holds that lane's getrandbits result, so its
@@ -384,7 +426,8 @@ def _pool_lanes(n: int, distances: list[int], seeds: list) -> list:
     pool[:n] = np.arange(n - 1, -1, -1, dtype=np.int16)[:, None]
     flat_pool = pool.ravel()
     # each step sets its pick's bit q of x ^ y and flags a draw past the bound
-    flipped = np.zeros((count, 32 * words), dtype=bool)
+    limbs = (n + 63) // 64
+    flipped = np.zeros((count, 64 * limbs), dtype=bool)
     failed = np.zeros(count, dtype=bool)
     # distances descend, so the lanes still picking at step i are a prefix
     live = np.searchsorted(-np.array(distances), -np.arange(steps), side="left")
@@ -400,15 +443,11 @@ def _pool_lanes(n: int, distances: list[int], seeds: list) -> list:
         flipped[lanes[:active], flat_pool[slot]] = True
         flat_pool[slot] = pool[bound - 1, :active]
     failed |= cursor - lane_start > outputs
-    x_words = flat[: count * outputs].reshape(count, outputs)[:, :words].copy()
-    x_words[:, -1] >>= 32 * words - n  # getrandbits(n) drops the top word's low bits
-    x_bytes = x_words.view(np.uint8)
-    y_bytes = x_bytes ^ np.packbits(flipped, axis=1, bitorder="little")
-    xs, ys, width = x_bytes.tobytes(), y_bytes.tobytes(), 4 * words
-    return [
-        None if bad else (
-            BitString(n, int.from_bytes(xs[lo : lo + width], "little")),
-            BitString(n, int.from_bytes(ys[lo : lo + width], "little")),
-        )
-        for lo, bad in zip(range(0, len(xs), width), failed.tolist())
-    ]
+    # x's 32-bit words, least significant first, padded to whole limbs; the
+    # little-endian pairs are 64-bit limbs, least significant first
+    x_words = np.zeros((count, 2 * limbs), dtype="<u4")
+    x_words[:, :words] = flat[: count * outputs].reshape(count, outputs)[:, :words]
+    x_words[:, words - 1] >>= 32 * words - n  # getrandbits(n) drops the top word's low bits
+    xs = x_words.view("<u8")[:, ::-1].astype(np.uint64)
+    flips = np.packbits(flipped, axis=1, bitorder="little").view("<u8")[:, ::-1]
+    return xs, xs ^ flips, failed

@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--jobs", type=int, default=1, help="parallel workers over grid points")
     bench.add_argument("--code-dir", help="det only: read-through cache of covering-code files")
     bench.add_argument(
-        "--timings", help="also write per-point wall time, trials and runs/s here (JSON)"
+        "--timings", help="also write per-point wall time, trials, runs/s and audited runs here (JSON)"
     )
 
     demo = sub.add_parser("demo", help="worked examples")
@@ -100,9 +100,10 @@ def _cmd_bounds(args) -> int:
 
 def _point_timings(config, report) -> list[dict]:
     """Per grid point: status, wall seconds, trials per class, trials scored
-    (both classes, none when skipped) and trials scored per second."""
+    (both classes, none when skipped), trials scored per second and real
+    protocol runs made to audit them."""
     rows = []
-    for point, record, seconds in zip(config.grid, report.records, report.seconds):
+    for point, record, seconds, audited in zip(config.grid, report.records, report.seconds, report.audited_runs):
         runs = 2 * config.trials if record["status"] == "ok" else 0
         rows.append(
             {
@@ -112,6 +113,7 @@ def _point_timings(config, report) -> list[dict]:
                 "trials": config.trials,
                 "runs": runs,
                 "runs_per_s": runs / seconds,
+                "audited_runs": audited,
             }
         )
     return rows

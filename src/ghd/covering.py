@@ -28,17 +28,24 @@ default :func:`audit_covering` checks is covered, so the code passes that
 audit and reloads; its size is within the same envelope with statistical
 confidence only.
 
-:func:`audit_covering` is exhaustive for n <= 20: it marks the radius-r ball
-around every codeword in a 2**n bitmap, O(|C| * V2(n, r)) work.  Beyond that
-it checks sampled points.  Sampled audits and :func:`random_covering_code`
-share one coverage check that works at any n: probes and codewords as
-64-bit limb matrices, each codeword marking the probes within radius by a
-popcount of the XOR.  For n <= 16 the nearest-codeword table is filled by
-the same expansion, in balls of growing radius.  Longer codes decode with one
-vector pass: popcounts of the XOR against the codewords, held as 64-bit
-limbs, then the first argmin.  :meth:`CoveringCode.nearest_indices` decodes
-many words at once the same way (a table lookup, or the argmin in slices of
-bounded working set), and the deterministic protocol's ``pair_outputs``
+:func:`audit_covering` is exhaustive for n <= 24.  It sets each codeword's
+bit in a packed 2**n-bit cube bitmap (64 words to a uint64 entry, 2 MB at
+n = 24) and dilates the bitmap r times by all n single-bit flips: a flip of
+one of the low six bits of a word moves bits within each entry by a mask
+and a shift, and a flip of a higher bit swaps blocks of entries.  That is
+O(r * n * 2**n / 64) word operations, whatever the code's size.  Beyond
+n = 24 the audit checks sampled points.  Sampled audits and
+:func:`random_covering_code` beyond n = 24 share one coverage check that
+works at any n: probes and codewords as 64-bit limb matrices, each codeword
+marking the probes within radius by a popcount of the XOR.
+
+For n <= 16 the nearest-codeword table is filled by expanding balls of
+growing radius around the codewords.  Longer codes decode with one vector
+pass: popcounts of the XOR against the codewords, held as 64-bit limbs,
+then the first argmin.  :meth:`CoveringCode.nearest_indices` decodes many
+words at once the same way (a table lookup, or the argmin in slices of
+bounded working set).  The deterministic protocol's ``pair_outputs(n, xs,
+ys)`` takes both parties' words as limb matrices, decodes the x rows so and
 applies Bob's radius test to the whole batch.  Both decoders refuse a word
 wider than n bits, and the protocol refuses inputs whose length is not n.
 
@@ -67,7 +74,7 @@ import random
 
 import numpy as np
 
-from .bits import BitString, _byte_rows, _check_lengths, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
+from .bits import BitString, _check_lengths, _check_limb_pairs, _limb_matrix, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
 from .runtime import RECV, Protocol, Send, StreamReader, _in_batches
 
 __all__ = [
@@ -90,7 +97,7 @@ __all__ = [
 
 GREEDY_MAX_N = 22
 _GAIN_CHUNK_ENTRIES = 8_000_000  # index entries per greedy gain-update pass
-_EXHAUSTIVE_AUDIT_MAX_N = 20
+_EXHAUSTIVE_AUDIT_MAX_N = 24
 _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
@@ -110,12 +117,6 @@ def _ball_offsets(n: int, radius: int) -> np.ndarray:
     ``c ^ _ball_offsets(n, r)`` is the ball around codeword c.
     """
     return np.flatnonzero(popcount_table(n) <= radius).astype(np.int64)
-
-
-def _limb_matrix(words: Sequence[int], n: int) -> np.ndarray:
-    """``(len(words), ceil(n / 64))`` uint64: each word as big-endian 64-bit limbs."""
-    limbs = (n + 63) // 64
-    return _byte_rows(words, 8 * limbs).view(">u8").astype(np.uint64)
 
 
 def _within(points: np.ndarray, codewords: np.ndarray, radius: int) -> np.ndarray:
@@ -212,14 +213,19 @@ class CoveringCode:
         batch working set.  A word wider than n bits raises ``ValueError``.
         """
         self._check_width(reduce(or_, words, 0))
+        return self._nearest_rows(_limb_matrix(words, self.n))
+
+    def _nearest_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`nearest_indices` of the n-bit words of a limb matrix."""
         table = self._decode_table
         if table is not None:
-            return table[np.array(words, dtype=np.int64)]
+            # n <= 16: a row holds at most one limb, so its sum is the word
+            return table[rows.sum(axis=1, dtype=np.int64)]
         matrix = self._limbs
         return _in_batches(
-            _limb_matrix(words, self.n),
+            rows,
             matrix.size,
-            lambda rows: np.bitwise_count(rows[:, None, :] ^ matrix).sum(axis=2).argmin(axis=1),
+            lambda chunk: np.bitwise_count(chunk[:, None, :] ^ matrix).sum(axis=2).argmin(axis=1),
         )
 
 
@@ -310,21 +316,47 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
 
 
 def _audit_points(n: int, count: int = 100_000, seed: int = 0) -> np.ndarray:
-    """The probes the sampled :func:`audit_covering` checks beyond n = 20,
+    """The probes the sampled :func:`audit_covering` checks beyond n = 24,
     as a :func:`_limb_matrix`: ``count`` words from ``random.Random(seed)``."""
     rng = random.Random(seed)
     return _limb_matrix([rng.getrandbits(n) for _ in range(count)], n)
 
 
-def _mark_balls(covered: np.ndarray, codewords: np.ndarray, offsets: np.ndarray) -> None:
-    """Set ``covered[c ^ offsets]`` for every codeword c (int64 words).
+# Entry e of a cube bitmap holds words 64 e .. 64 e + 63, word w at bit w % 64.
+# Flipping bit i < 6 of the words moves the bits p with bit i of p clear,
+# _LOW_HALVES[i] (0x5555..., 0x3333..., ...), up by 2**i and the others down.
+_LOW_HALVES = [np.uint64(sum(1 << p for p in range(64) if not p >> i & 1)) for i in range(6)]
 
-    ``covered`` is a bitmap over the whole cube; each chunk's index array
-    holds at most ``len(covered)`` entries.
+
+def _covers_cube(n: int, radius: int, codewords: Sequence[int]) -> bool:
+    """Whether every n-bit word lies within ``radius`` of some codeword.
+
+    Sets each codeword's bit in a packed cube bitmap, then dilates it
+    ``radius`` times, each time OR-ing in the bitmap's n single-bit flips:
+    below bit 6 by mask and shift within each entry, from bit 6 up by
+    swapping the two halves of each block of ``2**(i - 6)``-entry pairs.
+    Below n = 6 the one entry holds ``2**n`` words and its other bits stay
+    clear.
     """
-    rows = max(1, len(covered) // len(offsets))
-    for start in range(0, len(codewords), rows):
-        covered[codewords[start : start + rows, None] ^ offsets] = True
+    bitmap = np.zeros(max(1, (1 << n) >> 6), dtype=np.uint64)
+    words = np.array(codewords, dtype=np.uint64)
+    np.bitwise_or.at(bitmap, words >> np.uint64(6), np.uint64(1) << (words & np.uint64(63)))
+    source, moved = np.empty_like(bitmap), np.empty_like(bitmap)
+    for _ in range(radius):
+        np.copyto(source, bitmap)
+        for i in range(min(n, 6)):
+            shift, low = np.uint64(1 << i), _LOW_HALVES[i]
+            np.bitwise_and(source, low, out=moved)
+            moved <<= shift
+            bitmap |= moved
+            np.right_shift(source, shift, out=moved)
+            moved &= low
+            bitmap |= moved
+        for i in range(6, n):
+            pairs = bitmap.reshape(-1, 2, 1 << (i - 6))
+            pairs |= source.reshape(pairs.shape)[:, ::-1]
+    full = np.uint64((1 << (1 << n)) - 1 if n < 6 else (1 << 64) - 1)
+    return bool((bitmap == full).all())
 
 
 def random_covering_code(n: int, radius: int, confidence: float = 0.99, seed: int = 0) -> CoveringCode:
@@ -332,7 +364,7 @@ def random_covering_code(n: int, radius: int, confidence: float = 0.99, seed: in
 
     Draws uniform codewords in growing batches until every point that the
     default :func:`audit_covering` checks is covered, starting from the volume
-    lower bound ``2**n / V2(n, r)``.  Covering is exact for n <= 20, where the
+    lower bound ``2**n / V2(n, r)``.  Covering is exact for n <= 24, where the
     audit checks every word.  Beyond that the construction stops once the
     audit's 100,000 probes are covered, and nothing is claimed for the other
     words.  ``confidence`` only sets the size cap, twice the union-bound size
@@ -358,12 +390,9 @@ def random_covering_code(n: int, radius: int, confidence: float = 0.99, seed: in
     union_bound = ratio * (n * math.log(2.0) + math.log(1.0 / delta))
     cap = math.ceil(2.0 * union_bound) + 16
 
-    # every word as a bitmap up to n = 20, the audit's probes beyond
+    # every word up to n = 24, the audit's probes beyond
     exhaustive = n <= _EXHAUSTIVE_AUDIT_MAX_N
-    if exhaustive:
-        offsets = _ball_offsets(n, radius)
-        covered = np.zeros(1 << n, dtype=bool)
-    else:
+    if not exhaustive:
         points = _audit_points(n)
         covered = np.zeros(len(points), dtype=bool)
 
@@ -378,11 +407,12 @@ def random_covering_code(n: int, radius: int, confidence: float = 0.99, seed: in
                 fresh.append(w)
         codewords.extend(fresh)
         if exhaustive:
-            _mark_balls(covered, np.array(fresh, dtype=np.int64), offsets)
+            done = _covers_cube(n, radius, codewords)
         else:
             open_idx = np.flatnonzero(~covered)
             covered[open_idx[_within(points[open_idx], _limb_matrix(fresh, n), radius)]] = True
-        if covered.all():
+            done = covered.all()
+        if done:
             return CoveringCode(n, radius, tuple(codewords))
         if len(codewords) >= cap:
             raise CodeConstructionError(
@@ -398,14 +428,12 @@ def audit_covering(
 ) -> bool:
     """True when the covering property holds on the audited point set.
 
-    Exhaustive over the cube for n <= 20; otherwise a sampled audit of
-    ``sample_points`` uniform probes.
+    Exhaustive over the cube for n <= 24 (by bitmap dilation, see the module
+    docstring); otherwise a sampled audit of ``sample_points`` uniform probes.
     """
     n, r = code.n, code.radius
     if n <= _EXHAUSTIVE_AUDIT_MAX_N:
-        covered = np.zeros(1 << n, dtype=bool)
-        _mark_balls(covered, np.array(code.codewords, dtype=np.int64), _ball_offsets(n, r))
-        return bool(covered.all())
+        return _covers_cube(n, r, code.codewords)
     return bool(_within(_audit_points(n, sample_points, seed), code._limbs, r).all())
 
 
@@ -473,11 +501,12 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         yield Send(decision, 1)
         return decision
 
-    def pair_outputs(xs: Sequence[BitString], ys: Sequence[BitString]) -> np.ndarray:
-        _check_lengths(code.n, *xs, *ys)
-        chosen = code._limbs[code.nearest_indices([x.value for x in xs])]
-        theirs = _limb_matrix([y.value for y in ys], code.n)
-        return (np.bitwise_count(chosen ^ theirs).sum(axis=1) > radius).astype(np.int64)
+    def pair_outputs(n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        if n != code.n:
+            raise ValueError(f"input length {n} does not match n = {code.n}")
+        _check_limb_pairs(n, xs, ys)
+        chosen = code._limbs[code._nearest_rows(xs)]
+        return (np.bitwise_count(chosen ^ ys).sum(axis=1) > radius).astype(np.int64)
 
     return Protocol(
         name="deterministic-covering",
@@ -499,6 +528,8 @@ def det_complexity_bounds(n: int, gap: int) -> ComplexityBounds:
     See the module docstring for the provenance of the upper-bound constants
     (log2 n + 2 on top of the volume term).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= gap <= n:
         raise ValueError(f"gap must satisfy 1 <= gap <= n, got {gap}")
     lower = n - log2_ball_volume(n, gap // 2)

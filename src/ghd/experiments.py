@@ -50,7 +50,9 @@ The far pairs are then drawn all at once by
 :func:`ghd.bits.random_pairs_at_distances`, which reproduces
 ``random_pair_at_distance`` pair for pair (CPython's ``Random.sample`` pool
 branch and ``_randbelow``, run in numpy lanes), so every report is the one
-the per-pair draws give.
+the per-pair draws give.  Each class is held as limb matrices (rows of
+big-endian 64-bit limbs), which ``pair_outputs(n, xs, ys)`` reads as they
+are; ``BitString`` inputs are built only for the audited runs.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from .bits import BitString, GhdInstance, _read_text, random_pairs_at_distances
+from .bits import BitString, GhdInstance, _limb_matrix, _limb_value, _read_text, random_pairs_at_distances
 from .runtime import DEFAULT_BUDGET_FACTOR, _audited_errors, _error_trials, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_protocol
@@ -295,7 +297,7 @@ def _check_budget(n: int, expected: int) -> None:
         )
 
 
-def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
+def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: int) -> tuple[dict, int]:
     record = _blank_record(config.protocol, point)
     n, lo, hi, s = point["n"], point["L"], point["U"], point["s"]
     protocol, fields = _MONTE_CARLO_SETUPS[config.protocol](config, n, lo, hi, s)
@@ -321,7 +323,7 @@ def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: in
         error_bound=bound,
         bound_ok=close_ok and err1 <= bound + slack,
     )
-    return record
+    return record, len(totals)
 
 
 def _code_path(directory: str, n: int, radius: int) -> Path:
@@ -337,13 +339,17 @@ def _obtain_code(config: ExperimentConfig, n: int, radius: int):
 
 
 def prepare_codes(config: ExperimentConfig) -> None:
-    """Construct and save any codes missing from the configured code_dir."""
+    """Construct and save any codes missing from the configured code_dir.
+
+    A point that will be skipped for a missing or unused key, or for n or t
+    out of range, gets no code.
+    """
     if config.protocol != "deterministic" or not config.code_dir:
         return
     Path(config.code_dir).mkdir(parents=True, exist_ok=True)
     for point in config.grid:
         n, gap = point.get("n"), point.get("t")
-        if n is None or gap is None or not 1 <= gap <= n or n > GREEDY_MAX_N:
+        if n is None or gap is None or not 1 <= gap <= n or n > GREEDY_MAX_N or _unused_key(config, point):
             continue
         radius = (gap - 1) // 2
         path = _code_path(config.code_dir, n, radius)
@@ -356,25 +362,27 @@ def _exact_classes(config: ExperimentConfig, point_seed: int, n: int, gap: int, 
 
     The far pairs are ``random_pair_at_distance``'s, drawn in lanes after
     the class RNG has drawn every trial's close word, distance and seed.
-    ``protocol.pair_outputs`` scores each class; ``run(x, y)``, which returns
-    an object with ``output`` and ``ledger``, makes the audited runs.
-    Returns the error count on each class and the audited runs.
+    Each class is a pair of limb matrices (the close class passes one matrix
+    twice), which ``protocol.pair_outputs(n, xs, ys)`` scores; ``run(x, y)``,
+    which takes ``BitString`` inputs and returns an object with ``output``
+    and ``ledger``, makes the audited runs.  Returns the error count on each
+    class and the audited runs.
     """
     rng = random.Random(derive_seed(point_seed, 0))
     close, distances, seeds = [], [], []
     for _ in range(config.trials):
-        close.append(BitString.random(n, rng))
+        close.append(rng.getrandbits(n))
         distances.append(rng.randint(gap, n))
         seeds.append(rng.getrandbits(63))
-    far = random_pairs_at_distances(n, distances, seeds)
-    classes = (("close", close, close, 0), ("far", [x for x, _ in far], [y for _, y in far], 1))
+    words = _limb_matrix(close, n)
+    classes = (("close", words, words, 0), ("far", *random_pairs_at_distances(n, distances, seeds), 1))
     errors, audited = [], []
     for name, xs, ys, truth in classes:
         count, runs = _audited_errors(
             config.trials,
             truth,
-            lambda trial: run(xs[trial], ys[trial]),
-            lambda: protocol.pair_outputs(xs, ys),
+            lambda trial: run(BitString(n, _limb_value(xs[trial])), BitString(n, _limb_value(ys[trial]))),
+            lambda: protocol.pair_outputs(n, xs, ys),
             lambda trial: f"trial {trial} of the {name} class",
         )
         errors.append(count)
@@ -393,7 +401,7 @@ def _exact_fields(config: ExperimentConfig, errors0: int, errors1: int) -> dict:
     }
 
 
-def _run_det_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
+def _run_det_point(config: ExperimentConfig, point: dict, point_seed: int) -> tuple[dict, int]:
     record = _blank_record("deterministic", point)
     n, gap = point["n"], point["t"]
     params = det_protocol_params(n, gap, code=_obtain_code(config, n, (gap - 1) // 2))
@@ -414,10 +422,10 @@ def _run_det_point(config: ExperimentConfig, point: dict, point_seed: int) -> di
         bits_ok=worst == params.cost_bits,
         cost_in_bounds=lower <= worst <= upper,
     )
-    return record
+    return record, len(audited)
 
 
-def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) -> dict:
+def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) -> tuple[dict, int]:
     record = _blank_record("streaming", point)
     n, c, p = point["n"], point["c"], point["p"]
     gap = stream_gap(n, c)
@@ -442,10 +450,11 @@ def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) ->
         bits_ok=worst <= 2 * p * state_bits,
         lower_bits=space_lower_bound(n, c, p).state_bits_floor,
     )
-    return record
+    return record, len(audited)
 
 
-# each protocol's runner and the point keys it reads
+# each protocol's runner, which returns the record and its count of real
+# (audited) runs, and the point keys it reads
 _POINT_RUNNERS = {
     "sampling": (_run_monte_carlo_point, ("n", "L", "U", "s")),
     "sketch": (_run_monte_carlo_point, ("n", "L", "U", "s")),
@@ -454,15 +463,21 @@ _POINT_RUNNERS = {
 }
 
 
-def _run_point(config: ExperimentConfig, index: int) -> dict:
+def _unused_key(config: ExperimentConfig, point: dict) -> str | None:
+    """The first key of ``point`` that its protocol does not read, if any."""
+    keys = _POINT_RUNNERS[config.protocol][1]
+    return next((key for key in point if key not in keys), None)
+
+
+def _run_point(config: ExperimentConfig, index: int) -> tuple[dict, int]:
+    """The record of one grid point and its count of audited runs (0 when skipped)."""
     point = config.grid[index]
     point_seed = derive_seed(config.seed, index)
-    runner, keys = _POINT_RUNNERS[config.protocol]
     try:
-        for key in point:
-            if key not in keys:
-                raise ValueError(f"unused point key {key!r}")
-        return runner(config, point, point_seed)
+        unused = _unused_key(config, point)
+        if unused is not None:
+            raise ValueError(f"unused point key {unused!r}")
+        return _POINT_RUNNERS[config.protocol][0](config, point, point_seed)
     except (ValueError, KeyError) as exc:
         record = _blank_record(config.protocol, point)
         record["status"] = "skipped"
@@ -470,23 +485,25 @@ def _run_point(config: ExperimentConfig, index: int) -> dict:
             record["reason"] = f"missing point key {exc.args[0]!r}"
         else:
             record["reason"] = str(exc)
-        return record
+        return record, 0
 
 
-def _timed_point(config: ExperimentConfig, index: int) -> tuple[dict, float]:
+def _timed_point(config: ExperimentConfig, index: int) -> tuple[dict, int, float]:
     """:func:`_run_point` and its wall time in seconds."""
     start = time.perf_counter()
-    record = _run_point(config, index)
-    return record, time.perf_counter() - start
+    record, audited = _run_point(config, index)
+    return record, audited, time.perf_counter() - start
 
 
 @dataclass
 class Report:
-    """The records of a sweep; ``seconds`` holds each point's wall time
-    when :func:`run_experiment` made it, and never enters the output."""
+    """The records of a sweep.  When :func:`run_experiment` made it,
+    ``seconds`` holds each point's wall time and ``audited_runs`` its count
+    of real protocol runs; neither enters the output."""
 
     records: list[dict] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list, compare=False, repr=False)
+    audited_runs: list[int] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def has_violation(self) -> bool:
@@ -543,7 +560,11 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Report:
             timed = list(pool.map(_timed_point, repeat(config), indices))
     else:
         timed = [_timed_point(config, index) for index in indices]
-    return Report([record for record, _ in timed], [seconds for _, seconds in timed])
+    return Report(
+        [record for record, _, _ in timed],
+        [seconds for _, _, seconds in timed],
+        [audited for _, audited, _ in timed],
+    )
 
 
 def compare_bounds(records: list[dict]) -> list[dict]:

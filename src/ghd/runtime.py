@@ -53,8 +53,10 @@ must equal the real runs' outputs exactly:
 
 * ``Protocol.batch_outputs(x, y, seeds)``: for an array of uint64 seeds, the
   output of ``run(x, y, seed)`` for each (Monte Carlo protocols);
-* ``Protocol.pair_outputs(xs, ys)``: for sequences of inputs, the output of
-  ``run(xs[i], ys[i], 0)`` for each i (protocols that read no shared
+* ``Protocol.pair_outputs(n, xs, ys)``: for two limb matrices of n-bit
+  words (row i of ``xs`` and of ``ys`` one pair, each row the word's
+  big-endian 64-bit limbs), the output of ``run`` on the two words of
+  each row as n-bit inputs and seed 0 (protocols that read no shared
   randomness).
 
 :func:`estimate_error_rate` uses ``batch_outputs``, and the exact sweeps of
@@ -440,9 +442,10 @@ class Protocol:
     ``cost_bits``, when given, is the exact ledger total of every run, which
     :func:`run_protocol` enforces.  ``batch_outputs(x, y, seeds)``, when
     given, returns for each uint64 seed exactly the output of
-    ``run(x, y, seed)`` as an int64 array; ``pair_outputs(xs, ys)`` returns
-    for each i exactly the output of ``run(xs[i], ys[i], 0)`` (see the
-    module docstring).
+    ``run(x, y, seed)`` as an int64 array; ``pair_outputs(n, xs, ys)``
+    returns for each row i of the two limb matrices exactly the output of
+    ``run`` on the n-bit words of row i with seed 0 (see the module
+    docstring).
     """
 
     name: str
@@ -450,7 +453,7 @@ class Protocol:
     bob: Strategy
     cost_bits: int | None = None
     batch_outputs: Callable[[BitString, BitString, np.ndarray], np.ndarray] | None = None
-    pair_outputs: Callable[[Sequence[BitString], Sequence[BitString]], np.ndarray] | None = None
+    pair_outputs: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def run(
         self,

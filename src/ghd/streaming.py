@@ -61,7 +61,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bits import BitString, _byte_rows, _parse_decimal, _read_text, hamming_distance, random_pair_at_distance
+from .bits import BitString, _check_limb_pairs, _parse_decimal, _read_text, hamming_distance, random_pair_at_distance
 from .covering import det_complexity_bounds
 from .runtime import (
     RECV,
@@ -254,12 +254,10 @@ def _tokens(x: BitString) -> np.ndarray:
     return x.bit_array().astype(np.int64) * n + np.arange(1, n + 1, dtype=np.int64)
 
 
-def _bit_rows(strings: Sequence[BitString], n: int) -> np.ndarray:
-    """``(len(strings), n)`` uint8 whose row i is ``strings[i].bit_array()``."""
-    if any(s.length != n for s in strings):
-        raise ValueError("input lengths do not match n")
-    nbytes = (n + 7) // 8
-    return np.unpackbits(_byte_rows([s.value for s in strings], nbytes), axis=1)[:, 8 * nbytes - n :]
+def _bit_rows(limbs: np.ndarray, n: int) -> np.ndarray:
+    """The positions of each n-bit word of a limb matrix, as the uint8 rows
+    of ``BitString.bit_array()``."""
+    return np.unpackbits(limbs.astype(">u8").view(np.uint8), axis=1)[:, 64 * limbs.shape[1] - n :]
 
 
 def exact_f0(stream: Iterable[int]) -> int:
@@ -309,7 +307,8 @@ def streaming_protocol(
 
     ``algorithm_factory`` builds one machine per party; state travels over
     the channel as snapshots, charged at their exact bit length.  When a
-    ``meter`` is given it records Bob's final estimate.  ``pair_outputs``
+    ``meter`` is given it records Bob's final estimate.  ``pair_outputs(n,
+    xs, ys)`` takes the n-bit words of both parties as limb matrices and
     decides each pair from one machine's ``final_estimates`` over the
     concatenated streams, a fresh machine per slice of pairs.
     """
@@ -350,19 +349,18 @@ def streaming_protocol(
         yield Send(decision, 1)
         return decision
 
-    def pair_outputs(xs: Sequence[BitString], ys: Sequence[BitString]) -> np.ndarray:
-        if not len(xs):
-            return np.zeros(0, dtype=np.int64)
-        n = xs[0].length
+    def pair_outputs(n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        _check_limb_pairs(n, xs, ys)
         threshold = n + stream_gap(n, approx_factor)
         positions = np.tile(np.arange(1, n + 1, dtype=np.int64), 2)
 
-        def decide(pairs: list) -> np.ndarray:
-            bits = np.concatenate([_bit_rows(strings, n) for strings in zip(*pairs)], axis=1)
+        def decide(pairs: np.ndarray) -> np.ndarray:
+            # row i: x's positions, then y's
+            bits = _bit_rows(pairs.reshape(-1, pairs.shape[2]), n).reshape(len(pairs), 2 * n)
             estimates = algorithm_factory().final_estimates(bits.astype(np.int64) * n + positions)
             return (estimates >= threshold).astype(np.int64)
 
-        return _in_batches(list(zip(xs, ys, strict=True)), 2 * n, decide)
+        return _in_batches(np.stack((xs, ys), axis=1), 2 * n, decide)
 
     return Protocol(name="streaming-reduction", alice=alice, bob=bob, pair_outputs=pair_outputs)
 

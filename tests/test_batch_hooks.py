@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghd.bits import BitString, random_pair_at_distance
+from ghd.bits import BitString, _limb_matrix, random_pair_at_distance
 from ghd.covering import det_protocol, det_protocol_params
 from ghd.sampling import derive_sampling_params, sampling_protocol
 from ghd.sketch import derive_sketch_params, sketch_protocol
@@ -44,8 +44,9 @@ def _assert_seeded_batch_matches_runs(proto, x, y, seeds):
     assert outputs.tolist() == [proto.run(x, y, seed).output for seed in seeds]
 
 
-def _assert_pair_batch_matches_runs(proto, pairs):
-    outputs = proto.pair_outputs([x for x, _ in pairs], [y for _, y in pairs])
+def _assert_pair_batch_matches_runs(proto, n, pairs):
+    xs, ys = (_limb_matrix([s.value for s in strings], n) for strings in zip(*pairs))
+    outputs = proto.pair_outputs(n, xs, ys)
     assert outputs.dtype == np.int64
     assert outputs.tolist() == [proto.run(x, y, 0).output for x, y in pairs]
 
@@ -80,7 +81,7 @@ def _det(n, gap):
 def test_det_pair_outputs_equal_runs(data):
     n = data.draw(st.integers(1, 12))
     gap = data.draw(st.integers(1, n))
-    _assert_pair_batch_matches_runs(_det(n, gap), data.draw(_pairs(n)))
+    _assert_pair_batch_matches_runs(_det(n, gap), n, data.draw(_pairs(n)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -94,4 +95,4 @@ def test_stream_pair_outputs_equal_runs(data):
         factory = lambda: ExactBitmapF0(2 * n, passes)
     else:
         factory = lambda: TruncatedBitmapF0(2 * n, capacity, passes)
-    _assert_pair_batch_matches_runs(streaming_protocol(factory, c), data.draw(_pairs(n)))
+    _assert_pair_batch_matches_runs(streaming_protocol(factory, c), n, data.draw(_pairs(n)))

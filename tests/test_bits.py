@@ -286,8 +286,14 @@ def test_instance_at_distance_promise():
 # ------------------------------------------------------------ pair lanes
 
 
-def _oracle_pairs(n, distances, seeds):
-    return [random_pair_at_distance(n, d, s) for d, s in zip(distances, seeds)]
+def assert_pairs_match_oracle(n, distances, seeds):
+    """The lanes' two limb matrices hold the oracle's pairs, row by row."""
+    xs, ys = random_pairs_at_distances(n, distances, seeds)
+    pairs = [random_pair_at_distance(n, d, s) for d, s in zip(distances, seeds)]
+    limbs = (n + 63) // 64
+    for matrix, words in ((xs, [x for x, _ in pairs]), (ys, [y for _, y in pairs])):
+        assert matrix.dtype == np.uint64 and matrix.shape == (len(pairs), limbs)
+        assert [bits._limb_value(row) for row in matrix] == [w.value for w in words]
 
 
 @pytest.fixture
@@ -332,7 +338,7 @@ def test_pair_lanes_match_the_oracle(n, oracle_calls):
     rng = random.Random(n)
     distances = [d for d in (0, 1, 5, 6, n // 2, n) if d <= n for _ in range(80)]
     seeds = [rng.getrandbits(63) for _ in distances]
-    assert random_pairs_at_distances(n, distances, seeds) == _oracle_pairs(n, distances, seeds)
+    assert_pairs_match_oracle(n, distances, seeds)
     # every pool-branch d has 80 >= _MIN_LANES pairs, and they need no oracle
     assert all(n > bits._sample_setsize(d) for _, d in oracle_calls)
     if n <= 21:
@@ -354,7 +360,7 @@ def test_pair_lanes_property(case):
     seeds = [s for _, s in draws]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bits, "_MIN_LANES", 1)
-        assert random_pairs_at_distances(n, distances, seeds) == _oracle_pairs(n, distances, seeds)
+        assert_pairs_match_oracle(n, distances, seeds)
 
 
 @pytest.mark.parametrize("tiny", ["window", "budget"])
@@ -368,7 +374,7 @@ def test_pair_lanes_fall_back_when_window_or_budget_runs_out(monkeypatch, oracle
         oracle_calls.clear()
         distances = [rng.randint(n // 2, n) for _ in range(200)]
         seeds = [rng.getrandbits(63) for _ in distances]
-        assert random_pairs_at_distances(n, distances, seeds) == _oracle_pairs(n, distances, seeds)
+        assert_pairs_match_oracle(n, distances, seeds)
         assert 0 < len(oracle_calls) < len(distances)
 
 
@@ -377,12 +383,12 @@ def test_pair_lanes_fall_back_when_a_slice_would_be_too_small(monkeypatch, oracl
     distances = [rng.randint(8, 16) for _ in range(100)]
     seeds = [rng.getrandbits(63) for _ in distances]
     monkeypatch.setattr(bits, "_LANE_CELLS", 63 * (bits._lane_outputs(16, 16) + 32))
-    assert random_pairs_at_distances(16, distances, seeds) == _oracle_pairs(16, distances, seeds)
+    assert_pairs_match_oracle(16, distances, seeds)
     assert len(oracle_calls) == 100
     # room for 64 lanes a slice: two balanced slices of 50
     oracle_calls.clear()
     monkeypatch.setattr(bits, "_LANE_CELLS", 64 * (bits._lane_outputs(16, 16) + 32))
-    assert random_pairs_at_distances(16, distances, seeds) == _oracle_pairs(16, distances, seeds)
+    assert_pairs_match_oracle(16, distances, seeds)
     assert oracle_calls == []
 
 
@@ -402,15 +408,16 @@ def test_pair_lanes_across_slices_at_the_default_constants(monkeypatch, oracle_c
         return pool_lanes(n, distances, seeds)
 
     monkeypatch.setattr(bits, "_pool_lanes", recorded)
-    assert random_pairs_at_distances(100, distances, seeds) == _oracle_pairs(100, distances, seeds)
+    assert_pairs_match_oracle(100, distances, seeds)
     assert sizes == [434, 434, 432]
     assert len(oracle_calls) == 1  # the one lane of this seed that fails
 
 
 def test_pair_lanes_edge_inputs(oracle_calls):
-    assert random_pairs_at_distances(16, [], []) == []
+    xs, ys = random_pairs_at_distances(16, [], [])
+    assert xs.shape == ys.shape == (0, 1) and xs.dtype == ys.dtype == np.uint64
     # fewer than _MIN_LANES pairs go to the oracle
-    assert random_pairs_at_distances(16, [3, 4], [1, 2]) == _oracle_pairs(16, [3, 4], [1, 2])
+    assert_pairs_match_oracle(16, [3, 4], [1, 2])
     assert len(oracle_calls) == 2
     with pytest.raises(ValueError, match="n must be >= 1"):
         random_pairs_at_distances(0, [0], [1])

@@ -62,6 +62,29 @@ def test_bench_timings_sidecar_leaves_the_report_unchanged(tmp_path):
     assert (skipped["status"], skipped["runs"], skipped["runs_per_s"]) == ("skipped", 0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "protocol, config, audited",
+    [
+        # no trial errs: trial 0 of each class is audited
+        ("det", "point n=10 t=4\npoint n=10 t=4 c=2\n", [2, 0]),
+        ("stream", "point n=20 c=1.5 p=2\npoint n=20 c=3.0 p=1\n", [2, 0]),
+        # one sample a trial errs on both classes: a first error past trial 0 is audited too
+        ("sampling", "rate = linear\nlinear_rate_constant = 0.1\npoint n=64 L=8 U=16 s=0.5\n", [3]),
+    ],
+)
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_bench_timings_count_audited_runs_and_leave_the_report_unchanged(tmp_path, protocol, config, audited, output):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"trials = 30\nseed = 5\nformat = {output}\n{config}")
+    plain, timed, sidecar = tmp_path / "plain", tmp_path / "timed", tmp_path / "t.json"
+    assert main(["bench", protocol, "--config", str(path), "--out", str(plain)]) == 0
+    argv = ["bench", protocol, "--config", str(path), "--out", str(timed), "--timings", str(sidecar)]
+    assert main(argv) == 0
+    assert timed.read_bytes() == plain.read_bytes()
+    points = json.loads(sidecar.read_text())["points"]
+    assert [point["audited_runs"] for point in points] == audited
+
+
 def test_bench_stdout_and_json(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("format = json\ntrials = 20\npoint n=64 L=1 U=32 s=1\n")

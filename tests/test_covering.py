@@ -1,14 +1,15 @@
 import hashlib
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ghd import covering, runtime
-from ghd.bits import BitString, ball_volume, random_pair_at_distance
+from ghd.bits import BitString, _limb_matrix, ball_volume, random_pair_at_distance
 from ghd.covering import (
     _GAIN_CHUNK_ENTRIES,
     GREEDY_MAX_N,
@@ -280,7 +281,7 @@ def test_random_codes_reload(tmp_path):
         assert load_code(path) == code
 
 
-@pytest.mark.parametrize("n", [22, 40, 64, 65, 130])
+@pytest.mark.parametrize("n", [25, 40, 64, 65, 130])
 def test_sampled_audit_matches_a_per_probe_oracle(n):
     # both verdicts at each width, against the probes the audit draws: a
     # False verdict names a probe that no codeword covers
@@ -294,6 +295,68 @@ def test_sampled_audit_matches_a_per_probe_oracle(n):
         assert audit_covering(code, sample_points=300, seed=seed) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def ball_marking_audit(code: CoveringCode) -> bool:
+    """Reference audit: mark the radius-r ball around each codeword in a bool cube."""
+    covered = np.zeros(1 << code.n, dtype=bool)
+    offsets = covering._ball_offsets(code.n, code.radius)
+    for c in code.codewords:
+        covered[c ^ offsets] = True
+    return bool(covered.all())
+
+
+@lru_cache(maxsize=None)
+def _greedy_words(n, radius):
+    return greedy_covering_code(n, radius).codewords
+
+
+@st.composite
+def audited_codes(draw):
+    """A greedy code or random words at n = 1..12, and optionally a hole:
+    a word whose radius-r ball is cleared of codewords."""
+    n = draw(st.integers(1, 12))
+    radius = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        words = list(_greedy_words(n, radius))
+    else:
+        words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    hole = draw(st.none() | st.integers(0, (1 << n) - 1))
+    if hole is not None:
+        words = [w for w in words if (w ^ hole).bit_count() > radius]
+        assume(words)
+    return CoveringCode(n, radius, tuple(words)), hole
+
+
+@settings(max_examples=300, deadline=None)
+@given(audited_codes())
+def test_dilation_audit_equals_ball_marking(case):
+    # n = 1..5 keep the cube in the low bits of one bitmap entry, 6 fills it
+    code, hole = case
+    expected = ball_marking_audit(code)
+    assert audit_covering(code) == expected
+    if hole is not None:
+        assert not expected
+    elif code.codewords == _greedy_words(code.n, code.radius):
+        assert expected
+
+
+def test_load_rejects_a_code_that_the_old_probes_pass_at_n21(tmp_path):
+    # an exact (21, 4) code less one codeword leaves one word uncovered, and
+    # none of the 100,000 probes the sampled audit checked up to n = 24 finds it
+    exact = random_covering_code(21, 4)
+    assert audit_covering(exact)
+    dropped = exact.codewords[4491]
+    holed = CoveringCode(21, 4, exact.codewords[:4491] + exact.codewords[4492:])
+    assert covering._within(covering._audit_points(21), holed._limbs, 4).all()
+    ball = [dropped ^ int(offset) for offset in covering._ball_offsets(21, 4)]
+    uncovered = [w for w, hit in zip(ball, covering._within(_limb_matrix(ball, 21), holed._limbs, 4)) if not hit]
+    assert len(uncovered) == 1 and not oracle_covered(holed, uncovered[0])
+    path = tmp_path / "holed.txt"
+    save_code(holed, path)
+    with pytest.raises(CodeConstructionError, match="fails its covering audit"):
+        load_code(path)
+    assert load_code(path, validate=False) == holed
 
 
 # ------------------------------------------------------------ decoding
@@ -423,6 +486,11 @@ def _flipped(rng: random.Random, n: int, word: int, most: int) -> int:
     return word
 
 
+def limbs(strings, n):
+    """The words of ``strings`` as the limb matrix a ``pair_outputs`` hook reads."""
+    return _limb_matrix([x.value for x in strings], n)
+
+
 def assert_pair_outputs_match_runs(params, words, rng):
     """Batch decode and decisions against nearest_index and real runs."""
     code, n = params.code, params.n
@@ -432,7 +500,7 @@ def assert_pair_outputs_match_runs(params, words, rng):
     xs = [BitString(n, w) for w in words]
     ys = [BitString(n, _flipped(rng, n, w, 2 * params.decision_radius + 2)) for w in words]
     expected = [proto.run(x, y, 0).output for x, y in zip(xs, ys)]
-    outputs = proto.pair_outputs(xs, ys)
+    outputs = proto.pair_outputs(n, limbs(xs, n), limbs(ys, n))
     assert outputs.dtype == np.int64 and outputs.tolist() == expected
     return expected
 
@@ -505,7 +573,7 @@ def test_batch_decode_of_a_permuted_radius_zero_code():
     proto = det_protocol(det_protocol_params(2, 1, code=code))
     xs = [BitString(2, v) for v in range(4) for _ in range(4)]
     ys = [BitString(2, v) for _ in range(4) for v in range(4)]
-    outputs = proto.pair_outputs(xs, ys).tolist()
+    outputs = proto.pair_outputs(2, limbs(xs, 2), limbs(ys, 2)).tolist()
     assert outputs == [proto.run(x, y, 0).output for x, y in zip(xs, ys)]
     assert outputs == [int(x != y) for x, y in zip(xs, ys)]
 
@@ -589,6 +657,12 @@ def test_bounds_examples():
     assert det_complexity_bounds(10, 1).lower == 10.0
     with pytest.raises(ValueError):
         det_complexity_bounds(10, 0)
+
+
+@pytest.mark.parametrize("n, gap", [(0, 0), (0, 1), (-3, 2)])
+def test_bounds_report_n_before_the_gap(n, gap):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        det_complexity_bounds(n, gap)
 
 
 def test_worst_case_cost_is_index_width_plus_answer():

@@ -143,6 +143,15 @@ def test_det_code_dir_cache(tmp_path):
     assert first.to_csv() == second.to_csv()
 
 
+def test_skipped_det_point_builds_no_code(tmp_path):
+    code_dir = tmp_path / "codes"
+    config = parse_config(f"protocol = det\ntrials = 5\ncode_dir = {code_dir}\npoint n=12 t=5 s=1\npoint n=9 t=4\n")
+    skipped, ok = run_experiment(config).records
+    assert (skipped["status"], skipped["reason"]) == ("skipped", "unused point key 's'")
+    assert ok["status"] == "ok"
+    assert sorted(path.name for path in code_dir.iterdir()) == ["code-n9-r1.txt"]
+
+
 def test_sketch_grid_beyond_float64_is_skipped():
     config = parse_config("protocol = sketch\ntrials = 1\npoint n=135688 L=0 U=135688 s=1\n")
     report = run_experiment(config)
@@ -317,9 +326,10 @@ def test_exact_classes_draw_far_pairs_in_lanes(monkeypatch, n, gap):
     monkeypatch.setattr(bits, "random_pair_at_distance", counted)
     scored = []
 
-    def pair_outputs(xs, ys):
-        scored.append(list(zip(xs, ys)))
-        return np.array([int(x != y) for x, y in zip(xs, ys)], dtype=np.int64)
+    def pair_outputs(width, xs, ys):
+        assert width == n
+        scored.append((xs, ys))
+        return (xs != ys).any(axis=1).astype(np.int64)
 
     config = parse_config("protocol = det\ntrials = 500\n")
     errors0, errors1, _ = experiments._exact_classes(
@@ -335,7 +345,11 @@ def test_exact_classes_draw_far_pairs_in_lanes(monkeypatch, n, gap):
         close.append(BitString.random(n, rng))
         d = rng.randint(gap, n)
         far.append(random_pair_at_distance(n, d, rng.getrandbits(63)))
-    assert scored == [list(zip(close, close)), far]
+    (close_xs, close_ys), (far_xs, far_ys) = scored
+    assert close_xs is close_ys  # the close class passes one matrix twice
+    for matrix, words in ((close_xs, close), (far_xs, [x for x, _ in far]), (far_ys, [y for _, y in far])):
+        assert matrix.dtype == np.uint64 and matrix.shape == (500, (n + 63) // 64)
+        assert [bits._limb_value(row) for row in matrix] == [w.value for w in words]
 
 
 def _doctor(factory, name, trial):
@@ -344,8 +358,8 @@ def _doctor(factory, name, trial):
     def doctored(*args):
         protocol = factory(*args)
 
-        def pair_outputs(xs, ys):
-            outputs = protocol.pair_outputs(xs, ys)
+        def pair_outputs(n, xs, ys):
+            outputs = protocol.pair_outputs(n, xs, ys)
             if (xs is ys) == (name == "close"):  # the close class pairs x with itself
                 outputs[trial] ^= 1
             return outputs

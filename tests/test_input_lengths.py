@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from ghd.bits import BitString
+from ghd.bits import BitString, _limb_matrix
 from ghd.covering import CoveringCode, det_protocol, det_protocol_params
 from ghd.runtime import RECV, Send, run_protocol
 from ghd.sampling import derive_sampling_params, sampling_protocol
@@ -58,11 +58,25 @@ def test_det_refuses_inputs_of_another_length(n, gap, width, value):
     x = BitString(width, value)
     with _refused(n, width):
         proto.run(x, x, 0)
+    xs = _limb_matrix([value], width)
     with _refused(n, width):
-        proto.pair_outputs([x], [x])
-    fits = BitString(n, 5)
-    with _refused(n, width):
-        proto.pair_outputs([fits, fits], [fits, x])
+        proto.pair_outputs(width, xs, xs)
+    # the same words as n-bit rows: refused when one is wider than n bits
+    fits = _limb_matrix([5, 5], n)
+    both = _limb_matrix([5, value], max(n, width))
+    if width > n:
+        with pytest.raises(ValueError, match=f"^word does not fit in {n} bits$"):
+            proto.pair_outputs(n, fits, both)
+    else:
+        assert proto.pair_outputs(n, fits, both).tolist() == [proto.run(BitString(n, 5), BitString(n, v), 0).output for v in (5, value)]
+
+
+@pytest.mark.parametrize("n, limbs", [(12, 2), (70, 1), (70, 3)])
+def test_det_pair_outputs_refuse_a_wrong_limb_count(n, limbs):
+    proto = det_protocol(det_protocol_params(n, 5, code=CoveringCode(n, 2, (0, 1))))
+    rows = np.zeros((3, limbs), dtype=np.uint64)
+    with pytest.raises(ValueError, match=rf"^need {(n + 63) // 64} uint64 limbs a row for n = {n}, got uint64 of shape \(3, {limbs}\)$"):
+        proto.pair_outputs(n, rows, rows)
 
 
 @pytest.mark.parametrize("n", [12, 17, 70])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ghd.bits import BitString, hamming_distance, log2_ball_volume, random_pair_at_distance
+from ghd.bits import BitString, _limb_matrix, hamming_distance, log2_ball_volume, random_pair_at_distance
 from ghd.runtime import ContractViolationError, derive_seed
 from ghd.streaming import (
     ExactBitmapF0,
@@ -315,7 +315,8 @@ def test_pair_outputs_equal_the_reduction_runs(plugin, passes):
         pairs = _spread_pairs(n, count, seed=n + passes)
         factory = lambda: make(n, passes)
         expected = [ghd_via_streaming(factory, c, x, y, check_determinism=False)[0] for x, y in pairs]
-        outputs = streaming_protocol(factory, c).pair_outputs([x for x, _ in pairs], [y for _, y in pairs])
+        xs, ys = (_limb_matrix([s.value for s in strings], n) for strings in zip(*pairs))
+        outputs = streaming_protocol(factory, c).pair_outputs(n, xs, ys)
         assert outputs.dtype == np.int64 and outputs.tolist() == expected
         truth = [int(hamming_distance(x, y) >= stream_gap(n, c)) for x, y in pairs]
         if plugin == "truncated" and n == 40:
@@ -351,11 +352,19 @@ def test_default_final_estimates_restore_the_state_for_every_row():
 def test_pair_outputs_refuse_inputs_of_another_length():
     proto = streaming_protocol(lambda: ExactBitmapF0(8), 1.5)
     x, y = random_pair_at_distance(4, 2, seed=5)
-    assert proto.pair_outputs([], []).tolist() == []
-    with pytest.raises(ValueError, match="input lengths do not match n"):
-        proto.pair_outputs([x, x], [y, BitString(5, 0)])
-    with pytest.raises(ValueError):
-        proto.pair_outputs([x, x], [y])
+    xs, ys = _limb_matrix([x.value, x.value], 4), _limb_matrix([y.value, y.value], 4)
+    assert proto.pair_outputs(4, xs[:0], ys[:0]).tolist() == []
+    assert proto.pair_outputs(4, xs, ys).tolist() == [proto.run(x, y, 0).output] * 2
+    with pytest.raises(ValueError, match="^word does not fit in 4 bits$"):
+        proto.pair_outputs(4, xs, _limb_matrix([y.value, 0b10000], 5))
+    with pytest.raises(ValueError, match="^2 x rows but 1 y rows$"):
+        proto.pair_outputs(4, xs, ys[:1])
+    with pytest.raises(ValueError, match=r"^need 1 uint64 limbs a row for n = 4, got uint64 of shape \(2, 2\)$"):
+        proto.pair_outputs(4, xs, np.zeros((2, 2), dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"^need 1 uint64 limbs a row for n = 4, got int64 of shape \(2, 1\)$"):
+        proto.pair_outputs(4, xs, ys.astype(np.int64))
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        proto.pair_outputs(0, xs[:, :0], ys[:, :0])
 
 
 def test_zero_error_on_promise_randomized():
@@ -461,6 +470,12 @@ def test_space_lower_bound_degenerate_ends():
     assert near_one.state_bits_floor > 400 / 2 - 30  # approaches n/(2p)
     with pytest.raises(ValueError):
         space_lower_bound(10, 1.5, 0)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_space_lower_bound_reports_n_below_one(n):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        space_lower_bound(n, 1.5, 1)
 
 
 def test_exact_bitmap_memory_respects_floor_sweep():
