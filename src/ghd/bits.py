@@ -2,7 +2,10 @@
 
 The shared vocabulary of every protocol module: fixed-length binary words
 packed into Python integers (arbitrary precision, hardware popcount via
-``int.bit_count``), promise instances, and exact combinatorial volumes.
+``int.bit_count``), promise instances, exact combinatorial volumes, and the
+word format's one home: three inverse pairs convert, bits most significant
+first, between a word and its bit vector, words and limb rows, and limb rows
+and bit rows.
 
 Random pairs at a given distance come from :func:`random_pair_at_distance`,
 one seeded ``random.Random`` per pair.  :func:`random_pairs_at_distances`
@@ -97,9 +100,7 @@ class BitString:
 
     def bit_array(self) -> np.ndarray:
         """The positions as a uint8 vector, index 0 = position 0."""
-        nbytes = (self.length + 7) // 8
-        raw = np.frombuffer(self.value.to_bytes(nbytes, "big"), dtype=np.uint8)
-        return np.unpackbits(raw)[8 * nbytes - self.length:]
+        return _int_bits(self.value, self.length)
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b")
@@ -190,21 +191,6 @@ def _check_promise(
         raise ValueError("error_exponent must be finite")
 
 
-def _byte_rows(values, nbytes: int) -> np.ndarray:
-    """Each nonnegative int as ``nbytes`` big-endian bytes: a ``(len(values), nbytes)`` uint8 array.
-
-    A value that does not fit raises ``OverflowError``, as ``int.to_bytes`` does.
-    """
-    if nbytes <= 8:
-        # numpy raises OverflowError below 0 and from 2**64 up
-        words = np.array(values, dtype=np.uint64)
-        if nbytes < 8 and (words >> (8 * nbytes)).any():
-            raise OverflowError(f"int too big to convert to {nbytes} bytes")
-        return words.astype(">u8").view(np.uint8).reshape(len(values), 8)[:, 8 - nbytes :]
-    raw = b"".join(value.to_bytes(nbytes, "big") for value in values)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
-
-
 def _check_lengths(n: int, *inputs: BitString) -> None:
     """Reject an input whose length is not n."""
     for x in inputs:
@@ -212,15 +198,41 @@ def _check_lengths(n: int, *inputs: BitString) -> None:
             raise ValueError(f"input length {x.length} does not match n = {n}")
 
 
+def _int_bits(value: int, count: int) -> np.ndarray:
+    """The bits of a nonnegative int below ``2**count`` as a uint8 0/1 vector of ``count``."""
+    nbytes = (count + 7) // 8
+    return np.unpackbits(np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8))[8 * nbytes - count :]
+
+
+def _bits_int(bits: np.ndarray) -> int:
+    """The int whose bits, most significant first, are the 0/1 vector ``bits``."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
+
+
 def _limb_matrix(words, n: int) -> np.ndarray:
-    """``(len(words), ceil(n / 64))`` uint64: each word as big-endian 64-bit limbs."""
+    """Each word as a row of ``ceil(n / 64)`` big-endian uint64 limbs; ``OverflowError`` if one does not fit."""
+    if n <= 64:
+        # numpy raises OverflowError below 0 and from 2**64 up
+        return np.array(words, dtype=np.uint64).reshape(-1, 1)
     limbs = (n + 63) // 64
-    return _byte_rows(words, 8 * limbs).view(">u8").astype(np.uint64)
+    raw = b"".join(word.to_bytes(8 * limbs, "big") for word in words)
+    return np.frombuffer(raw, dtype=">u8").reshape(-1, limbs).astype(np.uint64)
 
 
 def _limb_value(row: np.ndarray) -> int:
     """The word one row of a :func:`_limb_matrix` holds."""
     return int.from_bytes(row.astype(">u8").tobytes(), "big")
+
+
+def _limb_bits(limbs: np.ndarray, n: int) -> np.ndarray:
+    """The n-bit words of a limb matrix as rows of :func:`_int_bits`."""
+    return np.unpackbits(limbs.astype(">u8").view(np.uint8), axis=1)[:, 64 * limbs.shape[1] - n :]
+
+
+def _bits_limbs(rows: np.ndarray) -> np.ndarray:
+    """The limb matrix whose :func:`_limb_bits` are the 0/1 rows ``rows``."""
+    padded = np.concatenate((np.zeros((len(rows), -rows.shape[1] % 64), dtype=np.uint8), rows), axis=1)
+    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
 
 
 def _check_limb_pairs(n: int, xs: np.ndarray, ys: np.ndarray) -> None:
@@ -449,5 +461,5 @@ def _pool_lanes(n: int, distances: list[int], seeds: list) -> tuple[np.ndarray, 
     x_words[:, :words] = flat[: count * outputs].reshape(count, outputs)[:, :words]
     x_words[:, words - 1] >>= 32 * words - n  # getrandbits(n) drops the top word's low bits
     xs = x_words.view("<u8")[:, ::-1].astype(np.uint64)
-    flips = np.packbits(flipped, axis=1, bitorder="little").view("<u8")[:, ::-1]
+    flips = _bits_limbs(flipped[:, ::-1])  # column q of flipped is bit q
     return xs, xs ^ flips, failed

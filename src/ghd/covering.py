@@ -40,14 +40,13 @@ works at any n: probes and codewords as 64-bit limb matrices, each codeword
 marking the probes within radius by a popcount of the XOR.
 
 For n <= 16 the nearest-codeword table is filled by expanding balls of
-growing radius around the codewords.  Longer codes decode with one vector
-pass: popcounts of the XOR against the codewords, held as 64-bit limbs,
-then the first argmin.  :meth:`CoveringCode.nearest_indices` decodes many
-words at once the same way (a table lookup, or the argmin in slices of
-bounded working set).  The deterministic protocol's ``pair_outputs(n, xs,
-ys)`` takes both parties' words as limb matrices, decodes the x rows so and
-applies Bob's radius test to the whole batch.  Both decoders refuse a word
-wider than n bits, and the protocol refuses inputs whose length is not n.
+growing radius around the codewords.  Longer codes decode one word or many
+by :meth:`CoveringCode.nearest_indices`: popcounts of the XOR against the
+codewords, held as 64-bit limbs, then the first argmin, in slices of bounded
+working set.  The deterministic protocol's ``pair_outputs(n, xs, ys)`` takes
+both parties' words as limb matrices, decodes the x rows so and applies
+Bob's radius test to the whole batch.  Both decoders refuse a word wider
+than n bits, and the protocol refuses inputs whose length is not n.
 
 Cost bounds reported by :func:`det_complexity_bounds`:
 
@@ -199,11 +198,7 @@ class CoveringCode:
         table = self._decode_table
         if table is not None:
             return int(table[word])
-        matrix = self._limbs
-        limbs = np.frombuffer(word.to_bytes(8 * matrix.shape[1], "big"), dtype=">u8")
-        # argmin returns the first minimum: the lowest index among the nearest
-        # (the method, because np.argmin's dispatch costs more than the scan)
-        return int(np.bitwise_count(matrix ^ limbs).sum(axis=1).argmin())
+        return int(self.nearest_indices([word])[0])
 
     def nearest_indices(self, words: Sequence[int]) -> np.ndarray:
         """:meth:`nearest_index` of each word, as an int64 array.

@@ -12,8 +12,8 @@ private cursor over the shared random stream.  The generator communicates with
 the runtime by yielding commands:
 
 * ``Send(payload, width)`` — transmit ``width`` bits (``payload`` is the bits
-  as an integer, most significant bit first).  The generator is resumed with
-  ``None``.
+  as an integer, most significant bit first, in the word format of
+  :mod:`ghd.bits`).  The generator is resumed with ``None``.
 * ``Recv()`` — block until the peer's next message arrives; the generator is
   resumed with the ``(payload, width)`` pair.
 * ``return bit`` — terminate with this party's output.

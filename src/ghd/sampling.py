@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, _check_lengths, _check_promise
+from .bits import BitString, _bits_int, _check_lengths, _check_promise, _int_bits
 from .runtime import RECV, Protocol, Send, StreamReader, _in_batches, _indices_below_values
 
 __all__ = [
@@ -99,12 +99,10 @@ def sampling_protocol(params: SamplingParams) -> Protocol:
     # Sampling with replacement; indices come off the shared stream, so both
     # parties see the same array at zero communication cost.
     m = params.trial_count
-    pad = (-m) % 8
 
     def alice(x: BitString, reader: StreamReader):
         _check_lengths(params.n, x)
-        bits = x.bit_array()[reader.indices_below(params.n, m)]
-        yield Send(int.from_bytes(np.packbits(bits).tobytes(), "big") >> pad, m)
+        yield Send(_bits_int(x.bit_array()[reader.indices_below(params.n, m)]), m)
         answer, _ = yield RECV
         return answer
 
@@ -112,8 +110,7 @@ def sampling_protocol(params: SamplingParams) -> Protocol:
         _check_lengths(params.n, y)
         indices = reader.indices_below(params.n, m)
         payload, _ = yield RECV
-        data = np.frombuffer((payload << pad).to_bytes((m + pad) // 8, "big"), dtype=np.uint8)
-        mismatches = int((np.unpackbits(data, count=m) ^ y.bit_array()[indices]).sum())
+        mismatches = int((_int_bits(payload, m) ^ y.bit_array()[indices]).sum())
         decision = int(_votes_far(params, mismatches))
         yield Send(decision, 1)
         return decision

@@ -17,9 +17,9 @@ explicitly overridden.
 
 Wire format
 -----------
-A sketch message is ``block_count`` fixed-width sign-magnitude integers,
-most significant bit first, concatenated.  Each word is ``word_width`` bits:
-one sign bit (1 = negative) followed by ``word_width - 1`` magnitude bits.
+A sketch message is ``block_count`` fixed-width sign-magnitude integers in
+the word format of :mod:`ghd.bits`, concatenated.  Each word, ``word_width``
+bits, is one sign bit (1 = negative) and ``word_width - 1`` magnitude bits.
 ``word_width = ceil(log2(2 * floor(sqrt(block_length)) * n**3 + 1)) + 1``,
 wide enough for every reachable grid index, so the serialized length is
 exactly ``block_count * word_width`` bits and transcripts replay across
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, _check_lengths, _check_promise
+from .bits import BitString, _bits_int, _bits_limbs, _check_lengths, _check_promise, _int_bits, _limb_bits
 from .runtime import (
     RECV,
     Protocol,
@@ -219,18 +219,13 @@ class SketchMessage:
         return len(self.grid_indices) * self.word_width
 
     def to_payload(self) -> int:
-        # Each sign-magnitude word is shifted to the top of a big-endian
-        # 64-bit word, whose first ``width`` bits are then packed.
         width = self.word_width
         values = self.grid_indices
         largest = max(values.max(initial=0), -values.min(initial=0))
         if not 1 < width <= 64 or largest >> (width - 1):
             raise ValueError(f"grid indices do not fit {width}-bit sign-magnitude words")
         encoded = np.where(values < 0, -values | (1 << (width - 1)), values)
-        top = (encoded.astype(np.uint64) << np.uint64(64 - width)).astype(">u8")
-        words = np.unpackbits(top.view(np.uint8).reshape(-1, 8), axis=1, count=width)
-        pad = (-self.bit_length) % 8
-        return int.from_bytes(np.packbits(words).tobytes(), "big") >> pad
+        return _bits_int(_limb_bits(encoded.astype(np.uint64)[:, None], width).ravel())
 
     @classmethod
     def from_payload(cls, payload: int, params: SketchParams) -> "SketchMessage":
@@ -241,16 +236,10 @@ class SketchMessage:
         :attr:`SketchParams.max_grid_index`.
         """
         width = params.word_width
-        count = params.block_count
-        total = count * width
+        total = params.block_count * width
         if not 0 <= payload < (1 << total):
             raise ValueError("payload does not fit the declared message length")
-        pad = (-total) % 8
-        data = (payload << pad).to_bytes((total + pad) // 8, "big")
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=total)
-        words = np.zeros((count, 64), dtype=np.uint8)
-        words[:, 64 - width :] = bits.reshape(count, width)
-        encoded = np.packbits(words, axis=1).view(">u8").ravel().astype(np.int64)
+        encoded = _bits_limbs(_int_bits(payload, total).reshape(-1, width))[:, 0].astype(np.int64)
         sign = 1 << (width - 1)
         magnitudes = encoded & (sign - 1)
         limit = params.max_grid_index
@@ -282,8 +271,7 @@ def _project(x: BitString, params: SketchParams, vectors: np.ndarray) -> np.ndar
 
     ``vectors`` may carry leading axes (one per trial of a batch).
     """
-    padded = np.zeros(params.padded_length, dtype=np.float64)
-    padded[: x.length] = x.bit_array()
+    padded = _int_bits(x.value << (params.padded_length - x.length), params.padded_length)
     return _sum_last(padded.reshape(params.block_count, params.block_length) * vectors)
 
 

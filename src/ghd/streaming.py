@@ -1,12 +1,13 @@
 """Reduction from the gap promise to deterministic distinct-count streaming.
 
 Each party encodes its n-bit input as a token stream over the universe
-{1, ..., 2n}: position i carries token ``n * bit_i + i`` (1-indexed), so the
-concatenated stream has exactly ``n + H(x, y)`` distinct tokens.  A p-pass
-deterministic algorithm with memory S can then decide "x = y or distance >=
-gap" with at most ``2 p S`` bits of communication: the parties shuttle state
-snapshots at every stream boundary (2p - 1 handoffs) and Bob thresholds the
-final estimate at ``n + gap``.
+{1, ..., 2n}: position i (1-indexed, in the word format of :mod:`ghd.bits`)
+carries token ``n * bit_i + i``, so the concatenated stream has exactly
+``n + H(x, y)`` distinct tokens.  A p-pass deterministic algorithm with
+memory S can then decide "x = y or distance >= gap" with at most ``2 p S``
+bits of communication: the parties shuttle state snapshots at every stream
+boundary (2p - 1 handoffs) and Bob thresholds the final estimate at
+``n + gap``.
 
 Algorithm plug-in contract
 --------------------------
@@ -61,7 +62,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bits import BitString, _check_limb_pairs, _parse_decimal, _read_text, hamming_distance, random_pair_at_distance
+from .bits import BitString, _bits_int, _check_limb_pairs, _int_bits, _limb_bits, _parse_decimal, _read_text, hamming_distance, random_pair_at_distance
 from .covering import det_complexity_bounds
 from .runtime import (
     RECV,
@@ -199,24 +200,21 @@ class ExactBitmapF0(StreamingAlgorithm):
         self._check_tokens(tokens)
         present = np.zeros(self.universe_size, dtype=bool)
         present[tokens - 1] = True
-        bits = int.from_bytes(np.packbits(present, bitorder="little").tobytes(), "little")
-        self._bitmap |= bits & ((1 << self.capacity_bits) - 1)
+        # bit token - 1, up to the capacity: the presence vector read backwards
+        self._bitmap |= _bits_int(present[: self.capacity_bits][::-1])
 
     def final_estimates(self, token_rows: np.ndarray) -> np.ndarray:
         # Every pass sets the same bits, so one presence matrix over the rows,
         # merged with the bits already held and cut at the capacity, counts
         # each row's final bitmap.
         self._check_tokens(token_rows)
-        capacity = self.capacity_bits
         present = np.zeros((len(token_rows), self.universe_size), dtype=bool)
         present[np.arange(len(token_rows))[:, None], token_rows - 1] = True
-        held = np.frombuffer(self._bitmap.to_bytes((capacity + 7) // 8, "little"), dtype=np.uint8)
-        held = np.unpackbits(held, count=capacity, bitorder="little").view(bool)
-        return (present[:, :capacity] | held).sum(axis=1, dtype=np.int64)
+        held = _int_bits(self._bitmap, self.capacity_bits)[::-1].view(bool)
+        return (present[:, : self.capacity_bits] | held).sum(axis=1, dtype=np.int64)
 
     def snapshot(self) -> StateSnapshot:
-        nbytes = (self.capacity_bits + 7) // 8
-        return StateSnapshot(self._bitmap.to_bytes(nbytes, "big"), self.capacity_bits)
+        return _wire_to_snapshot(self._bitmap, self.capacity_bits)
 
     def restore(self, snapshot: StateSnapshot) -> None:
         if snapshot.bit_length != self.capacity_bits:
@@ -245,19 +243,14 @@ def encode_streams(x: BitString, y: BitString, n: int) -> tuple[list[int], list[
     """Token streams ``u_i = n * x_i + i`` and ``v_i = n * y_i + i`` (i from 1)."""
     if x.length != n or y.length != n:
         raise ValueError("input lengths do not match n")
-    return _tokens(x).tolist(), _tokens(y).tolist()
+    return _tokens(x.bit_array()).tolist(), _tokens(y.bit_array()).tolist()
 
 
-def _tokens(x: BitString) -> np.ndarray:
+def _tokens(bits: np.ndarray) -> np.ndarray:
+    """The tokens ``n * bit_i + i`` (i from 1) of an n-bit word's bits, or of each row of bits."""
+    n = bits.shape[-1]
     # int64 before the product: n * bit in uint8 would wrap for n >= 256
-    n = x.length
-    return x.bit_array().astype(np.int64) * n + np.arange(1, n + 1, dtype=np.int64)
-
-
-def _bit_rows(limbs: np.ndarray, n: int) -> np.ndarray:
-    """The positions of each n-bit word of a limb matrix, as the uint8 rows
-    of ``BitString.bit_array()``."""
-    return np.unpackbits(limbs.astype(">u8").view(np.uint8), axis=1)[:, 64 * limbs.shape[1] - n :]
+    return bits.astype(np.int64) * n + np.arange(1, n + 1, dtype=np.int64)
 
 
 def exact_f0(stream: Iterable[int]) -> int:
@@ -316,7 +309,7 @@ def streaming_protocol(
 
     def alice(x: BitString, reader: StreamReader):
         machine = algorithm_factory()
-        tokens = _tokens(x)
+        tokens = _tokens(x.bit_array())
         passes = machine.passes
         for pass_index in range(passes):
             if pass_index == 0:
@@ -334,7 +327,7 @@ def streaming_protocol(
         machine = algorithm_factory()
         n = y.length
         gap = stream_gap(n, approx_factor)
-        tokens = _tokens(y)
+        tokens = _tokens(y.bit_array())
         passes = machine.passes
         for pass_index in range(passes):
             payload, width = yield RECV
@@ -352,12 +345,11 @@ def streaming_protocol(
     def pair_outputs(n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         _check_limb_pairs(n, xs, ys)
         threshold = n + stream_gap(n, approx_factor)
-        positions = np.tile(np.arange(1, n + 1, dtype=np.int64), 2)
 
         def decide(pairs: np.ndarray) -> np.ndarray:
-            # row i: x's positions, then y's
-            bits = _bit_rows(pairs.reshape(-1, pairs.shape[2]), n).reshape(len(pairs), 2 * n)
-            estimates = algorithm_factory().final_estimates(bits.astype(np.int64) * n + positions)
+            # row i: x's tokens, then y's
+            tokens = _tokens(_limb_bits(pairs.reshape(-1, pairs.shape[2]), n)).reshape(len(pairs), 2 * n)
+            estimates = algorithm_factory().final_estimates(tokens)
             return (estimates >= threshold).astype(np.int64)
 
         return _in_batches(np.stack((xs, ys), axis=1), 2 * n, decide)
@@ -442,7 +434,7 @@ def _final_estimate(
     y: BitString,
 ) -> int:
     # Reference single-machine execution over the concatenated stream.
-    tokens = np.concatenate((_tokens(x), _tokens(y)))
+    tokens = np.concatenate((_tokens(x.bit_array()), _tokens(y.bit_array())))
     return int(algorithm_factory().final_estimates(tokens[None, :])[0])
 
 

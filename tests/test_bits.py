@@ -1,6 +1,8 @@
+import ast
 import math
 import pickle
 import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -79,7 +81,7 @@ def test_bitstring_has_slots_and_pickles():
         s.value = 0
 
 
-# ---------------------------------------------------------------- byte rows
+# ---------------------------------------------------------------- word formats
 
 
 def _to_bytes_rows(values, nbytes):
@@ -89,14 +91,59 @@ def _to_bytes_rows(values, nbytes):
 
 @pytest.mark.parametrize("nbytes", range(1, 10))
 def test_byte_rows_match_to_bytes(nbytes):
-    top = (1 << (8 * nbytes)) - 1
+    # the limb matrix of (8 * nbytes)-bit words, read as big-endian bytes,
+    # is each word's to_bytes over the row's whole limbs
+    n = 8 * nbytes
+    row_bytes = 8 * ((n + 63) // 64)
+    top = (1 << n) - 1
     for values in ([0], [top], [], [top, 0, 1, top >> 1]):
-        rows = bits._byte_rows(values, nbytes)
-        assert rows.dtype == np.uint8 and rows.shape == (len(values), nbytes)
-        assert rows.tolist() == _to_bytes_rows(values, nbytes).tolist()
-    for oversize in (top + 1, -1):
+        rows = bits._limb_matrix(values, n)
+        assert rows.dtype == np.uint64 and rows.shape == (len(values), row_bytes // 8)
+        assert rows.astype(">u8").view(np.uint8).tolist() == _to_bytes_rows(values, row_bytes).tolist()
+    for oversize in (1 << (8 * row_bytes), -1):
         with pytest.raises(OverflowError):
-            bits._byte_rows([0, oversize], nbytes)
+            bits._limb_matrix([0, oversize], n)
+
+
+def _assert_formats_round_trip(n, words):
+    """The three inverse pairs of the word format on n-bit words."""
+    for word in words:
+        vector = bits._int_bits(word, n)
+        assert vector.dtype == np.uint8 and vector.tolist() == [int(c) for c in format(word, f"0{n}b")]
+        assert bits._bits_int(vector) == word
+    matrix = bits._limb_matrix(words, n)
+    assert matrix.dtype == np.uint64 and matrix.shape == (len(words), (n + 63) // 64)
+    assert [bits._limb_value(row) for row in matrix] == words
+    rows = bits._limb_bits(matrix, n)
+    assert rows.dtype == np.uint8 and rows.tolist() == [bits._int_bits(w, n).tolist() for w in words]
+    assert bits._bits_limbs(rows).tolist() == matrix.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 128, 200])
+def test_word_formats_round_trip_at_edge_widths(n):
+    top = (1 << n) - 1
+    _assert_formats_round_trip(n, [0, top, 1, top >> 1, top ^ 1, 1 << (n - 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.lists(st.integers(0, (1 << 200) - 1), max_size=6))
+def test_word_formats_round_trip(n, words):
+    _assert_formats_round_trip(n, [word >> (200 - n) for word in words])
+
+
+def test_only_bits_packs_and_unpacks_bits():
+    # the word format has one home: outside bits.py no module of the
+    # package calls packbits or unpackbits
+    callers = {}
+    for path in sorted(Path(bits.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("packbits", "unpackbits"):
+                    callers.setdefault(path.name, []).append(node.lineno)
+    assert "bits.py" in callers  # the scan sees the calls it looks for
+    assert sorted(callers) == ["bits.py"]
 
 
 # ---------------------------------------------------------------- distance

@@ -536,8 +536,9 @@ def test_pair_outputs_match_runs_on_the_scan_path(n, monkeypatch):
     rng = random.Random(n)
     expected = assert_pair_outputs_match_runs(params, [rng.getrandbits(n) for _ in range(2000)], rng)
     assert 0 < sum(expected) < len(expected)
-    # the working set of one word is one XOR row against every codeword
-    assert steps == [(2000, params.code.size)] * 2
+    # the working set of one word is one XOR row against every codeword; the
+    # one-row steps are nearest_index's decodes for the real runs
+    assert [step for step in steps if step[0] > 1] == [(2000, params.code.size)] * 2
     assert runtime._BATCH_COORDINATES // params.code.size < 2000
 
 
