@@ -199,7 +199,7 @@ def _check_lengths(n: int, *inputs: BitString) -> None:
 
 
 def _int_bits(value: int, count: int) -> np.ndarray:
-    """The bits of a nonnegative int below ``2**count`` as a uint8 0/1 vector of ``count``."""
+    """The ``count`` bits of a nonnegative int below ``2**count``, most significant first, as a uint8 0/1 vector."""
     nbytes = (count + 7) // 8
     return np.unpackbits(np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8))[8 * nbytes - count :]
 

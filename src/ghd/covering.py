@@ -46,7 +46,9 @@ codewords, held as 64-bit limbs, then the first argmin, in slices of bounded
 working set.  The deterministic protocol's ``pair_outputs(n, xs, ys)`` takes
 both parties' words as limb matrices, decodes the x rows so and applies
 Bob's radius test to the whole batch.  Both decoders refuse a word wider
-than n bits, and the protocol refuses inputs whose length is not n.
+than n bits, and the protocol refuses inputs whose length is not n.  Alice,
+and ``pair_outputs`` on the whole batch, raise ``ContractViolationError``
+when her codeword lies beyond the radius: the code leaves her word uncovered.
 
 Cost bounds reported by :func:`det_complexity_bounds`:
 
@@ -73,8 +75,8 @@ import random
 
 import numpy as np
 
-from .bits import BitString, _check_lengths, _check_limb_pairs, _limb_matrix, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
-from .runtime import RECV, Protocol, Send, StreamReader, _in_batches
+from .bits import BitString, _check_lengths, _check_limb_pairs, _limb_matrix, _limb_value, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
+from .runtime import RECV, ContractViolationError, Protocol, Send, StreamReader, _in_batches
 
 __all__ = [
     "CoveringCode",
@@ -478,9 +480,15 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
     width = code.index_width
     radius = params.decision_radius
 
+    def check_cover(word: int, distance: int) -> None:
+        if distance > radius:  # the protocol is exact only within the radius
+            message = f"word {word:0{code.n}b} lies at distance {distance} from its nearest codeword"
+            raise ContractViolationError(f"{message}, beyond the code's radius {radius}")
+
     def alice(x: BitString, reader: StreamReader):
         _check_lengths(code.n, x)
         index = code.nearest_index(x.value)
+        check_cover(x.value, (code.codewords[index] ^ x.value).bit_count())
         if width > 0:
             yield Send(index, width)
         answer, _ = yield RECV
@@ -501,6 +509,10 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
             raise ValueError(f"input length {n} does not match n = {code.n}")
         _check_limb_pairs(n, xs, ys)
         chosen = code._limbs[code._nearest_rows(xs)]
+        reach = np.bitwise_count(chosen ^ xs).sum(axis=1)
+        beyond = np.flatnonzero(reach > radius)
+        if len(beyond):
+            check_cover(_limb_value(xs[beyond[0]]), int(reach[beyond[0]]))
         return (np.bitwise_count(chosen ^ ys).sum(axis=1) > radius).astype(np.int64)
 
     return Protocol(

@@ -137,37 +137,20 @@ def derive_sketch_params(
             f"(needs >= {floor:.6g}); pass allow_void_guarantee=True to proceed"
         )
     block_count = math.ceil(4 * n * (error_exponent / far_bound) ** (1.0 / 3.0))
-    if block_count > n:
-        return SketchParams(
-            n,
-            close_bound,
-            far_bound,
-            error_exponent,
-            block_count,
-            block_length=None,
-            padded_length=None,
-            word_width=None,
-            trivial_mode=True,
-        )
-    block_length = -(-n // block_count)
-    padded_length = block_length * block_count
-    max_index = math.isqrt(block_length * n**6)  # floor(sqrt(a) * n**3)
-    if max_index >= 2**53:
-        raise ValueError(
-            f"n = {n}, block_length = {block_length}: grid indices reach "
-            f"floor(sqrt(block_length) * n**3) >= 2**53, beyond float64's exact integers"
-        )
-    word_width = (2 * max_index).bit_length() + 1  # ceil(log2(2M+1)) + 1
+    trivial_mode = block_count > n
+    block_length = padded_length = word_width = None
+    if not trivial_mode:
+        block_length = -(-n // block_count)
+        padded_length = block_length * block_count
+        max_index = math.isqrt(block_length * n**6)  # floor(sqrt(a) * n**3)
+        if max_index >= 2**53:
+            raise ValueError(
+                f"n = {n}, block_length = {block_length}: grid indices reach "
+                f"floor(sqrt(block_length) * n**3) >= 2**53, beyond float64's exact integers"
+            )
+        word_width = (2 * max_index).bit_length() + 1  # ceil(log2(2M+1)) + 1
     return SketchParams(
-        n,
-        close_bound,
-        far_bound,
-        error_exponent,
-        block_count,
-        block_length,
-        padded_length,
-        word_width,
-        trivial_mode=False,
+        n, close_bound, far_bound, error_exponent, block_count, block_length, padded_length, word_width, trivial_mode
     )
 
 

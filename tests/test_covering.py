@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ghd import covering, runtime
+from ghd.runtime import ContractViolationError
 from ghd.bits import BitString, _limb_matrix, ball_volume, random_pair_at_distance
 from ghd.covering import (
     _GAIN_CHUNK_ENTRIES,
@@ -547,11 +548,12 @@ def test_pair_outputs_match_runs_beyond_one_limb(n):
     rng = random.Random(n)
     code = CoveringCode(n, 20, tuple(rng.getrandbits(n) for _ in range(300)))
     params = det_protocol_params(n, 41, code=code)
-    # half the words a few flips from a codeword, so the minimum is often unique
-    words = [
-        _flipped(rng, n, rng.choice(code.codewords), 5) if i % 2 else rng.getrandbits(n)
-        for i in range(600)
-    ]
+    # random words mostly lie beyond the radius of every codeword, so only
+    # the decoders take them
+    far = [rng.getrandbits(n) for _ in range(300)]
+    assert code.nearest_indices(far).tolist() == [code.nearest_index(w) for w in far]
+    # the protocol's inputs lie within the radius of a codeword, as it requires
+    words = [_flipped(rng, n, rng.choice(code.codewords), 20) for _ in range(600)]
     expected = assert_pair_outputs_match_runs(params, words, rng)
     assert 0 < sum(expected) < len(expected)
 
@@ -577,6 +579,22 @@ def test_batch_decode_of_a_permuted_radius_zero_code():
     outputs = proto.pair_outputs(2, limbs(xs, 2), limbs(ys, 2)).tolist()
     assert outputs == [proto.run(x, y, 0).output for x, y in zip(xs, ys)]
     assert outputs == [int(x != y) for x, y in zip(xs, ys)]
+
+
+def test_det_protocol_refuses_a_word_its_code_does_not_cover():
+    # every 3-bit word but 110 lies within 1 of 000, 011 or 101; 110 lies at
+    # 2 from each, so Bob would answer 1 to x = y = 110
+    code = CoveringCode(3, 1, (0b000, 0b011, 0b101))
+    assert [w for w in range(8) if not oracle_covered(code, w)] == [0b110]
+    proto = det_protocol(det_protocol_params(3, 3, code=code))
+    fault = "word 110 lies at distance 2 from its nearest codeword, beyond the code's radius 1"
+    with pytest.raises(ContractViolationError, match=fault):
+        proto.run(BitString(3, 0b110), BitString(3, 0b110), 0)
+    with pytest.raises(ContractViolationError, match=fault):
+        proto.pair_outputs(3, _limb_matrix(range(8), 3), _limb_matrix(range(8), 3))
+    covered = [w for w in range(8) if w != 0b110]
+    assert [proto.run(BitString(3, w), BitString(3, w), 0).output for w in covered] == [0] * 7
+    assert proto.pair_outputs(3, _limb_matrix(covered, 3), _limb_matrix(covered, 3)).tolist() == [0] * 7
 
 
 @pytest.mark.parametrize("n", [12, 17, 70])

@@ -23,6 +23,7 @@ from ghd.experiments import (
     run_experiment,
 )
 from ghd.bits import BitString, random_pair_at_distance
+from ghd.covering import CoveringCode
 from ghd.runtime import ContractViolationError, StreamReader, derive_seed
 from ghd.sampling import derive_sampling_params
 from ghd.sketch import derive_sketch_params
@@ -141,6 +142,16 @@ def test_det_code_dir_cache(tmp_path):
     assert (code_dir / "code-n9-r1.txt").exists()
     second = run_experiment(parse_config(text))
     assert first.to_csv() == second.to_csv()
+
+
+def test_det_sweep_raises_on_a_word_its_code_does_not_cover(monkeypatch):
+    # 110 lies at 2 from every codeword; a sweep that draws it raises rather
+    # than count a wrong answer or skip the point
+    holed = CoveringCode(3, 1, (0b000, 0b011, 0b101))
+    monkeypatch.setattr(experiments, "greedy_covering_code", lambda n, radius: holed)
+    config = parse_config("protocol = det\ntrials = 40\nseed = 3\npoint n=3 t=3\n")
+    with pytest.raises(ContractViolationError, match="word 110 lies at distance 2"):
+        run_experiment(config)
 
 
 def test_skipped_det_point_builds_no_code(tmp_path):
