@@ -264,7 +264,11 @@ def _read_text(path: str | Path) -> str:
 
     The error names the file and the line of the first bad byte.
     """
-    data = Path(path).read_bytes()
+    return _decode_text(path, Path(path).read_bytes())
+
+
+def _decode_text(path: str | Path, data: bytes) -> str:
+    """:func:`_read_text` of a file whose bytes were read as ``data``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--config", required=True, help="key-value config file")
     bench.add_argument("--out", help="write the report here instead of stdout")
     bench.add_argument("--jobs", type=int, default=1, help="parallel workers over grid points")
-    bench.add_argument("--code-dir", help="det only: read-through cache of covering-code files")
+    bench.add_argument("--code-dir", help="det only: directory of covering-code files, built when missing")
     bench.add_argument(
         "--timings", help="also write per-point wall time, trials, runs/s and audited runs here (JSON)"
     )

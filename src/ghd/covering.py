@@ -61,11 +61,20 @@ Cost bounds reported by :func:`det_complexity_bounds`:
 
 Code file format: a header line ``n radius size`` followed by one lowercase
 hex codeword per line, zero-padded to ``ceil(n / 4)`` digits.
+:func:`load_code` reads the file on every call, but keeps the audited codes
+of the last ``_LOADED_CODES_MAX`` (8) files it read.  An unchanged file at the
+same path gets the same :class:`CoveringCode` object back, with the limbs
+and decode table it has already built; new bytes or a new path are parsed
+and audited again.  A code's limbs and decode table are read-only arrays,
+since every sweep in the process may share them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
@@ -75,7 +84,7 @@ import random
 
 import numpy as np
 
-from .bits import BitString, _check_lengths, _check_limb_pairs, _limb_matrix, _limb_value, _parse_decimal, _read_text, ball_volume, hamming_distance, log2_ball_volume
+from .bits import BitString, _check_lengths, _check_limb_pairs, _limb_matrix, _limb_value, _decode_text, _parse_decimal, ball_volume, hamming_distance, log2_ball_volume
 from .runtime import RECV, ContractViolationError, Protocol, Send, StreamReader, _in_batches
 
 __all__ = [
@@ -100,6 +109,9 @@ GREEDY_MAX_N = 22
 _GAIN_CHUNK_ENTRIES = 8_000_000  # index entries per greedy gain-update pass
 _EXHAUSTIVE_AUDIT_MAX_N = 24
 _HEX_DIGITS = frozenset("0123456789abcdef")
+_LOADED_CODES_MAX = 8  # audited code files load_code keeps, least recently used out first
+_loaded_codes: OrderedDict[Path, tuple[bytes, CoveringCode]] = OrderedDict()
+_log = logging.getLogger(__name__)
 
 
 class CodeConstructionError(RuntimeError):
@@ -179,11 +191,14 @@ class CoveringCode:
                 np.minimum.at(best, chunk[hit], start + hit // len(offsets))
             if not (best == unset).any():
                 break
+        best.flags.writeable = False
         return best
 
     @cached_property
     def _limbs(self) -> np.ndarray:
-        return _limb_matrix(self.codewords, self.n)
+        limbs = _limb_matrix(self.codewords, self.n)
+        limbs.flags.writeable = False
+        return limbs
 
     def _check_width(self, word: int) -> None:
         # word >> n is nonzero exactly when word lies outside [0, 2**n); the
@@ -571,8 +586,37 @@ def load_code(path: str | Path, validate: bool = True) -> CoveringCode:
     A malformed file raises ``ValueError`` naming the file, and the line when
     one line is at fault.  The header and rows must be exactly as
     :func:`save_code` writes them.
+
+    With ``validate`` the file's bytes are read on every call, and the last
+    ``_LOADED_CODES_MAX`` files that passed are kept by resolved path: when
+    the bytes at that path are the ones that passed, the same code object
+    comes back, decode table included, with no parse or audit.  New bytes
+    or a new path are parsed and audited again.  ``validate=False`` neither
+    reads nor fills that cache.
     """
-    lines = _read_text(path).splitlines()
+    data = Path(path).read_bytes()
+    if not validate:
+        return _parse_code(path, data)
+    key = Path(path).resolve()
+    digest = hashlib.sha256(data).digest()
+    cached = _loaded_codes.pop(key, None)
+    if cached is not None and cached[0] == digest:
+        _loaded_codes[key] = cached
+        _log.debug("reused the audited code of %s", path)
+        return cached[1]
+    code = _parse_code(path, data)
+    if not audit_covering(code):
+        raise CodeConstructionError(f"{path}: loaded code fails its covering audit")
+    _loaded_codes[key] = (digest, code)
+    if len(_loaded_codes) > _LOADED_CODES_MAX:
+        _loaded_codes.popitem(last=False)
+    _log.debug("parsed and audited %s", path)
+    return code
+
+
+def _parse_code(path: str | Path, data: bytes) -> CoveringCode:
+    """The code a file's bytes hold; see :func:`load_code`."""
+    lines = _decode_text(path, data).splitlines()
     if not lines:
         raise ValueError(f"empty code file: {path}")
     header = lines[0].split()
@@ -598,7 +642,4 @@ def load_code(path: str | Path, validate: bool = True) -> CoveringCode:
         if codeword >> n:
             raise ValueError(f"{path}, line {lineno}: codeword does not fit in n bits: {row!r}")
         codewords.append(codeword)
-    code = CoveringCode(n, radius, tuple(codewords))
-    if validate and not audit_covering(code):
-        raise CodeConstructionError(f"{path}: loaded code fails its covering audit")
-    return code
+    return CoveringCode(n, radius, tuple(codewords))

@@ -8,7 +8,7 @@ Configs are key-value text files::
     format = csv               # csv | json
     rate = hoeffding           # sampling only: hoeffding | linear
     linear_rate_constant = 8.0 # sampling only, used when rate = linear
-    code_dir = codes/          # det only: read-through cache of code files
+    code_dir = codes/          # det only: directory of code files, built when missing
     point n=512 L=4 U=256 s=2  # one grid point per line
     point n=512 L=4 U=256 s=3
 
@@ -27,6 +27,12 @@ theoretical bound (exact zero where the guarantee is one-sided or
 deterministic), and ok-flags.  ``err_close`` is the error rate on the
 output-0 class, ``err_far`` on the output-1 class.  A CSV cell holding a
 comma, quote or newline (a skip reason may) is quoted.
+
+A det point with a ``code_dir`` reads ``code-n{n}-r{radius}.txt`` there
+through :func:`ghd.covering.load_code`, after :func:`prepare_codes` has
+built and saved any file that is missing.  Within one process an unchanged
+file at the same path reuses its audited code and decode table (at most 8
+files are kept); new bytes or a new path are parsed and audited again.
 
 Per-point seeds are derived from the master seed by a documented
 splitmix-style derivation (:func:`ghd.runtime.derive_seed`), so parallel and
@@ -53,6 +59,11 @@ branch and ``_randbelow``, run in numpy lanes), so every report is the one
 the per-pair draws give.  Each class is held as limb matrices (rows of
 big-endian 64-bit limbs), which ``pair_outputs(n, xs, ys)`` reads as they
 are; ``BitString`` inputs are built only for the audited runs.
+
+Progress goes to the ``ghd.experiments`` logger: one INFO line per finished
+point with its index, status, seconds and audited runs.  The package
+configures no handler, so nothing is printed unless the caller sets one up,
+and the reports are the same either way.
 """
 
 from __future__ import annotations
@@ -60,10 +71,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -147,6 +160,7 @@ _FLOAT_KEYS = {"s", "c"}
 _NUMBER_SETTINGS = {"trials": int, "seed": int, "linear_rate_constant": float}
 _SETTINGS = {"protocol", "trials", "seed", "format", "rate", "linear_rate_constant", "code_dir"}
 _FORMATS = ("csv", "json")
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -548,23 +562,23 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> Report:
     """One record per grid point; deterministic given the config and seed.
 
     ``jobs`` caps the worker processes; no more start than there are grid
-    points, and ``jobs < 1`` raises ``ValueError``.
+    points, and ``jobs < 1`` raises ``ValueError``.  Each point logs one INFO
+    line to ``ghd.experiments`` as its result comes in.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     prepare_codes(config)
     indices = range(len(config.grid))
     workers = min(jobs, len(indices))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            timed = list(pool.map(_timed_point, repeat(config), indices))
-    else:
-        timed = [_timed_point(config, index) for index in indices]
-    return Report(
-        [record for record, _, _ in timed],
-        [seconds for _, _, seconds in timed],
-        [audited for _, audited, _ in timed],
-    )
+    report = Report()
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        timed = (pool.map if pool else map)(_timed_point, repeat(config), indices)
+        for index, (record, audited, seconds) in enumerate(timed):
+            _log.info("point %d: %s in %.3f s, %d audited runs", index, record["status"], seconds, audited)
+            report.records.append(record)
+            report.seconds.append(seconds)
+            report.audited_runs.append(audited)
+    return report
 
 
 def compare_bounds(records: list[dict]) -> list[dict]:

@@ -1,6 +1,8 @@
 import hashlib
+import logging
 import math
 import random
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -813,6 +815,124 @@ def test_load_audits_covering(tmp_path):
     with pytest.raises(CodeConstructionError):
         load_code(path)
     assert load_code(path, validate=False) == bad
+
+
+@pytest.fixture
+def audits(monkeypatch):
+    """An empty load_code cache, and the list of codes audit_covering has checked since."""
+    monkeypatch.setattr(covering, "_loaded_codes", OrderedDict())
+    checked = []
+    audit = covering.audit_covering
+
+    def counted(code, *args, **kwargs):
+        checked.append(code)
+        return audit(code, *args, **kwargs)
+
+    monkeypatch.setattr(covering, "audit_covering", counted)
+    return checked
+
+
+def test_unchanged_file_reuses_its_audited_code(tmp_path, audits):
+    path = tmp_path / "code.txt"
+    save_code(greedy_covering_code(10, 1), path)
+    first = load_code(path)
+    table = first._decode_table
+    assert load_code(str(path)) is first  # the same resolved path
+    assert load_code(tmp_path / "." / "code.txt") is first
+    assert first._decode_table is table
+    assert audits == [first]
+
+
+def test_rewritten_file_is_parsed_and_audited_again(tmp_path, audits):
+    path = tmp_path / "code.txt"
+    good = greedy_covering_code(6, 1)
+    save_code(good, path)
+    first = load_code(path)
+    save_code(CoveringCode(6, 1, good.codewords[:-1]), path)  # a hole where the last ball was
+    for _ in range(2):
+        with pytest.raises(CodeConstructionError):
+            load_code(path)
+    save_code(good, path)
+    again = load_code(path)
+    assert again == first and again is not first
+    assert len(audits) == 4
+
+
+def test_identical_bytes_at_a_new_path_are_audited_again(tmp_path, audits):
+    path, copy = tmp_path / "code.txt", tmp_path / "copy.txt"
+    save_code(greedy_covering_code(8, 1), path)
+    copy.write_bytes(path.read_bytes())
+    first = load_code(path)
+    second = load_code(copy)
+    assert second == first and second is not first
+    assert audits == [first, second]
+
+
+def test_failing_file_raises_every_time_and_is_never_kept(tmp_path, audits):
+    path = tmp_path / "bad.txt"
+    save_code(CoveringCode(6, 1, (0,)), path)
+    for _ in range(3):
+        with pytest.raises(CodeConstructionError):
+            load_code(path)
+    assert len(audits) == 3
+    assert not covering._loaded_codes
+
+
+def test_unvalidated_load_neither_reads_nor_fills_the_cache(tmp_path, audits):
+    path = tmp_path / "code.txt"
+    code = greedy_covering_code(8, 2)
+    save_code(code, path)
+    loose = load_code(path, validate=False)
+    assert loose == code and not covering._loaded_codes
+    kept = load_code(path)
+    assert load_code(path, validate=False) is not kept
+    holed = CoveringCode(8, 2, (0,))
+    save_code(holed, path)
+    assert load_code(path, validate=False) == holed  # the file, not the kept code
+    assert audits == [kept]
+
+
+def test_loading_more_files_than_the_bound_drops_the_least_recent(tmp_path, audits):
+    paths = [tmp_path / f"code-{i}.txt" for i in range(covering._LOADED_CODES_MAX + 1)]
+    for i, path in enumerate(paths):
+        save_code(CoveringCode(4, 4, (i,)), path)
+    codes = [load_code(path) for path in paths[:-1]]
+    assert load_code(paths[0]) is codes[0]  # now the most recent
+    load_code(paths[-1])
+    assert len(covering._loaded_codes) == covering._LOADED_CODES_MAX
+    assert load_code(paths[0]) is codes[0]
+    assert load_code(paths[2]) is codes[2]
+    assert load_code(paths[1]) is not codes[1]  # dropped: audited again
+    assert len(audits) == len(paths) + 1
+
+
+def test_load_code_logs_parse_or_reuse_at_debug(tmp_path, audits, caplog):
+    path = tmp_path / "code.txt"
+    save_code(greedy_covering_code(6, 1), path)
+    caplog.set_level(logging.DEBUG, logger="ghd.covering")
+    load_code(path)
+    load_code(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"parsed and audited {path}",
+        f"reused the audited code of {path}",
+    ]
+    assert logging.getLogger("ghd.covering").handlers == []
+
+
+@pytest.mark.parametrize("n, radius", [(12, 2), (17, 3), (70, 30)])
+def test_shared_code_arrays_are_read_only(tmp_path, n, radius):
+    path = tmp_path / "code.txt"
+    save_code(greedy_covering_code(n, radius) if n <= 17 else random_covering_code(n, radius), path)
+    code = load_code(path)
+    with pytest.raises(ValueError, match="read-only"):
+        code._limbs[0, 0] = 1
+    if n <= 16:
+        with pytest.raises(ValueError, match="read-only"):
+            code._decode_table[0] = 1
+        np.testing.assert_array_equal(code._decode_table, loop_decode_table(code))
+    else:
+        words = random.Random(n).sample(range(1 << 17), 50)
+        assert code.nearest_indices(words).tolist() == [scan_nearest_index(code, w) for w in words]
 
 
 @st.composite

@@ -3,9 +3,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import math
 import random
 import re
+from collections import OrderedDict
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghd import bits, experiments, sampling
+from ghd import bits, covering, experiments, sampling
 from ghd.experiments import (
     COLUMNS,
     ExperimentConfig,
@@ -142,6 +144,39 @@ def test_det_code_dir_cache(tmp_path):
     assert (code_dir / "code-n9-r1.txt").exists()
     second = run_experiment(parse_config(text))
     assert first.to_csv() == second.to_csv()
+
+
+def test_points_sharing_a_radius_audit_their_code_file_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(covering, "_loaded_codes", OrderedDict())
+    audited = []
+    audit = covering.audit_covering
+    monkeypatch.setattr(covering, "audit_covering", lambda code: audited.append(code) or audit(code))
+    code_dir = tmp_path / "codes"
+    config = parse_config(f"protocol = det\ntrials = 30\nseed = 5\ncode_dir = {code_dir}\npoint n=12 t=5\npoint n=12 t=6\n")
+    report = run_experiment(config)
+    assert [r["status"] for r in report.records] == ["ok", "ok"]
+    assert sorted(path.name for path in code_dir.iterdir()) == ["code-n12-r2.txt"]
+    assert len(audited) == 1
+    assert run_experiment(config).to_csv() == report.to_csv()
+    assert len(audited) == 1  # a second sweep reuses it too
+    covering._loaded_codes.clear()
+    assert run_experiment(config).to_csv() == report.to_csv()
+    assert len(audited) == 2
+
+
+def test_progress_is_logged_per_point_and_leaves_reports_alone(tmp_path, caplog):
+    text = f"protocol = det\ntrials = 20\nseed = 4\ncode_dir = {tmp_path}\npoint n=9 t=4\npoint n=9 t=40\n"
+    config = parse_config(text)
+    quiet = run_experiment(config)
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="ghd")
+    logged = run_experiment(config)
+    assert logged.to_csv() == quiet.to_csv() and logged.to_json() == quiet.to_json()
+    progress = [r for r in caplog.records if r.name == "ghd.experiments"]
+    assert [r.levelno for r in progress] == [logging.INFO] * 2
+    assert re.fullmatch(r"point 0: ok in \d+\.\d{3} s, 2 audited runs", progress[0].getMessage())
+    assert re.fullmatch(r"point 1: skipped in \d+\.\d{3} s, 0 audited runs", progress[1].getMessage())
+    assert logging.getLogger("ghd.experiments").handlers == []
 
 
 def test_det_sweep_raises_on_a_word_its_code_does_not_cover(monkeypatch):
