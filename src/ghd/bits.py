@@ -226,7 +226,8 @@ def _limb_value(row: np.ndarray) -> int:
 
 def _limb_bits(limbs: np.ndarray, n: int) -> np.ndarray:
     """The n-bit words of a limb matrix as rows of :func:`_int_bits`."""
-    return np.unpackbits(limbs.astype(">u8").view(np.uint8), axis=1)[:, 64 * limbs.shape[1] - n :]
+    pad = 64 * limbs.shape[1] - n  # the top limb's unused high bits
+    return np.unpackbits(limbs.astype(">u8").view(np.uint8)[:, pad // 8 :], axis=1)[:, pad % 8 :]
 
 
 def _bits_limbs(rows: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ Subcommands::
     ghd bounds det N T                 deterministic-protocol cost bounds in bits
     ghd bounds stream N C P            streaming space floor for a c-approximation
     ghd bench PROTOCOL --config FILE   run a sweep, write csv/json records
-                                       (--timings FILE: per-point wall times as JSON)
+                                       (--timings FILE: per-point wall times as JSON;
+                                        --progress: one line per finished point on stderr)
     ghd demo stream                    worked example of the streaming reduction
 
 Exit codes: 0 on success, 2 when a bench run produced any bound-violation
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -64,6 +66,7 @@ def _build_parser() -> _Parser:
     bench.add_argument(
         "--timings", help="also write per-point wall time, trials, runs/s and audited runs here (JSON)"
     )
+    bench.add_argument("--progress", action="store_true", help="log each finished point to stderr")
 
     demo = sub.add_parser("demo", help="worked examples")
     demo_sub = demo.add_subparsers(dest="what", required=True)
@@ -119,13 +122,28 @@ def _point_timings(config, report) -> list[dict]:
     return rows
 
 
+def _run_logged(config, jobs: int):
+    """:func:`run_experiment` with its per-point INFO lines sent to stderr."""
+    logger = logging.getLogger("ghd.experiments")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        return run_experiment(config, jobs=jobs)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def _cmd_bench(args) -> int:
     config = load_config(args.config, protocol=normalize_protocol(args.protocol))
     if args.code_dir:
         from dataclasses import replace
 
         config = replace(config, code_dir=args.code_dir)
-    report = run_experiment(config, jobs=args.jobs)
+    report = _run_logged(config, args.jobs) if args.progress else run_experiment(config, jobs=args.jobs)
     text = report.render(config.output_format)
     if args.out:
         Path(args.out).write_text(text)

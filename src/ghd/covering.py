@@ -16,13 +16,20 @@ pick newly covers k points, only words within 2r of it lose gain.  When
 2r < n and ``V2(n, r)**2`` fits the 8,000,000-entry chunk budget, the update
 counts the drops through a precomputed ``V2(n, r) x V2(n, r)`` slot table,
 O(min(k, V2(n, r) - k) * V2(n, r)) work, and subtracts them from the int16
-gains of the 2r-ball, O(V2(n, 2r)).  The drops depend only on which slots of
-the ball are newly covered, and greedy picks come in runs of translates that
-share that mask, so a pick whose mask repeats the previous pick's reuses its
-drops.  Otherwise the update bincounts over the whole cube the k newly
-covered balls, or, when fewer than k points remain uncovered, rebuilds the
-gains from the remaining balls: O(min(k, remaining) * V2(n, r) + 2**n).
-Each pick also takes one O(2**n) argmax.  For larger n,
+gains of the 2r-ball, O(V2(n, 2r)).  A slot is held in the narrowest
+unsigned dtype that fits ``V2(n, 2r) - 1``: uint16 up to (20, 3), uint32 at
+(21, 3) and (22, 3).  The table is filled, and the drops counted, in blocks
+of at most 2**16 entries, so no other temporary outgrows a few blocks.  The
+drops depend only on which slots of the ball are newly covered, and greedy
+picks come in runs of translates that share that mask, so a pick whose mask
+repeats the previous pick's reuses its drops.  Otherwise the update
+bincounts over the whole cube the k newly covered balls, or, when fewer
+than k points remain uncovered, rebuilds the gains from the remaining
+balls: O(min(k, remaining) * V2(n, r) + 2**n).  On both paths the argmax
+resumes from the last pick: gains only fall, and every word below a pick
+held less than it, so the next pick is the first word after the last one
+still at the old maximum.  Segments of growing length are scanned for it,
+and a full O(2**n) argmax runs only once none is left.  For larger n,
 :func:`random_covering_code` samples codewords until every point the
 default :func:`audit_covering` checks is covered, so the code passes that
 audit and reloads; its size is within the same envelope with statistical
@@ -40,7 +47,10 @@ works at any n: probes and codewords as 64-bit limb matrices, each codeword
 marking the probes within radius by a popcount of the XOR.
 
 For n <= 16 the nearest-codeword table is filled by expanding balls of
-growing radius around the codewords.  Longer codes decode one word or many
+growing radius around the codewords.  It holds indices in the narrowest
+unsigned dtype that also fits the code's size, its fill sentinel: uint8 or
+uint16, and uint32 only for the 2**16 words of (16, 0);
+:meth:`CoveringCode.nearest_indices` still returns int64.  Longer codes decode one word or many
 by :meth:`CoveringCode.nearest_indices`: popcounts of the XOR against the
 codewords, held as 64-bit limbs, then the first argmin, in slices of bounded
 working set.  The deterministic protocol's ``pair_outputs(n, xs, ys)`` takes
@@ -107,6 +117,8 @@ __all__ = [
 
 GREEDY_MAX_N = 22
 _GAIN_CHUNK_ENTRIES = 8_000_000  # index entries per greedy gain-update pass
+_SLOT_BLOCK_ENTRIES = 1 << 16  # slot-table entries per block of the local path's set-up and drops
+_ARGMAX_FIRST_SEGMENT = 1 << 12  # gains in the first segment of a resumed argmax
 _EXHAUSTIVE_AUDIT_MAX_N = 24
 _HEX_DIGITS = frozenset("0123456789abcdef")
 _LOADED_CODES_MAX = 8  # audited code files load_code keeps, least recently used out first
@@ -121,7 +133,11 @@ class CodeConstructionError(RuntimeError):
 @lru_cache(maxsize=8)
 def popcount_table(n: int) -> np.ndarray:
     """Popcounts of all words of width n (n <= 22)."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.uint8)
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        # words 2**i .. 2**(i + 1) - 1 are the words below 2**i with bit i set
+        np.add(table[: 1 << i], 1, out=table[1 << i : 2 << i])
+    return table
 
 
 def _ball_offsets(n: int, radius: int) -> np.ndarray:
@@ -177,7 +193,8 @@ class CoveringCode:
         size = 1 << self.n
         codewords = np.array(self.codewords, dtype=np.int64)
         unset = self.size  # never a codeword index
-        best = np.full(size, unset, dtype=np.int64)
+        index = np.min_scalar_type(unset)  # uint32 only for the 2**16 words of (16, 0)
+        best = np.full(size, unset, dtype=index)
         # Growing balls: a word still open at distance d lies at distance
         # exactly d from every codeword whose radius-d ball reaches it, so its
         # nearest codeword is the lowest index among those hits.
@@ -188,7 +205,7 @@ class CoveringCode:
             for start in range(0, self.size, rows):
                 chunk = (codewords[start : start + rows, None] ^ offsets).ravel()
                 hit = np.flatnonzero(still_open[chunk])  # row i is codeword start + i
-                np.minimum.at(best, chunk[hit], start + hit // len(offsets))
+                np.minimum.at(best, chunk[hit], (start + hit // len(offsets)).astype(index))
             if not (best == unset).any():
                 break
         best.flags.writeable = False
@@ -232,13 +249,33 @@ class CoveringCode:
         table = self._decode_table
         if table is not None:
             # n <= 16: a row holds at most one limb, so its sum is the word
-            return table[rows.sum(axis=1, dtype=np.int64)]
+            return table[rows.sum(axis=1, dtype=np.int64)].astype(np.int64)
         matrix = self._limbs
         return _in_batches(
             rows,
             matrix.size,
             lambda chunk: np.bitwise_count(chunk[:, None, :] ^ matrix).sum(axis=2).argmin(axis=1),
         )
+
+
+def _resume_argmax(gain: np.ndarray, start: int, best: int) -> int:
+    """The first word of greatest gain, when no word holds more than ``best``
+    and none below ``start`` holds as much.
+
+    Greedy's gains only fall, and every word below a pick held less than the
+    pick, so the next pick is the first word from the last one on that still
+    holds ``best``.  Segments of growing length are scanned for it, and only
+    when none is left does a full argmax find the new, lower maximum.
+    """
+    step = _ARGMAX_FIRST_SEGMENT
+    while start < len(gain):
+        segment = gain[start : start + step]
+        i = int(segment.argmax())
+        if segment[i] == best:
+            return start + i
+        start += step
+        step *= 2
+    return int(gain.argmax())
 
 
 def greedy_size_bound(n: int, radius: int) -> float:
@@ -281,19 +318,28 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
         # A point pick ^ a newly covered by a pick takes one gain from each
         # candidate pick ^ a ^ b (b in offsets).  a ^ b has popcount <= 2r,
         # so only pick ^ reach is touched; pairs[i, j] is the slot of
-        # offsets[i] ^ offsets[j] in reach.
+        # offsets[i] ^ offsets[j] in reach, in the narrowest dtype that
+        # holds a slot, filled and counted a block of rows at a time.
         reach = _ball_offsets(n, 2 * radius)
-        position = np.zeros(size, dtype=np.int32)
-        position[reach] = np.arange(len(reach), dtype=np.int32)
-        pairs = position[offsets[:, None] ^ offsets]
+        slot = np.min_scalar_type(len(reach) - 1)
+        position = np.zeros(size, dtype=slot)
+        position[reach] = np.arange(len(reach), dtype=slot)
+        pairs = np.empty((volume, volume), dtype=slot)
+        block_rows = max(1, _SLOT_BLOCK_ENTRIES // volume)
+        whole = np.zeros(len(reach), dtype=np.int64)
+        for start in range(0, volume, block_rows):
+            block = pairs[start : start + block_rows]
+            np.take(position, offsets[start : start + block_rows, None] ^ offsets, out=block)
+            whole += np.bincount(block.ravel(), minlength=len(reach))
         del position
-        whole = np.bincount(pairs.ravel(), minlength=len(reach))
         # The drop depends only on fresh, the newly covered slots of the
         # ball, and greedy picks come in runs of translates that share it.
         last_fresh = None
 
+    pick, best = -1, volume
     while remaining:
-        pick = int(np.argmax(gain))
+        pick = _resume_argmax(gain, pick + 1, best)
+        best = gain[pick]
         codewords.append(pick)
         ball = pick ^ offsets
         fresh = uncovered[ball]
@@ -304,11 +350,14 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
             break
         if local:
             if not np.array_equal(fresh, last_fresh):
-                if 2 * len(newly) > volume:
-                    drop = whole - np.bincount(pairs[~fresh].ravel(), minlength=len(reach))
-                else:
-                    drop = np.bincount(pairs[fresh].ravel(), minlength=len(reach))
-                drop = drop.astype(np.int16)
+                # count over the fewer of the fresh and the stale rows
+                complement = 2 * len(newly) > volume
+                rows = np.flatnonzero(~fresh if complement else fresh)
+                drop = np.zeros(len(reach), dtype=np.int64)
+                for start in range(0, len(rows), block_rows):
+                    block = pairs[rows[start : start + block_rows]]
+                    drop += np.bincount(block.ravel(), minlength=len(reach))
+                drop = (whole - drop if complement else drop).astype(np.int16)
                 last_fresh = fresh
             # np.subtract.at runs faster here than gain[pick ^ reach] -= drop
             np.subtract.at(gain, pick ^ reach, drop)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 
 import pytest
@@ -83,6 +84,23 @@ def test_bench_timings_count_audited_runs_and_leave_the_report_unchanged(tmp_pat
     assert timed.read_bytes() == plain.read_bytes()
     points = json.loads(sidecar.read_text())["points"]
     assert [point["audited_runs"] for point in points] == audited
+
+
+@pytest.mark.parametrize("protocol, config", [("det", "point n=10 t=4\npoint n=10 t=4 c=2\n"), ("sketch", "point n=64 L=1 U=32 s=1\n")])
+def test_bench_progress_goes_to_stderr_and_leaves_the_report_unchanged(tmp_path, capsys, protocol, config):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"trials = 20\nseed = 4\n{config}")
+    assert main(["bench", protocol, "--config", str(path)]) == 0
+    plain = capsys.readouterr()
+    assert main(["bench", protocol, "--config", str(path), "--progress"]) == 0
+    logged = capsys.readouterr()
+    assert logged.out == plain.out and plain.err == ""
+    lines = logged.err.splitlines()
+    assert len(lines) == len(config.splitlines())
+    assert all(line.startswith(f"point {i}: ") for i, line in enumerate(lines))
+    # the handler lives for the run only
+    logger = logging.getLogger("ghd.experiments")
+    assert (logger.handlers, logger.level) == ([], logging.NOTSET)
 
 
 def test_bench_stdout_and_json(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import random
+import tracemalloc
 from collections import OrderedDict
 from functools import lru_cache
 
@@ -174,13 +175,15 @@ def test_kernels_match_loops_on_greedy_16_2(tmp_path):
 
 
 # sha256 of the save_code files, taken from the subtract-only greedy that
-# loop_greedy mirrors.  (18, 3) .. (20, 3) take the local path with reused
-# drops; (14, 9..13) and (15, 6) take the full-cube loop, where (14, *)
-# rebuilds its gains after the first pick.
+# loop_greedy mirrors.  (18, 3) .. (21, 3) take the local path with reused
+# drops, and (21, 3) is the first whose slot table needs 32 bits; (14, 9..13)
+# and (15, 6) take the full-cube loop, where (14, *) rebuilds its gains after
+# the first pick.
 PINNED_CODE_DIGESTS = {
     (18, 3): "70531f6909ee14aff53b092621336b88471da592214e16fa8c78aca0d7893efa",
     (19, 3): "d054e2306463ca1312a025c1d3062541321fb1747289100645059369a15ddaa0",
     (20, 3): "8287ebd49e86da204fd773e7482192ab08b9c4a3825c3bb0513318f7b4778687",
+    (21, 3): "c0c33dd8e27b5cd06e91b83bfc3ff4c82bb6a1b4794651e341f5a3cfc625b4e9",
     (14, 9): "3f774e451a7679eaaab22655f21a11733548c4ec9db7a0ab46decf319f6fd573",
     (14, 10): "9f6d3fea804802e367dff657906da822167b9bf05e3d0fd4c2eed824f9c673eb",
     (14, 11): "4edffe035f86f824e78e9bd4ec43e9bc6e221214b04260db7bf04ec008b2f9d7",
@@ -204,6 +207,54 @@ def test_local_path_gains_fit_int16():
             volume = ball_volume(n, r)
             if 2 * r < n and volume * volume <= _GAIN_CHUNK_ENTRIES:
                 assert volume <= np.iinfo(np.int16).max, (n, r)
+
+
+def test_local_path_slots_fit_their_dtype():
+    # pairs holds slots of the 2r-ball in the narrowest dtype that fits them
+    widths = {}
+    for n in range(1, GREEDY_MAX_N + 1):
+        for r in range(n + 1):
+            volume = ball_volume(n, r)
+            if 2 * r < n and volume * volume <= _GAIN_CHUNK_ENTRIES:
+                top = ball_volume(n, 2 * r) - 1
+                slot = np.min_scalar_type(top)
+                assert slot.kind == "u" and np.iinfo(slot).max >= top, (n, r)
+                widths[n, r] = slot.itemsize
+    assert (widths[18, 3], widths[19, 3], widths[20, 3]) == (2, 2, 2)
+    assert (widths[21, 3], widths[22, 3]) == (4, 4)
+    assert max(widths.values()) == 4
+
+
+def test_greedy_local_path_working_set_is_bounded():
+    # the slot table is the only volume x volume array; its set-up and the
+    # drop counts run in row blocks (the parent's peak here was 14 MB)
+    greedy_covering_code(18, 3)
+    tracemalloc.start()
+    try:
+        greedy_covering_code(18, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6_000_000
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_popcount_table_matches_bitwise_count(n):
+    table = popcount_table(n)
+    assert table.dtype == np.uint8
+    np.testing.assert_array_equal(table, np.bitwise_count(np.arange(1 << n, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("radius, dtype", [(2, np.uint16), (0, np.uint32)])
+def test_decode_tables_are_narrow_and_decode_as_the_loop(radius, dtype):
+    # the table holds every index and the unset sentinel, size itself
+    code = greedy_covering_code(16, radius)
+    assert code._decode_table.dtype == dtype
+    np.testing.assert_array_equal(code._decode_table, loop_decode_table(code))
+    words = [0, 1, 0xBEEF, 0xFFFF]
+    indices = code.nearest_indices(words)
+    assert indices.dtype == np.int64
+    assert indices.tolist() == [code.nearest_index(w) for w in words] == [scan_nearest_index(code, w) for w in words]
 
 
 def test_kernels_match_loops_on_random_codes():
