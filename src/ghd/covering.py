@@ -326,7 +326,7 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
         position[reach] = np.arange(len(reach), dtype=slot)
         pairs = np.empty((volume, volume), dtype=slot)
         block_rows = max(1, _SLOT_BLOCK_ENTRIES // volume)
-        whole = np.zeros(len(reach), dtype=np.int64)
+        whole = np.zeros(len(reach), dtype=np.int16)  # a count never exceeds volume
         for start in range(0, volume, block_rows):
             block = pairs[start : start + block_rows]
             np.take(position, offsets[start : start + block_rows, None] ^ offsets, out=block)
@@ -353,11 +353,12 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
                 # count over the fewer of the fresh and the stale rows
                 complement = 2 * len(newly) > volume
                 rows = np.flatnonzero(~fresh if complement else fresh)
-                drop = np.zeros(len(reach), dtype=np.int64)
+                drop = np.zeros(len(reach), dtype=np.int16)
                 for start in range(0, len(rows), block_rows):
                     block = pairs[rows[start : start + block_rows]]
                     drop += np.bincount(block.ravel(), minlength=len(reach))
-                drop = (whole - drop if complement else drop).astype(np.int16)
+                if complement:
+                    drop = whole - drop
                 last_fresh = fresh
             # np.subtract.at runs faster here than gain[pick ^ reach] -= drop
             np.subtract.at(gain, pick ^ reach, drop)
