@@ -353,12 +353,16 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
                 # count over the fewer of the fresh and the stale rows
                 complement = 2 * len(newly) > volume
                 rows = np.flatnonzero(~fresh if complement else fresh)
-                drop = np.zeros(len(reach), dtype=np.int16)
+                # The first block's counts start the sum: most drops fit one
+                # block, and a zeroed sum would add a pass over reach to each.
+                counts = 0
                 for start in range(0, len(rows), block_rows):
-                    block = pairs[rows[start : start + block_rows]]
-                    drop += np.bincount(block.ravel(), minlength=len(reach))
-                if complement:
-                    drop = whole - drop
+                    part = np.bincount(pairs[rows[start : start + block_rows]].ravel(), minlength=len(reach))
+                    if start:
+                        counts += part
+                    else:
+                        counts = part
+                drop = (whole - counts if complement else counts).astype(np.int16)
                 last_fresh = fresh
             # np.subtract.at runs faster here than gain[pick ^ reach] -= drop
             np.subtract.at(gain, pick ^ reach, drop)
