@@ -227,7 +227,8 @@ def test_local_path_slots_fit_their_dtype():
 
 def test_greedy_local_path_working_set_is_bounded():
     # the slot table is the only volume x volume array; its set-up and the
-    # drop counts run in row blocks (the parent's peak here was 14 MB)
+    # drop counts run in row blocks.  A whole-table int64 XOR and the intp
+    # casts of whole-table bincounts took this peak to 14 MB.
     greedy_covering_code(18, 3)
     tracemalloc.start()
     try:
