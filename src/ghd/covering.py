@@ -12,28 +12,25 @@ Construction is greedy set cover over the full cube (n <= 22): repeatedly
 pick the word whose ball covers the most still-uncovered points.  Every pick
 covers at least a ``V2(n, r) / 2**n`` fraction of what remains, which yields
 the size guarantee ``|C| <= (0.694 * n + 1) * 2**n / V2(n, r)``.  After a
-pick newly covers k points, only words within 2r of it lose gain.  When
-2r < n and ``V2(n, r)**2`` fits the 8,000,000-entry chunk budget, the update
-counts the drops through a precomputed ``V2(n, r) x V2(n, r)`` slot table,
-O(min(k, V2(n, r) - k) * V2(n, r)) work, and subtracts them from the int16
-gains of the 2r-ball, O(V2(n, 2r)).  A slot is held in the narrowest
-unsigned dtype that fits ``V2(n, 2r) - 1``: uint16 up to (20, 3), uint32 at
-(21, 3) and (22, 3).  The table is filled, and the drops counted, in blocks
-of at most 2**16 entries, so no other temporary outgrows a few blocks.  The
-drops depend only on which slots of the ball are newly covered, and greedy
-picks come in runs of translates that share that mask, so a pick whose mask
-repeats the previous pick's reuses its drops.  Otherwise the update
-bincounts over the whole cube the k newly covered balls, or, when fewer
-than k points remain uncovered, rebuilds the gains from the remaining
-balls: O(min(k, remaining) * V2(n, r) + 2**n).  On both paths the argmax
-resumes from the last pick: gains only fall, and every word below a pick
-held less than it, so the next pick is the first word after the last one
-still at the old maximum.  Segments of growing length are scanned for it,
-and a full O(2**n) argmax runs only once none is left.  For larger n,
-:func:`random_covering_code` samples codewords until every point the
-default :func:`audit_covering` checks is covered, so the code passes that
-audit and reloads; its size is within the same envelope with statistical
-confidence only.
+pick newly covers k points, only words in its 2r-ball (the whole cube once
+2r >= n) lose gain.  The update bincounts the slots in that ball of the XORs
+of the newly covered offsets with all V2(n, r) offsets, or of the stale ones
+subtracted from ``|B(0, r) & B(s, r)|`` (a closed form in |s|) when fewer:
+O(min(k, V2(n, r) - k) * V2(n, r) + V2(n, 2r)) work.  The slot table is
+stored when 2r < n and its ``V2(n, r)**2`` entries fit an 8,000,000-entry
+budget, and computed a block of rows at a time otherwise.  Blocks hold at
+least 2**16 entries and V2(n, 2r), the counts a bincount sweeps.  Gains are
+int16 when ``V2(n, r) < 2**15`` and int32 otherwise; slots are uint16 or
+uint32.  Greedy picks come in runs of translates that newly cover the same
+slots of the ball, so a pick whose mask repeats the previous pick's reuses
+its drops.  The argmax resumes from the last pick: gains only fall, and
+every word below a pick held less than it, so the next pick is the first
+word after the last one still at the old maximum.  Segments of growing
+length are scanned for it, and a full O(2**n) argmax runs only once none is
+left.  For larger n, :func:`random_covering_code` samples codewords until
+every point the default :func:`audit_covering` checks is covered, so the
+code passes that audit and reloads; its size is within the same envelope
+with statistical confidence only.
 
 :func:`audit_covering` is exhaustive for n <= 24.  It sets each codeword's
 bit in a packed 2**n-bit cube bitmap (64 words to a uint64 entry, 2 MB at
@@ -116,8 +113,8 @@ __all__ = [
 ]
 
 GREEDY_MAX_N = 22
-_GAIN_CHUNK_ENTRIES = 8_000_000  # index entries per greedy gain-update pass
-_SLOT_BLOCK_ENTRIES = 1 << 16  # slot-table entries per block of the local path's set-up and drops
+_SLOT_TABLE_ENTRIES = 8_000_000  # largest volume x volume slot table greedy stores
+_SLOT_BLOCK_ENTRIES = 1 << 16  # least slot entries per block of greedy's set-up and drops
 _ARGMAX_FIRST_SEGMENT = 1 << 12  # gains in the first segment of a resumed argmax
 _EXHAUSTIVE_AUDIT_MAX_N = 24
 _HEX_DIGITS = frozenset("0123456789abcdef")
@@ -137,6 +134,7 @@ def popcount_table(n: int) -> np.ndarray:
     for i in range(n):
         # words 2**i .. 2**(i + 1) - 1 are the words below 2**i with bit i set
         np.add(table[: 1 << i], 1, out=table[1 << i : 2 << i])
+    table.flags.writeable = False  # cached: every later caller shares it
     return table
 
 
@@ -146,6 +144,19 @@ def _ball_offsets(n: int, radius: int) -> np.ndarray:
     ``c ^ _ball_offsets(n, r)`` is the ball around codeword c.
     """
     return np.flatnonzero(popcount_table(n) <= radius).astype(np.int64)
+
+
+def _ball_overlaps(n: int, radius: int) -> np.ndarray:
+    """``|B(0, r) & B(s, r)|`` for each weight ``|s|`` = 0 .. n, as int64.
+
+    A word in both balls has i ones inside the support of s and j outside
+    it, so ``j <= min(n - |s|, r - max(i, |s| - i))``.
+    """
+    comb = math.comb
+    return np.array(
+        [sum(comb(w, i) * comb(n - w, j) for i in range(w + 1) for j in range(min(n - w, radius - max(i, w - i)) + 1)) for w in range(n + 1)],
+        dtype=np.int64,
+    )
 
 
 def _within(points: np.ndarray, codewords: np.ndarray, radius: int) -> np.ndarray:
@@ -303,38 +314,37 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
 
     offsets = _ball_offsets(n, radius)
     volume = len(offsets)
-    # Local updates need the 2r-ball to be smaller than the cube and the
-    # volume x volume slot table to fit one chunk.
-    local = 2 * radius < n and volume * volume <= _GAIN_CHUNK_ENTRIES
-    # A gain never exceeds volume, and the chunk budget keeps the local
-    # path's volume below 2**15: int16 halves argmax's pass and the update's
-    # gather and scatter.  The full-cube loop works on int64 bincounts.
-    gain = np.full(size, volume, dtype=np.int16 if local else np.int64)
+    # A gain never exceeds volume; int16 halves argmax's pass and the
+    # update's gather and scatter wherever it holds one.
+    gain = np.full(size, volume, dtype=np.int16 if volume < 1 << 15 else np.int32)
     uncovered = np.ones(size, dtype=bool)
     remaining = size
     codewords: list[int] = []
-    chunk_rows = max(1, _GAIN_CHUNK_ENTRIES // volume)
-    if local:
-        # A point pick ^ a newly covered by a pick takes one gain from each
-        # candidate pick ^ a ^ b (b in offsets).  a ^ b has popcount <= 2r,
-        # so only pick ^ reach is touched; pairs[i, j] is the slot of
-        # offsets[i] ^ offsets[j] in reach, in the narrowest dtype that
-        # holds a slot, filled and counted a block of rows at a time.
-        reach = _ball_offsets(n, 2 * radius)
-        slot = np.min_scalar_type(len(reach) - 1)
-        position = np.zeros(size, dtype=slot)
-        position[reach] = np.arange(len(reach), dtype=slot)
+    # A point pick ^ a newly covered by a pick takes one gain from each
+    # candidate pick ^ a ^ b (b in offsets).  a ^ b has popcount <= 2r, so
+    # only pick ^ reach is touched: the whole cube once 2r >= n.  The slot
+    # of offsets[i] ^ offsets[j] in reach is held in the narrowest dtype
+    # that fits a slot, and counted a block of rows at a time.  Each
+    # bincount sweeps len(reach) counts, so a block holds at least as many.
+    reach = _ball_offsets(n, 2 * radius)
+    slot = np.min_scalar_type(len(reach) - 1)
+    position = np.zeros(size, dtype=slot)
+    position[reach] = np.arange(len(reach), dtype=slot)
+    block_rows = max(1, max(_SLOT_BLOCK_ENTRIES, len(reach)) // volume)
+    # The volume x volume slot table is stored when it fits its budget and
+    # 2r < n.  Where 2r >= n greedy makes few picks, and their rows cost less
+    # to compute than the table does to fill.
+    pairs = None
+    if 2 * radius < n and volume * volume <= _SLOT_TABLE_ENTRIES:
         pairs = np.empty((volume, volume), dtype=slot)
-        block_rows = max(1, _SLOT_BLOCK_ENTRIES // volume)
-        whole = np.zeros(len(reach), dtype=np.int16)  # a count never exceeds volume
         for start in range(0, volume, block_rows):
-            block = pairs[start : start + block_rows]
-            np.take(position, offsets[start : start + block_rows, None] ^ offsets, out=block)
-            whole += np.bincount(block.ravel(), minlength=len(reach))
-        del position
-        # The drop depends only on fresh, the newly covered slots of the
-        # ball, and greedy picks come in runs of translates that share it.
-        last_fresh = None
+            np.take(position, offsets[start : start + block_rows, None] ^ offsets, out=pairs[start : start + block_rows])
+        position = None
+    # whole[s] = |B(0, r) & B(reach[s], r)|: the drop when the pick's whole ball is fresh
+    whole = _ball_overlaps(n, radius).astype(gain.dtype)[popcount_table(n)[reach]]
+    # The drop depends only on fresh, the newly covered slots of the ball,
+    # and greedy picks come in runs of translates that share it.
+    last_fresh = None
 
     pick, best = -1, volume
     while remaining:
@@ -348,36 +358,25 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
         remaining -= len(newly)
         if remaining == 0:
             break
-        if local:
-            if not np.array_equal(fresh, last_fresh):
-                # count over the fewer of the fresh and the stale rows
-                complement = 2 * len(newly) > volume
-                rows = np.flatnonzero(~fresh if complement else fresh)
-                # The first block's counts start the sum: most drops fit one
-                # block, and a zeroed sum would add a pass over reach to each.
-                counts = 0
-                for start in range(0, len(rows), block_rows):
-                    part = np.bincount(pairs[rows[start : start + block_rows]].ravel(), minlength=len(reach))
-                    if start:
-                        counts += part
-                    else:
-                        counts = part
-                drop = (whole - counts if complement else counts).astype(np.int16)
-                last_fresh = fresh
-            # np.subtract.at runs faster here than gain[pick ^ reach] -= drop
-            np.subtract.at(gain, pick ^ reach, drop)
-            continue
-        # A gain counts the uncovered points within radius: subtract the
-        # newly covered balls, or rebuild from the remaining ones if fewer.
-        if remaining < len(newly):
-            gain[:] = 0
-            words, update = np.flatnonzero(uncovered), np.add
-        else:
-            words, update = newly, np.subtract
-        for start in range(0, len(words), chunk_rows):
-            chunk = words[start : start + chunk_rows]
-            indices = (chunk[:, None] ^ offsets[None, :]).ravel()
-            update(gain, np.bincount(indices, minlength=size), out=gain)
+        if not np.array_equal(fresh, last_fresh):
+            # count over the fewer of the fresh and the stale rows
+            complement = 2 * len(newly) > volume
+            rows = np.flatnonzero(~fresh if complement else fresh)
+            # The first block's counts start the sum: most drops fit one
+            # block, and a zeroed sum would add a pass over reach to each.
+            counts = 0
+            for start in range(0, len(rows), block_rows):
+                part = rows[start : start + block_rows]
+                block = np.take(position, offsets[part, None] ^ offsets) if pairs is None else pairs[part]
+                part_counts = np.bincount(block.ravel(), minlength=len(reach))
+                if start:
+                    counts += part_counts
+                else:
+                    counts = part_counts
+            drop = (whole - counts if complement else counts).astype(gain.dtype)
+            last_fresh = fresh
+        # np.subtract.at runs faster here than gain[pick ^ reach] -= drop
+        np.subtract.at(gain, pick ^ reach, drop)
     return CoveringCode(n, radius, tuple(codewords))
 
 

@@ -15,8 +15,9 @@ from ghd import covering, runtime
 from ghd.runtime import ContractViolationError
 from ghd.bits import BitString, _limb_matrix, ball_volume, random_pair_at_distance
 from ghd.covering import (
-    _GAIN_CHUNK_ENTRIES,
+    _SLOT_TABLE_ENTRIES,
     GREEDY_MAX_N,
+    _ball_overlaps,
     CodeConstructionError,
     CoveringCode,
     audit_covering,
@@ -147,7 +148,7 @@ def test_greedy_bounds_full_sweep_small():
 
 @pytest.mark.parametrize("n, r", [(14, 5), (17, 3)])
 def test_greedy_matches_loop_mid(n, r):
-    # (14, 5): V2(14, 5)**2 exceeds the slot-table budget, so the loop runs
+    # (14, 5): V2(14, 5)**2 exceeds the slot-table budget, so slot rows are computed per block
     assert greedy_covering_code(n, r).codewords == loop_greedy(n, r)
 
 
@@ -156,7 +157,7 @@ def test_greedy_is_deterministic():
 
 
 def test_kernels_match_loops_on_greedy_codes():
-    # greedy's both update paths: local where 2r < n, the full-cube loop otherwise
+    # slot rows stored and computed, and a 2r-ball that is the whole cube where 2r >= n
     for n in range(1, 13):
         for r in range(n + 1):
             code = greedy_covering_code(n, r)
@@ -175,10 +176,10 @@ def test_kernels_match_loops_on_greedy_16_2(tmp_path):
 
 
 # sha256 of the save_code files, taken from the subtract-only greedy that
-# loop_greedy mirrors.  (18, 3) .. (21, 3) take the local path with reused
-# drops, and (21, 3) is the first whose slot table needs 32 bits; (14, 9..13)
-# and (15, 6) take the full-cube loop, where (14, *) rebuilds its gains after
-# the first pick.
+# loop_greedy mirrors.  (18, 3) .. (21, 3) store their slot table and reuse
+# drops, and (21, 3) is the first whose slots need 32 bits.  The others
+# exceed the slot-table budget and compute slot rows per block; the 2r-ball
+# of (14, 9..13) is the whole cube.
 PINNED_CODE_DIGESTS = {
     (18, 3): "70531f6909ee14aff53b092621336b88471da592214e16fa8c78aca0d7893efa",
     (19, 3): "d054e2306463ca1312a025c1d3062541321fb1747289100645059369a15ddaa0",
@@ -190,6 +191,10 @@ PINNED_CODE_DIGESTS = {
     (14, 12): "a9388d0ecf44bee7ed5be55f8898d59d1a8ec402b700a3d74a4ad19c3d200851",
     (14, 13): "31813b205165a7ad415d538e1dba744353497434d038e42d08167e0766e918f0",
     (15, 6): "d6a896b1a3400febe5f04379587c6bbaff5ca85be24a921c12d6ec096c0c83d1",
+    (16, 5): "1d8911a4d43725b681d0f4f705ed461e091d91b59fa12ea71ef32b6db4a94f30",
+    (16, 7): "ee201518d1e5b0931a10f8d7c0952982a0b9fc2e37ea1b2c7653cf37397cc3f9",
+    (17, 7): "41c04198d7889d2732584b0dc717a33b8f3adc13bd6ca811eb9af389e9c7f93b",
+    (20, 4): "36826857ac13244b3bb6a069d2b3169007589ba6d13f5c448db7c503e0c43ea1",
 }
 
 
@@ -200,28 +205,28 @@ def test_greedy_code_files_are_pinned(tmp_path, n, r):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CODE_DIGESTS[n, r]
 
 
-def test_local_path_gains_fit_int16():
-    # the local update keeps gains (at most V2(n, r)) as int16
+def test_greedy_gains_fit_their_dtype():
+    # gains start at V2(n, r) and only fall: int16 when that fits, else int32
     for n in range(1, GREEDY_MAX_N + 1):
         for r in range(n + 1):
             volume = ball_volume(n, r)
-            if 2 * r < n and volume * volume <= _GAIN_CHUNK_ENTRIES:
-                assert volume <= np.iinfo(np.int16).max, (n, r)
+            gain = np.int16 if volume < 1 << 15 else np.int32
+            assert volume <= np.iinfo(gain).max, (n, r)
+            if volume * volume <= _SLOT_TABLE_ENTRIES:
+                assert gain == np.int16, (n, r)  # every stored slot table
 
 
-def test_local_path_slots_fit_their_dtype():
-    # pairs holds slots of the 2r-ball in the narrowest dtype that fits them
+def test_greedy_slots_fit_their_dtype():
+    # slots of the 2r-ball (the whole cube once 2r >= n) in the narrowest dtype that fits them
     widths = {}
     for n in range(1, GREEDY_MAX_N + 1):
         for r in range(n + 1):
-            volume = ball_volume(n, r)
-            if 2 * r < n and volume * volume <= _GAIN_CHUNK_ENTRIES:
-                top = ball_volume(n, 2 * r) - 1
-                slot = np.min_scalar_type(top)
-                assert slot.kind == "u" and np.iinfo(slot).max >= top, (n, r)
-                widths[n, r] = slot.itemsize
+            top = ball_volume(n, min(2 * r, n)) - 1
+            slot = np.min_scalar_type(top)
+            assert slot.kind == "u" and np.iinfo(slot).max >= top, (n, r)
+            widths[n, r] = slot.itemsize
     assert (widths[18, 3], widths[19, 3], widths[20, 3]) == (2, 2, 2)
-    assert (widths[21, 3], widths[22, 3]) == (4, 4)
+    assert (widths[21, 3], widths[22, 3], widths[18, 4], widths[22, 22]) == (4, 4, 4, 4)
     assert max(widths.values()) == 4
 
 
@@ -237,6 +242,39 @@ def test_greedy_local_path_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 6_000_000
+
+
+@pytest.mark.parametrize("n, r", [(15, 6), (18, 4)])
+def test_greedy_working_set_is_bounded_beyond_the_slot_table_budget(n, r):
+    # V2(n, r)**2 exceeds the slot-table budget, so slot rows are computed
+    # per block.  Whole-cube bincounts of 8M-entry index chunks took these
+    # peaks to 123 and 125 MiB.
+    greedy_covering_code(n, r)
+    tracemalloc.start()
+    try:
+        greedy_covering_code(n, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 << 20
+
+
+def test_ball_overlaps_match_brute_force():
+    # |B(0, r) & B(s, r)| for every word s of the cube, by its weight
+    for n in range(1, 11):
+        table = popcount_table(n)
+        words = np.arange(1 << n)
+        distance = table[words[:, None] ^ words]  # row s: |s ^ a| for every a
+        for r in range(n + 1):
+            both = ((distance <= r) & (table <= r)).sum(axis=1)
+            np.testing.assert_array_equal(_ball_overlaps(n, r)[table], both, err_msg=f"{(n, r)}")
+
+
+def test_popcount_table_is_read_only():
+    # the lru_cached table is shared by every later _ball_offsets and greedy build
+    with pytest.raises(ValueError):
+        popcount_table(4)[1] = 9
+    assert greedy_covering_code(4, 1).codewords == (0, 7, 8, 15)
 
 
 @pytest.mark.parametrize("n", range(21))
