@@ -13,13 +13,18 @@ returns the same pairs for many seeds at once, as two limb matrices (rows
 of big-endian 64-bit limbs, the format the batch hooks read).  It
 reproduces CPython's ``Random.sample`` pool branch (a partial Fisher-Yates
 shuffle) and ``_randbelow``'s rejection loop in numpy lanes over each
-seed's raw Mersenne Twister outputs, held row by row in one buffer, and
-assembles the limbs straight from that buffer.  At each lockstep step a
-lane records its decisions as it makes them: the picked position's bit of
-``x ^ y``, and a failure flag for a draw past the bound.  Every pair it
-cannot reproduce that way goes to the per-pair function and is written
-into the matrices.  The tests compare the two pair for pair, so they fail
-if a Python release changes either method.
+seed's raw Mersenne Twister outputs.  One generator seeds and draws every
+lane through its C-level ``seed`` and ``getrandbits``, the methods
+``Random.seed`` runs for an int seed; the lanes' bytes are joined once
+into one buffer, and the limbs are assembled straight from it.  At each
+lockstep step a lane reads its window of outputs as one row of a
+sliding-window view of that buffer, and records its decisions as it makes
+them: the picked position's bit of ``x ^ y``, and a failure flag for a
+draw past the bound.  A pair whose seed is not an int (``Random.seed``
+hashes a str or bytes seed first), and every pair the lanes cannot
+reproduce, go to the per-pair function and are written into the matrices.
+The tests compare the two pair for pair, so they fail if a Python release
+changes either method.
 """
 
 from __future__ import annotations
@@ -371,16 +376,19 @@ def random_pairs_at_distances(n: int, distances, seeds) -> tuple[np.ndarray, np.
     Returns the x words and the y words as two :func:`_limb_matrix` arrays,
     row i from pair i.  Pair for pair equal to the per-pair function, which
     stays the oracle; ``distances`` and ``seeds`` must have one entry per
-    pair.  Each pair whose d takes the pool branch of CPython's ``Random.sample``
-    (``n <= _sample_setsize(d)``) becomes a lane: its seed goes through
-    ``random.Random.seed`` and one ``getrandbits`` call takes all of its raw
-    Mersenne Twister outputs, from which x is the first ``ceil(n / 32)``.
-    The lanes then run the pool's partial Fisher-Yates shuffle in lockstep,
-    and each lane finds ``_randbelow``'s accepted draw as the first one
-    below the bound in a window of its outputs.  A lane whose window or
-    output budget runs out, a pair on the set branch, and every pair when
-    there are too few lanes or a slice could not hold enough of them, go to
-    the oracle.  The equality tests fail if CPython changes either method.
+    pair.  Each pair with an int seed whose d takes the pool branch of
+    CPython's ``Random.sample`` (``n <= _sample_setsize(d)``) becomes a
+    lane: its seed goes through the C-level seeding that
+    ``random.Random.seed`` runs for an int, and one ``getrandbits`` call
+    takes all of its raw Mersenne Twister outputs, from which x is the
+    first ``ceil(n / 32)``.  The lanes then run the pool's partial
+    Fisher-Yates shuffle in lockstep, and each lane finds ``_randbelow``'s
+    accepted draw as the first one below the bound in a window of its
+    outputs.  A lane whose window or output budget runs out, a pair on the
+    set branch, a pair whose seed is not an int (``Random.seed`` hashes a
+    str or bytes seed first), and every pair when there are too few lanes
+    or a slice could not hold enough of them, go to the oracle.  The
+    equality tests fail if CPython changes either method.
     """
     distances, seeds = list(distances), list(seeds)
     if len(distances) != len(seeds):
@@ -390,7 +398,8 @@ def random_pairs_at_distances(n: int, distances, seeds) -> tuple[np.ndarray, np.
     ys = np.zeros_like(xs)
     drawn = np.zeros(len(distances), dtype=bool)
     pool_branch = {d: n <= _sample_setsize(d) for d in set(distances)}
-    lanes = sorted((i for i, d in enumerate(distances) if pool_branch[d]), key=lambda i: -distances[i])
+    lanes = [i for i, d in enumerate(distances) if pool_branch[d] and type(seeds[i]) is int]
+    lanes.sort(key=lambda i: -distances[i])
     capacity = _LANE_CELLS // (_lane_outputs(n, distances[lanes[0]]) + 2 * n) if lanes else 0
     if len(lanes) >= _MIN_LANES and capacity >= _MIN_LANES:
         slices = -(-len(lanes) // capacity)
@@ -413,7 +422,7 @@ def _lane_outputs(n: int, max_distance: int) -> int:
     return (n + 31) // 32 + 2 * max_distance + _LANE_WINDOW
 
 
-def _pool_lanes(n: int, distances: list[int], seeds: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pool_lanes(n: int, distances: list[int], seeds: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The x and y limb matrices of pool-branch lanes sorted by descending
     distance, and a bool array that flags each lane whose accepted draw was
     not in its window or past its outputs (its rows are then meaningless)."""
@@ -425,15 +434,18 @@ def _pool_lanes(n: int, distances: list[int], seeds: list) -> tuple[np.ndarray, 
     # the last lane in range); only a lane whose cursor ends past its row
     # consumed what it did not draw.
     row = 4 * outputs
-    buffer = bytearray(count * row + 4 * _LANE_WINDOW * (steps + 1))
-    rng = random.Random()
-    for lane, seed in enumerate(seeds):
-        rng.seed(seed)
-        buffer[lane * row : (lane + 1) * row] = rng.getrandbits(32 * outputs).to_bytes(row, "little")
-    flat = np.frombuffer(buffer, dtype="<u4")
+    generator = random.Random()
+    # the C-level methods that Random.seed and Random.getrandbits run for an int seed
+    seed, draw = super(random.Random, generator).seed, generator.getrandbits
+    rows = []
+    for lane_seed in seeds:
+        seed(lane_seed)
+        rows.append(draw(32 * outputs).to_bytes(row, "little"))
+    rows.append(bytes(4 * _LANE_WINDOW * (steps + 1)))
+    flat = np.frombuffer(b"".join(rows), dtype="<u4")
+    windows = np.lib.stride_tricks.sliding_window_view(flat, _LANE_WINDOW)  # row k: outputs k .. k + 15
     lanes = np.arange(count)
     lane_start = lanes * outputs
-    window = np.arange(_LANE_WINDOW)
     window_start = lanes * _LANE_WINDOW
     cursor = lane_start + words  # in flat; _randbelow's draws follow x's words
     # pool[slot, lane] holds a position p as n - 1 - p, its bit of x ^ y; a
@@ -451,7 +463,7 @@ def _pool_lanes(n: int, distances: list[int], seeds: list) -> tuple[np.ndarray, 
     for i, active in enumerate(live.tolist()):
         bound = n - i
         at = cursor[:active]
-        values = flat[at[:, None] + window] >> (32 - bound.bit_length())
+        values = windows[at] >> (32 - bound.bit_length())
         first = (values < bound).argmax(axis=1)
         at += first + 1
         j = values.ravel()[window_start[:active] + first]

@@ -43,19 +43,25 @@ n = 24 the audit checks sampled points.  Sampled audits and
 works at any n: probes and codewords as 64-bit limb matrices, each codeword
 marking the probes within radius by a popcount of the XOR.
 
-For n <= 16 the nearest-codeword table is filled by expanding balls of
-growing radius around the codewords.  It holds indices in the narrowest
-unsigned dtype that also fits the code's size, its fill sentinel: uint8 or
-uint16, and uint32 only for the 2**16 words of (16, 0);
-:meth:`CoveringCode.nearest_indices` still returns int64.  Longer codes decode one word or many
-by :meth:`CoveringCode.nearest_indices`: popcounts of the XOR against the
-codewords, held as 64-bit limbs, then the first argmin, in slices of bounded
-working set.  The deterministic protocol's ``pair_outputs(n, xs, ys)`` takes
-both parties' words as limb matrices, decodes the x rows so and applies
-Bob's radius test to the whole batch.  Both decoders refuse a word wider
-than n bits, and the protocol refuses inputs whose length is not n.  Alice,
-and ``pair_outputs`` on the whole batch, raise ``ContractViolationError``
-when her codeword lies beyond the radius: the code leaves her word uncovered.
+A code of n <= 16 builds its nearest-codeword table on first use.  At
+16 < n <= 18 the first batch whose scan would compare at least as many
+word-codeword pairs as the table has entries (``words * size >= 2**n``)
+builds it; smaller batches, and every n > 18, scan.  The table is filled
+sphere by sphere: at distance d each codeword XORs the weight-d offsets, in
+blocks of at most 2**16 entries, and a word still open takes the lowest
+index that reaches it.  It holds indices in the narrowest unsigned dtype
+that also fits the code's size, its fill sentinel: uint8 or uint16, and
+uint32 only for the 2**16 words of (16, 0); building it logs one DEBUG line
+on ``ghd.covering``.  :meth:`CoveringCode.nearest_indices` still returns
+int64.  A scan takes popcounts of the XOR against the codewords, held as
+64-bit limbs, then the first argmin: one row for one word, and slices of
+bounded working set for a batch.  The deterministic protocol's
+``pair_outputs(n, xs, ys)`` takes both parties' words as limb matrices,
+decodes the x rows so and applies Bob's radius test to the whole batch.
+Both decoders refuse a word wider than n bits, and the protocol refuses
+inputs whose length is not n.  Alice, and ``pair_outputs`` on the whole
+batch, raise ``ContractViolationError`` when her codeword lies beyond the
+radius: the code leaves her word uncovered.
 
 Cost bounds reported by :func:`det_complexity_bounds`:
 
@@ -81,6 +87,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -117,6 +124,9 @@ _SLOT_TABLE_ENTRIES = 8_000_000  # largest volume x volume slot table greedy sto
 _SLOT_BLOCK_ENTRIES = 1 << 16  # least slot entries per block of greedy's set-up and drops
 _ARGMAX_FIRST_SEGMENT = 1 << 12  # gains in the first segment of a resumed argmax
 _EXHAUSTIVE_AUDIT_MAX_N = 24
+_TABLE_MAX_N = 16  # a code this short builds its decode table on first use
+_BATCH_TABLE_MAX_N = 18  # ... and up to here, on the first batch that would scan as many pairs
+_TABLE_BLOCK_ENTRIES = 1 << 16  # most codeword-offset XORs one step of a table build holds
 _HEX_DIGITS = frozenset("0123456789abcdef")
 _LOADED_CODES_MAX = 8  # audited code files load_code keeps, least recently used out first
 _loaded_codes: OrderedDict[Path, tuple[bytes, CoveringCode]] = OrderedDict()
@@ -199,27 +209,48 @@ class CoveringCode:
 
     @cached_property
     def _decode_table(self) -> np.ndarray | None:
-        if self.n > 16:
-            return None
+        # None while the code scans; _table_for may still build one up to n = 18
+        return self._build_decode_table() if self.n <= _TABLE_MAX_N else None
+
+    def _table_for(self, words: int) -> np.ndarray | None:
+        """The decode table for a batch of ``words`` words, or None to scan.
+
+        Up to n = 16 the table is built on first use.  Up to n = 18 it is
+        built by the first batch whose scan would compare at least as many
+        word-codeword pairs, ``words * size``, as the table has entries.
+        """
+        table = self._decode_table
+        if table is None and self.n <= _BATCH_TABLE_MAX_N and words * self.size >= 1 << self.n:
+            table = vars(self)["_decode_table"] = self._build_decode_table()
+        return table
+
+    def _build_decode_table(self) -> np.ndarray:
+        began = time.perf_counter()
         size = 1 << self.n
         codewords = np.array(self.codewords, dtype=np.int64)
         unset = self.size  # never a codeword index
         index = np.min_scalar_type(unset)  # uint32 only for the 2**16 words of (16, 0)
         best = np.full(size, unset, dtype=index)
-        # Growing balls: a word still open at distance d lies at distance
-        # exactly d from every codeword whose radius-d ball reaches it, so its
-        # nearest codeword is the lowest index among those hits.
+        weights = popcount_table(self.n)
+        # Growing spheres: a word still open at distance d lies at distance
+        # exactly d from every codeword whose weight-d sphere reaches it, and
+        # at more from all others, so its nearest codeword is the lowest
+        # index among those hits.
         for d in range(self.n + 1):
-            offsets = _ball_offsets(self.n, d)
+            offsets = np.flatnonzero(weights == d)
             still_open = best == unset
-            rows = max(1, size // len(offsets))
+            rows = _TABLE_BLOCK_ENTRIES // len(offsets)  # a sphere at n <= 18 holds at most C(18, 9) < 2**16
             for start in range(0, self.size, rows):
-                chunk = (codewords[start : start + rows, None] ^ offsets).ravel()
-                hit = np.flatnonzero(still_open[chunk])  # row i is codeword start + i
-                np.minimum.at(best, chunk[hit], (start + hit // len(offsets)).astype(index))
+                block = (codewords[start : start + rows, None] ^ offsets).ravel()
+                hit = np.flatnonzero(still_open[block])  # row i is codeword start + i
+                np.minimum.at(best, block[hit], (start + hit // len(offsets)).astype(index))
             if not (best == unset).any():
                 break
         best.flags.writeable = False
+        _log.debug(
+            "built the decode table of (%d, %d): %d entries of %s in %.3f s",
+            self.n, self.radius, size, best.dtype, time.perf_counter() - began,
+        )
         return best
 
     @cached_property
@@ -240,26 +271,28 @@ class CoveringCode:
         A word wider than n bits raises ``ValueError``.
         """
         self._check_width(word)
-        table = self._decode_table
+        table = self._table_for(1)
         if table is not None:
             return int(table[word])
-        return int(self.nearest_indices([word])[0])
+        return int(np.bitwise_count(self._limbs ^ _limb_matrix([word], self.n)).sum(axis=1).argmin())
 
     def nearest_indices(self, words: Sequence[int]) -> np.ndarray:
         """:meth:`nearest_index` of each word, as an int64 array.
 
-        A table lookup for n <= 16; beyond that the popcount argmin, over
-        slices of words whose XOR against every codeword stays within the
-        batch working set.  A word wider than n bits raises ``ValueError``.
+        A table lookup where :meth:`_table_for` gives a table (always up to
+        n = 16, for large enough batches up to n = 18); otherwise the
+        popcount argmin, over slices of words whose XOR against every
+        codeword stays within the batch working set.  A word wider than n
+        bits raises ``ValueError``.
         """
         self._check_width(reduce(or_, words, 0))
         return self._nearest_rows(_limb_matrix(words, self.n))
 
     def _nearest_rows(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`nearest_indices` of the n-bit words of a limb matrix."""
-        table = self._decode_table
+        table = self._table_for(len(rows))
         if table is not None:
-            # n <= 16: a row holds at most one limb, so its sum is the word
+            # n <= 18: a row holds one limb, so its sum is the word
             return table[rows.sum(axis=1, dtype=np.int64)].astype(np.int64)
         matrix = self._limbs
         return _in_batches(
@@ -307,6 +340,9 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
         )
     if not 0 <= radius <= n:
         raise ValueError("radius out of range")
+    if radius == n:
+        # word 0's ball is the whole cube: greedy picks it and stops
+        return CoveringCode(n, n, (0,))
     size = 1 << n
     if radius == 0:
         # each word only covers itself; greedy picks them in word order

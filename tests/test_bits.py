@@ -460,6 +460,20 @@ def test_pair_lanes_across_slices_at_the_default_constants(monkeypatch, oracle_c
     assert len(oracle_calls) == 1  # the one lane of this seed that fails
 
 
+@pytest.mark.parametrize("n", [18, 100])
+def test_pair_lanes_at_edge_int_seeds_and_text_seeds(n, oracle_calls):
+    # ints around the 32- and 64-bit limbs of the seeding key, and beyond it
+    int_seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 12345, 3**50] * 10
+    # Random.seed hashes a str or bytes seed before seeding, so those pairs take the oracle
+    text_seeds = ["ghd", "", b"ghd", bytes(9)]
+    rng = random.Random(n)
+    seeds = int_seeds + text_seeds
+    distances = [rng.randint(n // 2, n) for _ in seeds]
+    assert_pairs_match_oracle(n, distances, seeds)
+    assert len(int_seeds) >= bits._MIN_LANES
+    assert oracle_calls == [(n, d) for d in distances[len(int_seeds) :]]
+
+
 def test_pair_lanes_edge_inputs(oracle_calls):
     xs, ys = random_pairs_at_distances(16, [], [])
     assert xs.shape == ys.shape == (0, 1) and xs.dtype == ys.dtype == np.uint64

@@ -289,7 +289,9 @@ def test_decode_tables_are_narrow_and_decode_as_the_loop(radius, dtype):
     # the table holds every index and the unset sentinel, size itself
     code = greedy_covering_code(16, radius)
     assert code._decode_table.dtype == dtype
-    np.testing.assert_array_equal(code._decode_table, loop_decode_table(code))
+    # the (16, 0) code is every word in order, so each word decodes to itself
+    reference = np.arange(1 << 16) if radius == 0 else loop_decode_table(code)
+    np.testing.assert_array_equal(code._decode_table, reference)
     words = [0, 1, 0xBEEF, 0xFFFF]
     indices = code.nearest_indices(words)
     assert indices.dtype == np.int64
@@ -498,11 +500,14 @@ def test_decode_table_matches_linear_scan():
 
 def test_vector_decode_matches_cube_reference_on_every_word_17_3():
     code = greedy_covering_code(17, 3)
-    assert code._decode_table is None  # too long for a table: the vector path
     # loop_decode_table is the scan run over the whole cube at once
     reference = loop_decode_table(code)
     decoded = np.array([code.nearest_index(w) for w in range(1 << 17)])
+    assert code._decode_table is None  # one word never pays for a table: the vector path
     np.testing.assert_array_equal(decoded, reference)
+    # the whole cube in one batch does, and the table decodes the same
+    np.testing.assert_array_equal(code.nearest_indices(range(1 << 17)), reference)
+    np.testing.assert_array_equal(code._decode_table, reference)
     rng = random.Random(17)
     for w in rng.sample(range(1 << 17), 300):
         assert reference[w] == scan_nearest_index(code, w)
@@ -614,10 +619,8 @@ def test_pair_outputs_match_runs_on_the_table_path_16_2():
     assert 0 < sum(expected) < len(expected)
 
 
-@pytest.mark.parametrize("n", [17, 18, 19])
-def test_pair_outputs_match_runs_on_the_scan_path(n, monkeypatch):
-    params = det_protocol_params(n, 7)
-    assert params.code._decode_table is None
+def recorded_batches(monkeypatch) -> list:
+    """The (rows, coordinates) of each batch decode that scans."""
     steps = []
     kernel = runtime._in_batches
 
@@ -626,13 +629,41 @@ def test_pair_outputs_match_runs_on_the_scan_path(n, monkeypatch):
         return kernel(rows, coordinates, step_kernel)
 
     monkeypatch.setattr(covering, "_in_batches", in_batches)
+    return steps
+
+
+@pytest.mark.parametrize("n", [17, 18, 19])
+def test_pair_outputs_match_runs_on_the_scan_path(n, monkeypatch):
+    params = det_protocol_params(n, 7)
+    code = params.code
+    # up to n = 18, the largest batch that scans fewer pairs than a table has entries
+    count = 2000 if n > covering._BATCH_TABLE_MAX_N else ((1 << n) - 1) // code.size
+    steps = recorded_batches(monkeypatch)
     rng = random.Random(n)
-    expected = assert_pair_outputs_match_runs(params, [rng.getrandbits(n) for _ in range(2000)], rng)
+    expected = assert_pair_outputs_match_runs(params, [rng.getrandbits(n) for _ in range(count)], rng)
     assert 0 < sum(expected) < len(expected)
-    # the working set of one word is one XOR row against every codeword; the
-    # one-row steps are nearest_index's decodes for the real runs
-    assert [step for step in steps if step[0] > 1] == [(2000, params.code.size)] * 2
-    assert runtime._BATCH_COORDINATES // params.code.size < 2000
+    assert code._decode_table is None
+    # the working set of one word is one XOR row against every codeword
+    assert steps == [(count, code.size)] * 2
+    assert runtime._BATCH_COORDINATES // code.size < count
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_pair_outputs_match_runs_on_the_batch_table_path(n, monkeypatch):
+    params = det_protocol_params(n, 7)
+    code = params.code
+    count = -(-(1 << n) // code.size)  # the smallest batch that pays for a table
+    steps = recorded_batches(monkeypatch)
+    rng = random.Random(n)
+    words = [rng.getrandbits(n) for _ in range(count)]
+    code.nearest_indices(words[1:])
+    assert code._decode_table is None and steps == [(count - 1, code.size)]
+    expected = assert_pair_outputs_match_runs(params, words, rng)
+    assert 0 < sum(expected) < len(expected)
+    assert len(steps) == 1  # the batch of count words built the table, and every later decode read it
+    np.testing.assert_array_equal(code._decode_table, loop_decode_table(code))
+    with pytest.raises(ValueError, match="read-only"):
+        code._decode_table[0] = 1
 
 
 @pytest.mark.parametrize("n", [70, 130])

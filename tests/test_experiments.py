@@ -179,6 +179,25 @@ def test_progress_is_logged_per_point_and_leaves_reports_alone(tmp_path, caplog)
     assert logging.getLogger("ghd.experiments").handlers == []
 
 
+def test_decode_table_log_leaves_exact_sweep_reports_alone(caplog):
+    # 400 rows a class pay for the (17, 3) table, as 500 pay for (18, 3) in the benchmark
+    texts = (
+        "protocol = det\ntrials = 400\nseed = 6\npoint n=12 t=5\npoint n=17 t=7\n",
+        "protocol = stream\ntrials = 50\nseed = 6\npoint n=100 c=1.5 p=2\n",
+    )
+    quiet = [run_experiment(parse_config(text)) for text in texts]
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="ghd.covering")
+    logged = [run_experiment(parse_config(text)) for text in texts]
+    for a, b in zip(logged, quiet):
+        assert a.to_csv() == b.to_csv() and a.to_json() == b.to_json()
+    built = [r.getMessage() for r in caplog.records if r.name == "ghd.covering"]
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+    assert re.fullmatch(r"built the decode table of \(12, 2\): 4096 entries of uint8 in \d+\.\d{3} s", built[0])
+    assert re.fullmatch(r"built the decode table of \(17, 3\): 131072 entries of uint16 in \d+\.\d{3} s", built[1])
+    assert logging.getLogger("ghd.covering").handlers == []
+
+
 def test_det_sweep_raises_on_a_word_its_code_does_not_cover(monkeypatch):
     # 110 lies at 2 from every codeword; a sweep that draws it raises rather
     # than count a wrong answer or skip the point
