@@ -443,7 +443,7 @@ def _pool_lanes(n: int, distances: list[int], seeds: list[int]) -> tuple[np.ndar
         rows.append(draw(32 * outputs).to_bytes(row, "little"))
     rows.append(bytes(4 * _LANE_WINDOW * (steps + 1)))
     flat = np.frombuffer(b"".join(rows), dtype="<u4")
-    windows = np.lib.stride_tricks.sliding_window_view(flat, _LANE_WINDOW)  # row k: outputs k .. k + 15
+    windows = np.lib.stride_tricks.sliding_window_view(flat, _LANE_WINDOW)  # row k: the window from output k
     lanes = np.arange(count)
     lane_start = lanes * outputs
     window_start = lanes * _LANE_WINDOW
