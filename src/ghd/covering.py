@@ -555,8 +555,7 @@ class DetProtocolParams:
     code: CoveringCode
 
     def __post_init__(self) -> None:
-        if not 1 <= self.gap <= self.n:
-            raise ValueError(f"gap must satisfy 1 <= gap <= n, got {self.gap}")
+        _check_gap(self.n, self.gap)
         if self.code.n != self.n:
             raise ValueError("code length does not match n")
         if self.code.radius != self.decision_radius:
@@ -573,7 +572,14 @@ class DetProtocolParams:
         return self.code.index_width + 1
 
 
+def _check_gap(n: int, gap: int) -> None:
+    if not 1 <= gap <= n:
+        raise ValueError(f"gap must satisfy 1 <= gap <= n, got {gap}")
+
+
 def det_protocol_params(n: int, gap: int, code: CoveringCode | None = None) -> DetProtocolParams:
+    """The protocol's parameters; a bad gap is refused before any code is built."""
+    _check_gap(n, gap)
     if code is None:
         code = greedy_covering_code(n, (gap - 1) // 2)
     return DetProtocolParams(n, gap, code)
@@ -589,6 +595,10 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
             message = f"word {word:0{code.n}b} lies at distance {distance} from its nearest codeword"
             raise ContractViolationError(f"{message}, beyond the code's radius {radius}")
 
+    def decides_far(distance):
+        # Bob's rule on his distance to Alice's codeword (or an array of them)
+        return distance > radius
+
     def alice(x: BitString, reader: StreamReader):
         _check_lengths(code.n, x)
         index = code.nearest_index(x.value)
@@ -603,8 +613,7 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         index = 0
         if width > 0:
             index, _ = yield RECV
-        distance = (code.codewords[index] ^ y.value).bit_count()
-        decision = 0 if distance <= radius else 1
+        decision = int(decides_far((code.codewords[index] ^ y.value).bit_count()))
         yield Send(decision, 1)
         return decision
 
@@ -617,7 +626,7 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         beyond = np.flatnonzero(reach > radius)
         if len(beyond):
             check_cover(_limb_value(xs[beyond[0]]), int(reach[beyond[0]]))
-        return (np.bitwise_count(chosen ^ ys).sum(axis=1) > radius).astype(np.int64)
+        return decides_far(np.bitwise_count(chosen ^ ys).sum(axis=1)).astype(np.int64)
 
     return Protocol(
         name="deterministic-covering",
@@ -641,8 +650,7 @@ def det_complexity_bounds(n: int, gap: int) -> ComplexityBounds:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= gap <= n:
-        raise ValueError(f"gap must satisfy 1 <= gap <= n, got {gap}")
+    _check_gap(n, gap)
     lower = n - log2_ball_volume(n, gap // 2)
     upper = n - log2_ball_volume(n, (gap - 1) // 2) + math.log2(n) + 2.0
     return ComplexityBounds(lower, upper)
@@ -669,23 +677,21 @@ def save_code(code: CoveringCode, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_code(path: str | Path, validate: bool = True) -> CoveringCode:
-    """Load a code file, optionally re-auditing the covering property.
+def load_code(path: str | Path) -> CoveringCode:
+    """Load a code file and audit its covering property.
 
     A malformed file raises ``ValueError`` naming the file, and the line when
     one line is at fault.  The header and rows must be exactly as
-    :func:`save_code` writes them.
+    :func:`save_code` writes them.  A code that fails :func:`audit_covering`
+    raises :class:`CodeConstructionError`.
 
-    With ``validate`` the file's bytes are read on every call, and the last
+    The file's bytes are read on every call, and the last
     ``_LOADED_CODES_MAX`` files that passed are kept by resolved path: when
     the bytes at that path are the ones that passed, the same code object
     comes back, decode table included, with no parse or audit.  New bytes
-    or a new path are parsed and audited again.  ``validate=False`` neither
-    reads nor fills that cache.
+    or a new path are parsed and audited again.
     """
     data = Path(path).read_bytes()
-    if not validate:
-        return _parse_code(path, data)
     key = Path(path).resolve()
     digest = hashlib.sha256(data).digest()
     cached = _loaded_codes.pop(key, None)

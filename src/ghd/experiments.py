@@ -28,9 +28,10 @@ deterministic), and ok-flags.  ``err_close`` is the error rate on the
 output-0 class, ``err_far`` on the output-1 class.  A CSV cell holding a
 comma, quote or newline (a skip reason may) is quoted.
 
-A det point with a ``code_dir`` reads ``code-n{n}-r{radius}.txt`` there
-through :func:`ghd.covering.load_code`, after :func:`prepare_codes` has
-built and saved any file that is missing.  Within one process an unchanged
+A det point whose n or t is out of range is skipped before any code is
+built or read.  A det point with a ``code_dir`` reads
+``code-n{n}-r{radius}.txt`` there through :func:`ghd.covering.load_code`,
+after :func:`prepare_codes` has built and saved any file that is missing.  Within one process an unchanged
 file at the same path reuses its audited code and decode table (at most 8
 files are kept); new bytes or a new path are parsed and audited again.
 
@@ -277,10 +278,6 @@ def _blank_record(protocol: str, point: dict) -> dict:
     return record
 
 
-def _three_sigma(bound: float, trials: int) -> float:
-    return 3.0 * math.sqrt(bound / trials) if bound > 0 else 0.0
-
-
 def _sampling_setup(config: ExperimentConfig, n: int, lo: int, hi: int, s: float):
     params = derive_sampling_params(
         n, lo, hi, s, rate=config.rate, linear_rate_constant=config.linear_rate_constant
@@ -324,7 +321,7 @@ def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: in
     (err1, hw1), runs1 = _error_trials(protocol, far, config.trials, derive_seed(point_seed, 3))
     totals = [outcome.ledger.total_bits for outcome in runs0 + runs1]
     bound = math.exp(-s)
-    slack = _three_sigma(bound, config.trials)
+    slack = 3.0 * math.sqrt(bound / config.trials) if bound > 0 else 0.0
     # the sketch's 0 side is exact: a single close-side error is a violation
     close_ok = err0 == 0.0 if config.protocol == "sketch" else err0 <= bound + slack
     record.update(
@@ -371,7 +368,7 @@ def prepare_codes(config: ExperimentConfig) -> None:
             save_code(greedy_covering_code(n, radius), path)
 
 
-def _exact_classes(config: ExperimentConfig, point_seed: int, n: int, gap: int, protocol, run):
+def _exact_classes(config: ExperimentConfig, record: dict, point_seed: int, n: int, gap: int, protocol, run) -> list:
     """Score ``config.trials`` pairs x = y and distance in [gap, n].
 
     The far pairs are ``random_pair_at_distance``'s, drawn in lanes after
@@ -379,8 +376,9 @@ def _exact_classes(config: ExperimentConfig, point_seed: int, n: int, gap: int, 
     Each class is a pair of limb matrices (the close class passes one matrix
     twice), which ``protocol.pair_outputs(n, xs, ys)`` scores; ``run(x, y)``,
     which takes ``BitString`` inputs and returns an object with ``output``
-    and ``ledger``, makes the audited runs.  Returns the error count on each
-    class and the audited runs.
+    and ``ledger``, makes the audited runs.  Fills the record's error
+    columns (exact: zero halfwidths and bound) and ``measured_bits``, the
+    largest audited ledger total, and returns the audited runs.
     """
     rng = random.Random(derive_seed(point_seed, 0))
     close, distances, seeds = [], [], []
@@ -401,38 +399,34 @@ def _exact_classes(config: ExperimentConfig, point_seed: int, n: int, gap: int, 
         )
         errors.append(count)
         audited += runs
-    return errors[0], errors[1], audited
-
-
-def _exact_fields(config: ExperimentConfig, errors0: int, errors1: int) -> dict:
-    return {
-        "err_close": errors0 / config.trials,
-        "err_close_hw": 0.0,
-        "err_far": errors1 / config.trials,
-        "err_far_hw": 0.0,
-        "error_bound": 0.0,
-        "bound_ok": errors0 == 0 and errors1 == 0,
-    }
+    record.update(
+        err_close=errors[0] / config.trials,
+        err_close_hw=0.0,
+        err_far=errors[1] / config.trials,
+        err_far_hw=0.0,
+        error_bound=0.0,
+        bound_ok=errors == [0, 0],
+        measured_bits=max(outcome.ledger.total_bits for outcome in audited),
+    )
+    return audited
 
 
 def _run_det_point(config: ExperimentConfig, point: dict, point_seed: int) -> tuple[dict, int]:
     record = _blank_record("deterministic", point)
     n, gap = point["n"], point["t"]
+    lower, upper = det_complexity_bounds(n, gap)  # refuses n and t before a code is built
     params = det_protocol_params(n, gap, code=_obtain_code(config, n, (gap - 1) // 2))
-    lower, upper = det_complexity_bounds(n, gap)
     protocol = det_protocol(params)
-    errors0, errors1, audited = _exact_classes(
-        config, point_seed, n, gap, protocol, lambda x, y: protocol.run(x, y, 0)
+    audited = _exact_classes(
+        config, record, point_seed, n, gap, protocol, lambda x, y: protocol.run(x, y, 0)
     )
-    worst = max(outcome.ledger.total_bits for outcome in audited)
+    worst = record["measured_bits"]
     record.update(
-        _exact_fields(config, errors0, errors1),
         code_size=params.code.size,
         index_width=params.code.index_width,
         expected_bits=params.cost_bits,
         lower_bits=lower,
         upper_bits=upper,
-        measured_bits=worst,
         bits_ok=worst == params.cost_bits,
         cost_in_bounds=lower <= worst <= upper,
     )
@@ -450,18 +444,15 @@ def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) ->
 
     make = lambda: ExactBitmapF0(2 * n, passes=p)
     run = lambda x, y: ghd_via_streaming(make, c, x, y, check_determinism=False)[1]
-    errors0, errors1, audited = _exact_classes(
-        config, point_seed, n, gap, streaming_protocol(make, c), run
+    audited = _exact_classes(
+        config, record, point_seed, n, gap, streaming_protocol(make, c), run
     )
-    worst = max(outcome.ledger.total_bits for outcome in audited)
     state_bits = max(outcome.state_bits for outcome in audited)
     record.update(
-        _exact_fields(config, errors0, errors1),
         t=gap,
         state_bits=state_bits,
         expected_bits=2 * p * state_bits,
-        measured_bits=worst,
-        bits_ok=worst <= 2 * p * state_bits,
+        bits_ok=record["measured_bits"] <= 2 * p * state_bits,
         lower_bits=space_lower_bound(n, c, p).state_bits_floor,
     )
     return record, len(audited)

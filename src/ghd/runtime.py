@@ -322,10 +322,6 @@ class StreamReader:
         self.position += 2 * count
         return values
 
-    def unit_vector(self, dim: int) -> np.ndarray:
-        """One draw from the uniform distribution on the unit sphere in R^dim."""
-        return self.unit_vectors(1, dim)[0]
-
     def unit_vectors(self, rows: int, dim: int) -> np.ndarray:
         """``rows`` independent uniform unit vectors in R^dim (one per row).
 

@@ -263,6 +263,11 @@ def _statistic(received: np.ndarray, own: np.ndarray) -> np.ndarray:
     return ((received - own) ** 2).sum(axis=-1)
 
 
+def _decides_far(params: SketchParams, statistic):
+    """Bob's rule on a statistic (or an array of them): far exactly when T > L + 5/n."""
+    return statistic > params.threshold
+
+
 def _projections_and_statistic(
     x: BitString, y: BitString, params: SketchParams, vectors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,7 +315,7 @@ def bob_decide(
     own = _project(y, params, _shared_vectors(params, reader, y))
     received = message.grid_indices / float(params.grid_denominator)
     statistic = float(_statistic(received, own))
-    decision = 1 if statistic > params.threshold else 0
+    decision = int(_decides_far(params, statistic))
     return decision, SketchStatistics(None, statistic, decision)
 
 
@@ -330,8 +335,7 @@ def sketch_statistics(
     alice_proj, bob_proj, statistic = _projections_and_statistic(x, y, params, vectors)
     exact = float(_statistic(alice_proj, bob_proj))
     quantized = float(statistic)
-    decision = 1 if quantized > params.threshold else 0
-    return SketchStatistics(exact, quantized, decision)
+    return SketchStatistics(exact, quantized, int(_decides_far(params, quantized)))
 
 
 def sketch_cost(params: SketchParams) -> int:
@@ -384,7 +388,7 @@ def sketch_protocol(params: SketchParams) -> Protocol:
         def decide(chunk: np.ndarray) -> np.ndarray:
             vectors = _unit_vector_values(chunk, params.block_count, params.block_length)
             statistic = _projections_and_statistic(x, y, params, vectors)[2]
-            return (statistic > params.threshold).astype(np.int64)
+            return _decides_far(params, statistic).astype(np.int64)
 
         return _in_batches(seeds, params.padded_length, decide)
 

@@ -307,6 +307,10 @@ def streaming_protocol(
     """
     _check_factor(approx_factor)
 
+    def decides_far(n: int, estimate):
+        # Bob's rule on a final estimate (or an array of them)
+        return estimate >= n + stream_gap(n, approx_factor)
+
     def alice(x: BitString, reader: StreamReader):
         machine = algorithm_factory()
         tokens = _tokens(x.bit_array())
@@ -325,8 +329,6 @@ def streaming_protocol(
 
     def bob(y: BitString, reader: StreamReader):
         machine = algorithm_factory()
-        n = y.length
-        gap = stream_gap(n, approx_factor)
         tokens = _tokens(y.bit_array())
         passes = machine.passes
         for pass_index in range(passes):
@@ -338,19 +340,18 @@ def streaming_protocol(
         estimate = machine.estimate()
         if meter is not None:
             meter.estimates.append(estimate)
-        decision = 0 if estimate < n + gap else 1
+        decision = int(decides_far(y.length, estimate))
         yield Send(decision, 1)
         return decision
 
     def pair_outputs(n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         _check_limb_pairs(n, xs, ys)
-        threshold = n + stream_gap(n, approx_factor)
 
         def decide(pairs: np.ndarray) -> np.ndarray:
             # row i: x's tokens, then y's
             tokens = _tokens(_limb_bits(pairs.reshape(-1, pairs.shape[2]), n)).reshape(len(pairs), 2 * n)
             estimates = algorithm_factory().final_estimates(tokens)
-            return (estimates >= threshold).astype(np.int64)
+            return decides_far(n, estimates).astype(np.int64)
 
         return _in_batches(np.stack((xs, ys), axis=1), 2 * n, decide)
 
@@ -399,7 +400,9 @@ def ghd_via_streaming(
             raise ContractViolationError(
                 "streaming algorithm is not deterministic: replay diverged"
             )
-        if _final_estimate(algorithm_factory, x, y) != estimate:
+        # reference: one machine over the concatenated stream
+        tokens = np.concatenate((_tokens(x.bit_array()), _tokens(y.bit_array())))
+        if algorithm_factory().final_estimates(tokens[None, :])[0] != estimate:
             raise ContractViolationError(
                 "snapshot round-trip broke the run: the handoff execution and "
                 "a single-machine execution disagree"
@@ -426,16 +429,6 @@ def ghd_via_streaming(
         ledger=outcome.ledger,
     )
     return outcome.output, run
-
-
-def _final_estimate(
-    algorithm_factory: Callable[[], StreamingAlgorithm],
-    x: BitString,
-    y: BitString,
-) -> int:
-    # Reference single-machine execution over the concatenated stream.
-    tokens = np.concatenate((_tokens(x.bit_array()), _tokens(y.bit_array())))
-    return int(algorithm_factory().final_estimates(tokens[None, :])[0])
 
 
 class SpaceBound(NamedTuple):

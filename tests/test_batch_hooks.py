@@ -5,9 +5,11 @@ while real runs are made only on audited trials, so each hook is checked
 here against one real run per trial on random small parameters.
 """
 
+import random
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,7 @@ from ghd.bits import BitString, _limb_matrix, random_pair_at_distance
 from ghd.covering import det_protocol, det_protocol_params
 from ghd.sampling import derive_sampling_params, sampling_protocol
 from ghd.sketch import derive_sketch_params, sketch_protocol
-from ghd.streaming import ExactBitmapF0, TruncatedBitmapF0, streaming_protocol
+from ghd.streaming import ExactBitmapF0, TruncatedBitmapF0, stream_gap, streaming_protocol
 
 _SEEDS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
 
@@ -49,6 +51,7 @@ def _assert_pair_batch_matches_runs(proto, n, pairs):
     outputs = proto.pair_outputs(n, xs, ys)
     assert outputs.dtype == np.int64
     assert outputs.tolist() == [proto.run(x, y, 0).output for x, y in pairs]
+    return outputs.tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,3 +99,39 @@ def test_stream_pair_outputs_equal_runs(data):
     else:
         factory = lambda: TruncatedBitmapF0(2 * n, capacity, passes)
     _assert_pair_batch_matches_runs(streaming_protocol(factory, c), n, data.draw(_pairs(n)))
+
+
+def _det_edges(n, gap, rng, count):
+    # y at distance r, then r + 1, from the codeword Alice sends
+    params = det_protocol_params(n, gap)
+    code, radius = params.code, params.decision_radius
+    pairs = []
+    for d in (radius, radius + 1):
+        for _ in range(count):
+            x = rng.getrandbits(n)
+            flips = sum(1 << i for i in rng.sample(range(n), d))
+            pairs.append((BitString(n, x), BitString(n, code.codewords[code.nearest_index(x)] ^ flips)))
+    return det_protocol(params), pairs
+
+
+def _stream_edges(n, c, p, rng, count):
+    # pairs at distance gap - 1, then gap: the exact bitmap estimates n + distance
+    gap = stream_gap(n, c)
+    pairs = [random_pair_at_distance(n, d, rng.getrandbits(63)) for d in (gap - 1, gap) for _ in range(count)]
+    return streaming_protocol(lambda: ExactBitmapF0(2 * n, p), c), pairs
+
+
+@pytest.mark.parametrize(
+    "edges, point",
+    [
+        pytest.param(_det_edges, (12, 5), id="det-12-5"),
+        pytest.param(_det_edges, (16, 5), id="det-16-5"),
+        pytest.param(_det_edges, (17, 7), id="det-17-7"),
+        pytest.param(_stream_edges, (40, 1.5, 2), id="stream-40-1.5-2"),
+        pytest.param(_stream_edges, (24, 1.1, 1), id="stream-24-1.1-1"),
+    ],
+)
+def test_runs_and_pair_outputs_agree_on_both_sides_of_the_rule(edges, point):
+    # the sweeps' promise classes reach these edges rarely or never
+    proto, pairs = edges(*point, random.Random(str(point)), 8)
+    assert _assert_pair_batch_matches_runs(proto, point[0], pairs) == [0] * 8 + [1] * 8

@@ -451,7 +451,7 @@ def test_load_rejects_a_code_that_the_old_probes_pass_at_n21(tmp_path):
     save_code(holed, path)
     with pytest.raises(CodeConstructionError, match="fails its covering audit"):
         load_code(path)
-    assert load_code(path, validate=False) == holed
+    assert covering._parse_code(path, path.read_bytes()) == holed
 
 
 # ------------------------------------------------------------ decoding
@@ -778,6 +778,13 @@ def test_det_params_validation():
         det_protocol_params(10, 4, code=code)  # radius 2 != required 1
 
 
+@pytest.mark.parametrize("n, gap", [(10, 0), (20, 21)])
+def test_det_params_refuse_a_bad_gap_before_building_a_code(monkeypatch, n, gap):
+    monkeypatch.setattr(covering, "greedy_covering_code", lambda n, radius: pytest.fail("built a code"))
+    with pytest.raises(ValueError, match=rf"^gap must satisfy 1 <= gap <= n, got {gap}$"):
+        det_protocol_params(n, gap)
+
+
 def test_gap_equals_n_costs_two_bits():
     # a radius-floor((n-1)/2) code needs two codewords on an odd cube
     params = det_protocol_params(7, 7)
@@ -935,7 +942,7 @@ def test_load_audits_covering(tmp_path):
     save_code(bad, path)
     with pytest.raises(CodeConstructionError):
         load_code(path)
-    assert load_code(path, validate=False) == bad
+    assert covering._parse_code(path, path.read_bytes()) == bad
 
 
 @pytest.fixture
@@ -997,20 +1004,6 @@ def test_failing_file_raises_every_time_and_is_never_kept(tmp_path, audits):
             load_code(path)
     assert len(audits) == 3
     assert not covering._loaded_codes
-
-
-def test_unvalidated_load_neither_reads_nor_fills_the_cache(tmp_path, audits):
-    path = tmp_path / "code.txt"
-    code = greedy_covering_code(8, 2)
-    save_code(code, path)
-    loose = load_code(path, validate=False)
-    assert loose == code and not covering._loaded_codes
-    kept = load_code(path)
-    assert load_code(path, validate=False) is not kept
-    holed = CoveringCode(8, 2, (0,))
-    save_code(holed, path)
-    assert load_code(path, validate=False) == holed  # the file, not the kept code
-    assert audits == [kept]
 
 
 def test_loading_more_files_than_the_bound_drops_the_least_recent(tmp_path, audits):
@@ -1077,7 +1070,7 @@ _FIXTURE_PER_EXAMPLE = settings(suppress_health_check=[HealthCheck.function_scop
 def test_save_load_round_trip_property(tmp_path, code):
     path = tmp_path / "code.txt"
     save_code(code, path)
-    assert load_code(path, validate=False) == code
+    assert covering._parse_code(path, path.read_bytes()) == code
 
 
 @given(code=small_codes(), data=st.data())
@@ -1096,7 +1089,7 @@ def test_load_mutated_file_loads_or_names_file_and_line(tmp_path, code, data):
         lines[target - 2] = token
     path.write_text("\n".join(lines) + "\n")
     try:
-        load_code(path, validate=False)
+        covering._parse_code(path, path.read_bytes())
     except ValueError as exc:
         message = str(exc)
         assert str(path) in message

@@ -208,13 +208,21 @@ def test_det_sweep_raises_on_a_word_its_code_does_not_cover(monkeypatch):
         run_experiment(config)
 
 
-def test_skipped_det_point_builds_no_code(tmp_path):
+def test_skipped_det_point_builds_no_code(tmp_path, monkeypatch):
+    # t out of [1, n] is refused before greedy runs or a code file is written
+    built = []
+    greedy = experiments.greedy_covering_code
+    monkeypatch.setattr(experiments, "greedy_covering_code", lambda n, r: built.append((n, r)) or greedy(n, r))
     code_dir = tmp_path / "codes"
-    config = parse_config(f"protocol = det\ntrials = 5\ncode_dir = {code_dir}\npoint n=12 t=5 s=1\npoint n=9 t=4\n")
-    skipped, ok = run_experiment(config).records
+    points = "point n=12 t=5 s=1\npoint n=9 t=4\npoint n=10 t=0\npoint n=8 t=9\n"
+    config = parse_config(f"protocol = det\ntrials = 5\ncode_dir = {code_dir}\n{points}")
+    skipped, ok, low, high = run_experiment(config).records
     assert (skipped["status"], skipped["reason"]) == ("skipped", "unused point key 's'")
     assert ok["status"] == "ok"
+    assert (low["status"], low["reason"]) == ("skipped", "gap must satisfy 1 <= gap <= n, got 0")
+    assert (high["status"], high["reason"]) == ("skipped", "gap must satisfy 1 <= gap <= n, got 9")
     assert sorted(path.name for path in code_dir.iterdir()) == ["code-n9-r1.txt"]
+    assert built == [(9, 1)]
 
 
 def test_sketch_grid_beyond_float64_is_skipped():
@@ -371,12 +379,23 @@ def test_exact_classes_audit_trial_zero_and_the_first_error(point_seed, audited_
         return ghd_via_streaming(make, c, x, y, check_determinism=False)[1]
 
     config = parse_config("protocol = stream\ntrials = 60\n")
-    errors0, errors1, audited = experiments._exact_classes(
-        config, point_seed, n, gap, streaming_protocol(make, c), run
+    record = {}
+    audited = experiments._exact_classes(
+        config, record, point_seed, n, gap, streaming_protocol(make, c), run
     )
     assert len(runs) == len(audited) == 1 + audited_far
-    assert (errors0, errors1) == _looped_classes(60, point_seed, n, gap, run)
+    errors0, errors1 = _looped_classes(60, point_seed, n, gap, run)
     assert errors0 == 0 < errors1
+    # 3 snapshots of the 17-bit bitmap and the decision bit
+    assert record == {
+        "err_close": 0.0,
+        "err_close_hw": 0.0,
+        "err_far": errors1 / 60,
+        "err_far_hw": 0.0,
+        "error_bound": 0.0,
+        "bound_ok": False,
+        "measured_bits": 3 * 17 + 1,
+    }
 
 
 @pytest.mark.parametrize("n, gap", [(16, 5), (18, 7), (100, stream_gap(100, 1.5))])
@@ -397,11 +416,13 @@ def test_exact_classes_draw_far_pairs_in_lanes(monkeypatch, n, gap):
         return (xs != ys).any(axis=1).astype(np.int64)
 
     config = parse_config("protocol = det\ntrials = 500\n")
-    errors0, errors1, _ = experiments._exact_classes(
-        config, 3, n, gap, SimpleNamespace(pair_outputs=pair_outputs),
-        lambda x, y: SimpleNamespace(output=int(x != y), ledger=None),
+    record = {}
+    audited = experiments._exact_classes(
+        config, record, 3, n, gap, SimpleNamespace(pair_outputs=pair_outputs),
+        lambda x, y: SimpleNamespace(output=int(x != y), ledger=SimpleNamespace(total_bits=y.value % 1000)),
     )
-    assert (errors0, errors1) == (0, 0)
+    assert len(audited) == 2  # trial 0 of each class: no errors
+    assert (record["err_close"], record["err_far"], record["bound_ok"]) == (0.0, 0.0, True)
     assert len(oracle_calls) <= 5
     # the class RNG draws close word, distance, pair seed, trial by trial
     rng = random.Random(derive_seed(3, 0))
@@ -410,6 +431,7 @@ def test_exact_classes_draw_far_pairs_in_lanes(monkeypatch, n, gap):
         close.append(BitString.random(n, rng))
         d = rng.randint(gap, n)
         far.append(random_pair_at_distance(n, d, rng.getrandbits(63)))
+    assert record["measured_bits"] == max(close[0].value % 1000, far[0][1].value % 1000)
     (close_xs, close_ys), (far_xs, far_ys) = scored
     assert close_xs is close_ys  # the close class passes one matrix twice
     for matrix, words in ((close_xs, close), (far_xs, [x for x, _ in far]), (far_ys, [y for _, y in far])):

@@ -212,7 +212,7 @@ def test_unit_vectors_are_normalized_and_shared():
 def test_unit_vector_dim1_is_sign():
     r = SharedRandomness(19).reader()
     for _ in range(100):
-        (v,) = r.unit_vector(1)
+        (v,) = r.unit_vectors(1, 1)[0]
         assert v in (1.0, -1.0)
 
 

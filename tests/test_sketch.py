@@ -114,7 +114,7 @@ def test_padding_satisfies_block_identity_over_sweep():
 
 def test_unit_vector_dim1_is_sign():
     reader = SharedRandomness(1).reader()
-    values = {float(reader.unit_vector(1)[0]) for _ in range(50)}
+    values = {float(reader.unit_vectors(1, 1)[0, 0]) for _ in range(50)}
     assert values <= {1.0, -1.0}
     assert len(values) == 2
 
@@ -122,7 +122,7 @@ def test_unit_vector_dim1_is_sign():
 def test_unit_vector_norm():
     reader = SharedRandomness(2).reader()
     for dim in (2, 3, 8, 33):
-        v = reader.unit_vector(dim)
+        v = reader.unit_vectors(1, dim)[0]
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
