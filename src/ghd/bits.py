@@ -457,6 +457,7 @@ def _pool_lanes(n: int, distances: list[int], seeds: list[int]) -> tuple[np.ndar
     # each step sets its pick's bit q of x ^ y and flags a draw past the bound
     limbs = (n + 63) // 64
     flipped = np.zeros((count, 64 * limbs), dtype=bool)
+    flat_flipped, flipped_row = flipped.ravel(), lanes * (64 * limbs)  # lane's bit q at row + q
     failed = np.zeros(count, dtype=bool)
     # distances descend, so the lanes still picking at step i are a prefix
     live = np.searchsorted(-np.array(distances), -np.arange(steps), side="left")
@@ -469,7 +470,7 @@ def _pool_lanes(n: int, distances: list[int], seeds: list[int]) -> tuple[np.ndar
         j = values.ravel()[window_start[:active] + first]
         failed[:active] |= j >= bound
         slot = j * count + lanes[:active]
-        flipped[lanes[:active], flat_pool[slot]] = True
+        flat_flipped[flipped_row[:active] + flat_pool[slot]] = True
         flat_pool[slot] = pool[bound - 1, :active]
     failed |= cursor - lane_start > outputs
     # x's 32-bit words, least significant first, padded to whole limbs; the

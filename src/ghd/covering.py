@@ -13,17 +13,26 @@ pick the word whose ball covers the most still-uncovered points.  Every pick
 covers at least a ``V2(n, r) / 2**n`` fraction of what remains, which yields
 the size guarantee ``|C| <= (0.694 * n + 1) * 2**n / V2(n, r)``.  After a
 pick newly covers k points, only words in its 2r-ball (the whole cube once
-2r >= n) lose gain.  The update bincounts the slots in that ball of the XORs
-of the newly covered offsets with all V2(n, r) offsets, or of the stale ones
+2r >= n) lose gain, and each pick updates the gains by the cheaper of two
+exact rules, priced in element counts.  The direct rule takes one gain from
+every word of each newly covered point's ball: k * V2(n, r) decrements, in
+row blocks.  The slot rule scatters a drop into the V2(n, 2r) words of the
+pick's 2r-ball.  The drop bincounts the slots in that ball of the XORs of
+the newly covered offsets with all V2(n, r) offsets, or of the stale ones
 subtracted from ``|B(0, r) & B(s, r)|`` (a closed form in |s|) when fewer:
-O(min(k, V2(n, r) - k) * V2(n, r) + V2(n, 2r)) work.  The slot table is
-stored when 2r < n and its ``V2(n, r)**2`` entries fit an 8,000,000-entry
-budget, and computed a block of rows at a time otherwise.  Blocks hold at
-least 2**16 entries and V2(n, 2r), the counts a bincount sweeps.  Gains are
-int16 when ``V2(n, r) < 2**15`` and int32 otherwise; slots are uint16 or
-uint32.  Greedy picks come in runs of translates that newly cover the same
-slots of the ball, so a pick whose mask repeats the previous pick's reuses
-its drops.  The argmax resumes from the last pick: gains only fall, and
+O(min(k, V2(n, r) - k) * V2(n, r)) more work.  Greedy picks come in runs of
+translates that newly cover the same slots of the ball, so a pick whose
+mask repeats the last counted pick's reuses its drop, and a mask that
+repeats the previous pick's is counted once for the rest of its run.  So
+picks that cover few words go direct, and runs of translates share one
+count.  The slot table is stored when 2r < n and its ``V2(n, r)**2``
+entries fit an 8,000,000-entry budget, and computed a block of rows at a
+time otherwise.  Blocks hold at least 2**16 entries and V2(n, 2r), the
+counts a bincount sweeps.  Gains are int16 when ``V2(n, r) < 2**15`` and
+int32 otherwise; slots are uint16 or uint32.  Each set-cover build logs
+its update counts in one DEBUG line on ``ghd.covering``.  Radius n, n - 1
+and 0 need no set-up: their codes are ``(0,)``, ``(0, 1)`` and every word
+in order.  The argmax resumes from the last pick: gains only fall, and
 every word below a pick held less than it, so the next pick is the first
 word after the last one still at the old maximum.  Segments of growing
 length are scanned for it, and a full O(2**n) argmax runs only once none is
@@ -122,6 +131,9 @@ __all__ = [
 GREEDY_MAX_N = 22
 _SLOT_TABLE_ENTRIES = 8_000_000  # largest volume x volume slot table greedy stores
 _SLOT_BLOCK_ENTRIES = 1 << 16  # least slot entries per block of greedy's set-up and drops
+# greedy's price per entry, in ns, of a direct decrement, a counted slot and a
+# scattered drop; fitted to per-pick timings of (16, 2) .. (21, 3) builds
+_DIRECT_NS, _COUNTED_NS, _SCATTERED_NS = 3.0, 2.0, 3.1
 _ARGMAX_FIRST_SEGMENT = 1 << 12  # gains in the first segment of a resumed argmax
 _EXHAUSTIVE_AUDIT_MAX_N = 24
 _TABLE_MAX_N = 16  # a code this short builds its decode table on first use
@@ -331,7 +343,11 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
     """Greedy max-coverage covering code over the exhaustive cube (n <= 22).
 
     Deterministic: maximum-gain ties go to the lowest word.  The resulting
-    size satisfies :func:`greedy_size_bound`.
+    size satisfies :func:`greedy_size_bound`.  After each pick the gains
+    fall by the cheaper of two exact rules (see the module docstring):
+    direct decrements around each newly covered word, or a drop scattered
+    over the pick's 2r-ball, counted or reused from the last count.  Both
+    give the same integers, so the code does not depend on the choice.
     """
     if n > GREEDY_MAX_N:
         raise ValueError(
@@ -343,11 +359,17 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
     if radius == n:
         # word 0's ball is the whole cube: greedy picks it and stops
         return CoveringCode(n, n, (0,))
+    if radius == n - 1:
+        # word 0's ball misses only the all-ones word, which lies in every
+        # other word's ball: each gain is then 1 but word 0's, and the lowest
+        # such word, 1, is next
+        return CoveringCode(n, radius, (0, 1))
     size = 1 << n
     if radius == 0:
         # each word only covers itself; greedy picks them in word order
         return CoveringCode(n, 0, tuple(range(size)))
 
+    began = time.perf_counter()
     offsets = _ball_offsets(n, radius)
     volume = len(offsets)
     # A gain never exceeds volume; int16 halves argmax's pass and the
@@ -380,7 +402,29 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
     whole = _ball_overlaps(n, radius).astype(gain.dtype)[popcount_table(n)[reach]]
     # The drop depends only on fresh, the newly covered slots of the ball,
     # and greedy picks come in runs of translates that share it.
-    last_fresh = None
+    last_fresh = previous = None
+
+    def count_drop(fresh: np.ndarray, complement: bool) -> np.ndarray:
+        """The drop at each slot of reach, counted over the fresh rows, or
+        over the stale ones and subtracted from ``whole`` (``complement``)."""
+        rows = np.flatnonzero(~fresh if complement else fresh)
+        # The first block's counts start the sum: most drops fit one
+        # block, and a zeroed sum would add a pass over reach to each.
+        counts = 0
+        for start in range(0, len(rows), block_rows):
+            part = rows[start : start + block_rows]
+            block = np.take(position, offsets[part, None] ^ offsets) if pairs is None else pairs[part]
+            part_counts = np.bincount(block.ravel(), minlength=len(reach))
+            if start:
+                counts += part_counts
+            else:
+                counts = part_counts
+        return (whole - counts if complement else counts).astype(gain.dtype)
+
+    # The direct rule takes one gain for each entry of its row blocks;
+    # ufunc.at keeps its fast path only for a value of the gain dtype.
+    one = gain.dtype.type(1)
+    updates = {"direct": 0, "counted": 0, "reused": 0}
 
     pick, best = -1, volume
     while remaining:
@@ -394,25 +438,38 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
         remaining -= len(newly)
         if remaining == 0:
             break
-        if not np.array_equal(fresh, last_fresh):
-            # count over the fewer of the fresh and the stale rows
-            complement = 2 * len(newly) > volume
-            rows = np.flatnonzero(~fresh if complement else fresh)
-            # The first block's counts start the sum: most drops fit one
-            # block, and a zeroed sum would add a pass over reach to each.
-            counts = 0
-            for start in range(0, len(rows), block_rows):
-                part = rows[start : start + block_rows]
-                block = np.take(position, offsets[part, None] ^ offsets) if pairs is None else pairs[part]
-                part_counts = np.bincount(block.ravel(), minlength=len(reach))
-                if start:
-                    counts += part_counts
-                else:
-                    counts = part_counts
-            drop = (whole - counts if complement else counts).astype(gain.dtype)
-            last_fresh = fresh
+        # Both rules are exact; each pick takes the cheaper by element counts.
+        # Direct: every newly covered word takes one gain from each word of
+        # its ball, F * V decrements.  Slot: scatter the drop into the pick's
+        # 2r-ball, after counting it over the fewer of the fresh and the
+        # stale rows unless fresh repeats the last counted pick's.  Once the
+        # previous pick's fresh repeats, a run of translates has begun, and
+        # its one count is weighed against the rest of the run, not one pick.
+        direct = _DIRECT_NS * len(newly) * volume
+        scatter = _SCATTERED_NS * len(reach)
+        if direct <= scatter:
+            rule = "direct"
+        elif np.array_equal(fresh, last_fresh):
+            rule = "reused"
+        elif direct <= scatter + _COUNTED_NS * min(len(newly), volume - len(newly)) * volume and not np.array_equal(fresh, previous):
+            rule = "direct"
+        else:
+            rule = "counted"
+        previous = fresh
+        updates[rule] += 1
+        if rule == "direct":
+            for start in range(0, len(newly), block_rows):
+                # unnamed, so no block outlives its call into the next count
+                np.subtract.at(gain, (newly[start : start + block_rows, None] ^ offsets).ravel(), one)
+            continue
+        if rule == "counted":
+            drop, last_fresh = count_drop(fresh, 2 * len(newly) > volume), fresh
         # np.subtract.at runs faster here than gain[pick ^ reach] -= drop
         np.subtract.at(gain, pick ^ reach, drop)
+    _log.debug(
+        "built the greedy (%d, %d) code: %d words; %d direct, %d counted, %d reused updates in %.3f s",
+        n, radius, len(codewords), updates["direct"], updates["counted"], updates["reused"], time.perf_counter() - began,
+    )
     return CoveringCode(n, radius, tuple(codewords))
 
 
@@ -555,7 +612,7 @@ class DetProtocolParams:
     code: CoveringCode
 
     def __post_init__(self) -> None:
-        _check_gap(self.n, self.gap)
+        _det_radius(self.n, self.gap)  # a bad gap is refused first
         if self.code.n != self.n:
             raise ValueError("code length does not match n")
         if self.code.radius != self.decision_radius:
@@ -565,23 +622,26 @@ class DetProtocolParams:
 
     @property
     def decision_radius(self) -> int:
-        return (self.gap - 1) // 2
+        return _det_radius(self.n, self.gap)
 
     @property
     def cost_bits(self) -> int:
         return self.code.index_width + 1
 
 
-def _check_gap(n: int, gap: int) -> None:
+def _det_radius(n: int, gap: int) -> int:
+    """The det protocol's covering and decision radius, ``(gap - 1) // 2``;
+    a gap outside ``[1, n]`` raises ``ValueError``."""
     if not 1 <= gap <= n:
         raise ValueError(f"gap must satisfy 1 <= gap <= n, got {gap}")
+    return (gap - 1) // 2
 
 
 def det_protocol_params(n: int, gap: int, code: CoveringCode | None = None) -> DetProtocolParams:
     """The protocol's parameters; a bad gap is refused before any code is built."""
-    _check_gap(n, gap)
+    radius = _det_radius(n, gap)
     if code is None:
-        code = greedy_covering_code(n, (gap - 1) // 2)
+        code = greedy_covering_code(n, radius)
     return DetProtocolParams(n, gap, code)
 
 
@@ -650,9 +710,9 @@ def det_complexity_bounds(n: int, gap: int) -> ComplexityBounds:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_gap(n, gap)
+    radius = _det_radius(n, gap)
     lower = n - log2_ball_volume(n, gap // 2)
-    upper = n - log2_ball_volume(n, (gap - 1) // 2) + math.log2(n) + 2.0
+    upper = n - log2_ball_volume(n, radius) + math.log2(n) + 2.0
     return ComplexityBounds(lower, upper)
 
 

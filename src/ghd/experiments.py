@@ -88,6 +88,7 @@ from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_protocol
 from .covering import (
     GREEDY_MAX_N,
+    _det_radius,
     det_protocol,
     det_protocol_params,
     det_complexity_bounds,
@@ -360,9 +361,12 @@ def prepare_codes(config: ExperimentConfig) -> None:
     Path(config.code_dir).mkdir(parents=True, exist_ok=True)
     for point in config.grid:
         n, gap = point.get("n"), point.get("t")
-        if n is None or gap is None or not 1 <= gap <= n or n > GREEDY_MAX_N or _unused_key(config, point):
+        if n is None or gap is None or n > GREEDY_MAX_N or _unused_key(config, point):
             continue
-        radius = (gap - 1) // 2
+        try:
+            radius = _det_radius(n, gap)
+        except ValueError:
+            continue  # the point is skipped for its gap
         path = _code_path(config.code_dir, n, radius)
         if not path.exists():
             save_code(greedy_covering_code(n, radius), path)
@@ -415,7 +419,7 @@ def _run_det_point(config: ExperimentConfig, point: dict, point_seed: int) -> tu
     record = _blank_record("deterministic", point)
     n, gap = point["n"], point["t"]
     lower, upper = det_complexity_bounds(n, gap)  # refuses n and t before a code is built
-    params = det_protocol_params(n, gap, code=_obtain_code(config, n, (gap - 1) // 2))
+    params = det_protocol_params(n, gap, code=_obtain_code(config, n, _det_radius(n, gap)))
     protocol = det_protocol(params)
     audited = _exact_classes(
         config, record, point_seed, n, gap, protocol, lambda x, y: protocol.run(x, y, 0)

@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import random
+import re
 import tracemalloc
 from collections import OrderedDict
 from functools import lru_cache
@@ -149,7 +150,74 @@ def test_greedy_bounds_full_sweep_small():
 @pytest.mark.parametrize("n, r", [(14, 5), (17, 3)])
 def test_greedy_matches_loop_mid(n, r):
     # (14, 5): V2(14, 5)**2 exceeds the slot-table budget, so slot rows are computed per block
-    assert greedy_covering_code(n, r).codewords == loop_greedy(n, r)
+    assert greedy_covering_code(n, r).codewords == loop_greedy_cached(n, r)
+
+
+@pytest.mark.parametrize("n", range(2, GREEDY_MAX_N + 1))
+def test_greedy_radius_n_minus_1_is_two_words_without_set_up(n):
+    # word 0's ball misses only the all-ones word, which every other ball
+    # holds, so word 1 is next; the set-up took 232 MB of peak at n = 22
+    tracemalloc.start()
+    try:
+        code = greedy_covering_code(n, n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.codewords == (0, 1)
+    assert peak < 1 << 20
+    if n <= 12:
+        assert code.codewords == loop_greedy(n, n - 1)
+
+
+# _DIRECT_NS weights that send every gain update to one rule
+GAIN_RULES = {"direct": 0.0, "slot": math.inf}
+
+
+def greedy_updates(caplog) -> dict[str, int]:
+    """The update counts of the last greedy build's DEBUG line."""
+    message = [r.getMessage() for r in caplog.records if r.getMessage().startswith("built the greedy")][-1]
+    counts = re.search(r"(\d+) direct, (\d+) counted, (\d+) reused", message).groups()
+    return dict(zip(("direct", "counted", "reused"), map(int, counts)))
+
+
+@lru_cache(maxsize=None)
+def loop_greedy_cached(n: int, radius: int) -> tuple[int, ...]:
+    return loop_greedy(n, radius)
+
+
+@pytest.mark.parametrize("rule", GAIN_RULES)
+@pytest.mark.parametrize("n, r", [(12, 2), (13, 7), (14, 5), (17, 3)])
+def test_each_gain_rule_alone_matches_the_loop(monkeypatch, caplog, rule, n, r):
+    # (13, 7): the 2r-ball is the whole cube; (14, 5): slot rows computed per block
+    monkeypatch.setattr(covering, "_DIRECT_NS", GAIN_RULES[rule])
+    caplog.set_level(logging.DEBUG, logger="ghd.covering")
+    code = greedy_covering_code(n, r)
+    assert code.codewords == loop_greedy_cached(n, r)
+    updates = greedy_updates(caplog)
+    assert sum(updates.values()) == code.size - 1
+    assert (updates["direct"] == code.size - 1) if rule == "direct" else (updates["direct"] == 0)
+
+
+@pytest.mark.parametrize("rule", GAIN_RULES)
+def test_each_gain_rule_alone_keeps_the_18_3_pin(tmp_path, monkeypatch, rule):
+    monkeypatch.setattr(covering, "_DIRECT_NS", GAIN_RULES[rule])
+    path = tmp_path / "code.txt"
+    save_code(greedy_covering_code(18, 3), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CODE_DIGESTS[18, 3]
+
+
+def test_greedy_build_logs_its_updates_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="ghd.covering")
+    code = greedy_covering_code(16, 2)
+    [message] = [r.getMessage() for r in caplog.records]
+    assert re.fullmatch(
+        r"built the greedy \(16, 2\) code: 1024 words; \d+ direct, \d+ counted, \d+ reused updates in \d+\.\d{3} s",
+        message,
+    )
+    updates = greedy_updates(caplog)
+    assert sum(updates.values()) == code.size - 1  # the last pick updates nothing
+    assert min(updates.values()) > 0  # (16, 2) takes each rule
+    assert logging.getLogger("ghd.covering").handlers == []
 
 
 def test_greedy_is_deterministic():

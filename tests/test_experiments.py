@@ -192,9 +192,12 @@ def test_decode_table_log_leaves_exact_sweep_reports_alone(caplog):
     for a, b in zip(logged, quiet):
         assert a.to_csv() == b.to_csv() and a.to_json() == b.to_json()
     built = [r.getMessage() for r in caplog.records if r.name == "ghd.covering"]
-    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
-    assert re.fullmatch(r"built the decode table of \(12, 2\): 4096 entries of uint8 in \d+\.\d{3} s", built[0])
-    assert re.fullmatch(r"built the decode table of \(17, 3\): 131072 entries of uint16 in \d+\.\d{3} s", built[1])
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 4
+    # with no code_dir each point builds its greedy code, then its batch builds the table
+    assert re.fullmatch(r"built the greedy \(12, 2\) code: \d+ words; .* updates in \d+\.\d{3} s", built[0])
+    assert re.fullmatch(r"built the decode table of \(12, 2\): 4096 entries of uint8 in \d+\.\d{3} s", built[1])
+    assert re.fullmatch(r"built the greedy \(17, 3\) code: \d+ words; .* updates in \d+\.\d{3} s", built[2])
+    assert re.fullmatch(r"built the decode table of \(17, 3\): 131072 entries of uint16 in \d+\.\d{3} s", built[3])
     assert logging.getLogger("ghd.covering").handlers == []
 
 
