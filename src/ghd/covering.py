@@ -440,11 +440,11 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
             break
         # Both rules are exact; each pick takes the cheaper by element counts.
         # Direct: every newly covered word takes one gain from each word of
-        # its ball, F * V decrements.  Slot: scatter the drop into the pick's
+        # its ball, k * V decrements.  Slot: scatter the drop into the pick's
         # 2r-ball, after counting it over the fewer of the fresh and the
-        # stale rows unless fresh repeats the last counted pick's.  Once the
-        # previous pick's fresh repeats, a run of translates has begun, and
-        # its one count is weighed against the rest of the run, not one pick.
+        # stale rows unless fresh repeats the last counted pick's.  Once
+        # fresh repeats the previous pick's, a run of translates has begun,
+        # and one count serves the rest of the run, so it is counted.
         direct = _DIRECT_NS * len(newly) * volume
         scatter = _SCATTERED_NS * len(reach)
         if direct <= scatter:
