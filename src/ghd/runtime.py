@@ -204,11 +204,14 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def _unit_vector_values(seeds: np.ndarray, rows: int, dim: int) -> np.ndarray:
-    """The first ``unit_vectors(rows, dim)`` draw of a fresh reader of each seed.
+def _unit_vector_values(seeds: np.ndarray, rows: int, dim: int, total: int) -> np.ndarray:
+    """The first ``rows`` rows of ``unit_vectors(total, dim)`` from a fresh reader of each seed.
 
-    Shape ``(len(seeds), rows, dim)``.  A seed whose draw has a zero-norm row
-    is redrawn through its own :class:`StreamReader`.
+    Shape ``(len(seeds), rows, dim)``, for ``rows <= total``; only those rows
+    are drawn.  Row k reads its positions before any redraw does, so it
+    depends on ``total`` only through a zero-norm row: a seed whose first
+    ``rows`` rows hold one is redrawn through its own :class:`StreamReader`
+    as the whole ``total``-row draw, whose redraws start past all of it.
     """
     g = _gaussian_values(seeds, 0, rows * dim).reshape(len(seeds), rows, dim)
     norms = _row_norms(g)
@@ -216,7 +219,7 @@ def _unit_vector_values(seeds: np.ndarray, rows: int, dim: int) -> np.ndarray:
     norms[redraw] = 1.0
     g /= norms[..., None]
     for trial in np.flatnonzero(redraw):
-        g[trial] = StreamReader(int(seeds[trial])).unit_vectors(rows, dim)
+        g[trial] = StreamReader(int(seeds[trial])).unit_vectors(total, dim)[:rows]
     return g
 
 

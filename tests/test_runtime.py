@@ -144,7 +144,7 @@ def test_gaussian_kernel_is_pinned(start, count):
 
 @pytest.mark.parametrize("rows, dim", list(UNIT_VECTOR_DIGESTS))
 def test_unit_vector_kernel_is_pinned(rows, dim):
-    vectors = runtime._unit_vector_values(_KERNEL_SEEDS, rows, dim)
+    vectors = runtime._unit_vector_values(_KERNEL_SEEDS, rows, dim, rows)
     assert vectors.shape == (5, rows, dim)
     assert hashlib.sha256(vectors.tobytes()).hexdigest() == UNIT_VECTOR_DIGESTS[rows, dim]
 
@@ -155,7 +155,7 @@ def test_draw_kernels_leave_their_seeds_unchanged():
     runtime._raw_values(seeds, 0, 9)
     runtime._raw_values(seeds, 2, 9, 2)
     runtime._gaussian_values(seeds, 3, 7)
-    runtime._unit_vector_values(seeds, 4, 2)
+    runtime._unit_vector_values(seeds, 4, 2, 4)
     assert seeds.tobytes() == _KERNEL_SEEDS.tobytes()
 
 
@@ -602,24 +602,28 @@ def test_batched_error_trials_equal_the_run_loop(case):
 
 
 def test_batch_steps_stay_within_the_working_set(monkeypatch):
-    proto = sketch_protocol(derive_sketch_params(512, 4, 256, 2))  # 812 coordinates a trial
-    x, y = random_pair_at_distance(512, 9, seed=9)
+    params = derive_sketch_params(512, 4, 256, 2)  # 407 blocks of 2, 26 in the head
+    proto = sketch_protocol(params)
     seeds = np.array([derive_seed(8, trial) for trial in range(40)], dtype=np.uint64)
-    expected = [proto.run(x, y, int(seed)).output for seed in seeds]
     steps = []
     original = runtime._unit_vector_values
 
-    def unit_vector_values(chunk, rows, dim):
-        steps.append(len(chunk))
-        return original(chunk, rows, dim)
+    def unit_vector_values(chunk, rows, dim, total):
+        assert (dim, total) == (params.block_length, params.block_count)
+        steps.append((len(chunk), rows))
+        return original(chunk, rows, dim, total)
 
     monkeypatch.setattr("ghd.sketch._unit_vector_values", unit_vector_values)
-    assert proto.batch_outputs(x, y, seeds).tolist() == expected
-    assert steps == [10, 10, 10, 10]  # 2**13 // 812
-    steps.clear()
-    monkeypatch.setattr(runtime, "_BATCH_COORDINATES", 100)  # below one trial
-    assert proto.batch_outputs(x, y, seeds).tolist() == expected
-    assert steps == [1] * 40
+    for d, open_trials in ((9, 40), (60, 11)):  # the head decides 29 trials at distance 60
+        x, y = random_pair_at_distance(512, d, seed=9)
+        expected = [proto.run(x, y, int(seed)).output for seed in seeds]
+        for cap, head_step, full_step in ((1 << 13, 40, 10), (100, 1, 1)):  # 2**13 // 814; 100 is below a trial
+            monkeypatch.setattr(runtime, "_BATCH_COORDINATES", cap)
+            steps.clear()
+            assert proto.batch_outputs(x, y, seeds).tolist() == expected
+            full = [min(full_step, open_trials - i) for i in range(0, open_trials, full_step)]
+            assert steps == [(head_step, 26)] * (40 // head_step) + [(size, 407) for size in full]
+            assert all(size * rows * 2 <= cap or size == 1 for size, rows in steps)
 
 
 def _doctored(proto, trial, flip=True):

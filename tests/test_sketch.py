@@ -1,15 +1,19 @@
 import dataclasses
 import hashlib
+import logging
 import math
+import re
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghd import runtime
+from ghd import runtime, sketch
 from ghd.bits import BitString, GhdInstance, random_pair_at_distance
+from ghd.experiments import parse_config, run_experiment
 from ghd.runtime import (
     SharedRandomness,
     StreamReader,
@@ -20,7 +24,9 @@ from ghd.runtime import (
 from ghd.sketch import (
     GuaranteeFloorError,
     SketchMessage,
+    _decides_far,
     _project,
+    _projections_and_statistic,
     _statistic,
     alice_sketch,
     bob_decide,
@@ -520,7 +526,7 @@ def test_batched_statistic_is_bit_identical(s, block_length):
     assert params.block_length == block_length
     x, y = random_pair_at_distance(512, 20, seed=5)
     seeds = _seeds(block_length, 40)
-    vectors = runtime._unit_vector_values(seeds, params.block_count, params.block_length)
+    vectors = runtime._unit_vector_values(seeds, params.block_count, params.block_length, params.block_count)
     received = quantize_projection(_project(x, params, vectors), 512) / float(params.grid_denominator)
     batched = _statistic(received, _project(y, params, vectors))
     for seed, statistic in zip(seeds, batched):
@@ -528,38 +534,109 @@ def test_batched_statistic_is_bit_identical(s, block_length):
 
 
 def test_batch_redraws_a_zero_norm_row_like_a_run(monkeypatch):
-    # Zero the first row of one seed's first Gaussian block, in the batch
-    # draw and in that seed's run alike, so both take the redraw path.
+    # Zero one row of two seeds' first Gaussian draws, in the batch draws and
+    # in those seeds' runs alike, so both take the redraw path: row 0 (in the
+    # head blocks) of one seed and the last row (in the tail) of the other.
     params = derive_sketch_params(300, 2, 100, 0.05)
     proto = sketch_protocol(params)
+    count, length = params.block_count, params.block_length
     seeds = _seeds(47, 30)
-    target = seeds[7]
+    targets = {int(seeds[7]): 0, int(seeds[25]): count - 1}
     original = runtime._gaussian_values
     zeroed = []
 
-    def gaussians(chunk, start, count):
-        values = original(chunk, start, count)
-        hit = chunk == target
-        if start == 0 and hit.any():
-            zeroed.append(len(chunk))
-            values[hit, : params.block_length] = 0.0
+    def gaussians(chunk, start, size):
+        values = original(chunk, start, size)
+        for target, row in targets.items():
+            hit = chunk == np.uint64(target)
+            if start == 0 and hit.any() and size >= (row + 1) * length:
+                zeroed.append((len(chunk), size))
+                values[hit, row * length : (row + 1) * length] = 0.0
         return values
 
     monkeypatch.setattr(runtime, "_gaussian_values", gaussians)
-    x, y = random_pair_at_distance(300, 9, seed=9)
+    x, y = random_pair_at_distance(300, 9, seed=9)  # no trial is decided on its head
     outputs = proto.batch_outputs(x, y, seeds)
-    # the batch step holding it (2**13 // 384 = 21 seeds), then the target's
-    # own reader inside the redraw
-    assert params.padded_length == 384 and zeroed == [21, 1]
+    # the head step of all 30 seeds (6 blocks of 4), then the head seed's
+    # own reader inside its redraw; the full steps of 2**13 // 384 = 21 and
+    # 9 seeds, each followed by the zeroed seed's reader
+    assert (count, length, params.padded_length) == (96, 4, 384)
+    assert zeroed == [(30, 24), (1, 384), (21, 384), (1, 384), (9, 384), (1, 384)]
     assert outputs.tolist() == [proto.run(x, y, int(seed)).output for seed in seeds]
-    redrawn = runtime._unit_vector_values(seeds[6:9], params.block_count, params.block_length)
-    plain = StreamReader(int(target))
-    assert redrawn[1].tobytes() == plain.unit_vectors(params.block_count, params.block_length).tobytes()
-    assert plain.position == 2 * (params.padded_length + params.block_length)
+    head = runtime._unit_vector_values(seeds[6:9], 6, length, count)
+    redrawn = runtime._unit_vector_values(seeds[6:9], count, length, count)
+    plain = StreamReader(int(seeds[7]))
+    assert redrawn[1].tobytes() == plain.unit_vectors(count, length).tobytes()
+    assert plain.position == 2 * (params.padded_length + length)
+    assert head.tobytes() == redrawn[:, :6].tobytes()
+    tail = runtime._unit_vector_values(seeds[24:27], count, length, count)
+    assert tail[1].tobytes() == StreamReader(int(seeds[25])).unit_vectors(count, length).tobytes()
     monkeypatch.setattr(runtime, "_gaussian_values", original)
-    unpatched = StreamReader(int(target)).unit_vectors(params.block_count, params.block_length)
-    assert redrawn[1].tobytes() != unpatched.tobytes()
-    assert redrawn[1][1:].tobytes() == unpatched[1:].tobytes()
+    for trial, row in ((7, 0), (25, count - 1)):
+        unpatched = StreamReader(int(seeds[trial])).unit_vectors(count, length)
+        vectors = redrawn[1] if trial == 7 else tail[1]
+        assert vectors[row].tobytes() != unpatched[row].tobytes()
+        assert np.delete(vectors, row, 0).tobytes() == np.delete(unpatched, row, 0).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_head_decisions_are_full_decisions(data):
+    # s comes out from about 1e-7 up, so block_length runs from 1 to 40:
+    # past 8, where numpy sums each row pairwise
+    n = data.draw(st.integers(8, 600), label="n")
+    far = data.draw(st.integers(1, n), label="far")
+    close = data.draw(st.integers(0, far - 1), label="close")
+    length = data.draw(st.integers(1, 40), label="block_length")
+    s = far * ((-(-n // length) - 0.5) / (4 * n)) ** 3
+    params = derive_sketch_params(n, close, far, s, allow_void_guarantee=True)
+    assume(not params.trivial_mode)
+    d = data.draw(st.sampled_from([close, close + 1, far]), label="d")
+    x, y = random_pair_at_distance(n, d, seed=d)
+    seeds = _seeds(n + d, 40)
+    count = params.block_count
+
+    def statistics(rows):
+        vectors = runtime._unit_vector_values(seeds, rows, params.block_length, count)
+        return _projections_and_statistic(x, y, params, vectors)[2]
+
+    full = statistics(count)
+    head = statistics(-(-count // sketch._HEAD_DIVISOR)) * sketch._HEAD_DEFLATION
+    outputs = sketch_protocol(params).batch_outputs(x, y, seeds)
+    assert outputs.tolist() == _decides_far(params, full).astype(np.int64).tolist()
+    assert (head <= full).all()
+    assert _decides_far(params, full[_decides_far(params, head)]).all()
+
+
+def test_head_deflation_covers_every_accepted_block_count():
+    # Derivation refuses grid indices floor(sqrt(block_length) * n**3) >= 2**53,
+    # so block_count <= n <= largest, the largest n with n**3 < 2**53.
+    largest = round(2 ** (53 / 3))
+    while largest**3 >= 2**53:
+        largest -= 1
+    assert largest == 208_063 and (largest + 1) ** 3 >= 2**53
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        derive_sketch_params(largest + 1, 0, largest + 1, 1.0)
+    # Bob's statistic against the rounded deflated head sum (module docstring,
+    # Batch scoring); this implies (1 - u)**(B - 1) / (1 + u)**(B - 1) >= 1 - 2**-30
+    # at every B <= largest, 135,687 among them.
+    u = Fraction(1, 2**53)
+    assert Fraction(sketch._HEAD_DEFLATION) == 1 - Fraction(1, 2**30)
+    assert (1 - u) ** (largest - 1) >= Fraction(sketch._HEAD_DEFLATION) * (1 + u) ** largest
+
+
+def test_batch_logs_its_head_decisions_and_leaves_reports_alone(caplog):
+    config = parse_config("protocol = sketch\ntrials = 40\nseed = 3\npoint n=512 L=4 U=256 s=2\n")
+    quiet = run_experiment(config)
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="ghd.sketch")
+    logged = run_experiment(config)
+    assert logged.to_csv() == quiet.to_csv() and logged.to_json() == quiet.to_json()
+    messages = [r.getMessage() for r in caplog.records if r.name == "ghd.sketch"]
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2  # one batch a class
+    close, far = (re.fullmatch(r"decided (\d+) of 40 trials on the first 26 of 407 blocks", m) for m in messages)
+    assert close[1] == "0" and int(far[1]) > 30
+    assert logging.getLogger("ghd.sketch").handlers == []
 
 
 def test_only_projecting_sketches_batch():
