@@ -582,7 +582,7 @@ def test_batch_redraws_a_zero_norm_row_like_a_run(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_head_decisions_are_full_decisions(data):
-    # s comes out from about 1e-7 up, so block_length runs from 1 to 40:
+    # s runs from about 3e-8 to far / 64, so block_length runs from 1 to 40:
     # past 8, where numpy sums each row pairwise
     n = data.draw(st.integers(8, 600), label="n")
     far = data.draw(st.integers(1, n), label="far")
