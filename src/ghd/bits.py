@@ -229,16 +229,22 @@ def _limb_value(row: np.ndarray) -> int:
     return int.from_bytes(row.astype(">u8").tobytes(), "big")
 
 
+# Both directions unpack or pack whole limbs as one flat byte run: numpy's
+# one-dimensional path beats its per-row one on short rows.
+
+
 def _limb_bits(limbs: np.ndarray, n: int) -> np.ndarray:
     """The n-bit words of a limb matrix as rows of :func:`_int_bits`."""
     pad = 64 * limbs.shape[1] - n  # the top limb's unused high bits
-    return np.unpackbits(limbs.astype(">u8").view(np.uint8)[:, pad // 8 :], axis=1)[:, pad % 8 :]
+    return np.unpackbits(limbs.astype(">u8").view(np.uint8)).reshape(len(limbs), n + pad)[:, pad:]
 
 
 def _bits_limbs(rows: np.ndarray) -> np.ndarray:
     """The limb matrix whose :func:`_limb_bits` are the 0/1 rows ``rows``."""
-    padded = np.concatenate((np.zeros((len(rows), -rows.shape[1] % 64), dtype=np.uint8), rows), axis=1)
-    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+    width = rows.shape[1]
+    padded = np.zeros((len(rows), width + -width % 64), dtype=np.uint8)
+    padded[:, padded.shape[1] - width :] = rows
+    return np.packbits(padded).view(">u8").reshape(len(rows), padded.shape[1] // 64).astype(np.uint64)
 
 
 def _check_limb_pairs(n: int, xs: np.ndarray, ys: np.ndarray) -> None:

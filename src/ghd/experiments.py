@@ -49,7 +49,8 @@ the audited ledgers, which is exact: sampling, sketch and det declare their
 cost and every run's ledger must equal it, and every bitmap snapshot is
 ``capacity_bits`` wide, so every stream run sends ``(2p - 1) * 2n + 1`` bits.
 A stream point whose bitmap cost exceeds the run budget ``64 n**2`` is
-skipped before any run.
+skipped before any run, and so is a sampling point whose m sample indices,
+8 m bytes, would exceed 256 MiB.
 
 Both exact sweeps draw their instances from one ``random.Random`` per point:
 per trial a close word x = y, a distance in [gap, n] and a 63-bit pair seed.
@@ -309,6 +310,18 @@ def _check_budget(n: int, expected: int) -> None:
         )
 
 
+# Largest index working set, in bytes, of one real run: a sampling run draws
+# its m sample indices as one int64 array (8 m bytes).
+_WORKING_SET_LIMIT = 1 << 28
+
+
+def _check_working_set(estimate: int) -> None:
+    if estimate > _WORKING_SET_LIMIT:
+        raise ValueError(
+            f"index working set {estimate} bytes exceeds the limit {_WORKING_SET_LIMIT} bytes"
+        )
+
+
 def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: int) -> tuple[dict, int]:
     record = _blank_record(config.protocol, point)
     n, lo, hi, s = point["n"], point["L"], point["U"], point["s"]
@@ -316,6 +329,8 @@ def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: in
     expected = protocol.cost_bits
     record.update(fields, expected_bits=expected)
     _check_budget(n, expected)
+    if config.protocol == "sampling":
+        _check_working_set(8 * fields["m"])
     close = GhdInstance.at_distance(n, lo, hi, lo, derive_seed(point_seed, 0))
     far = GhdInstance.at_distance(n, lo, hi, hi, derive_seed(point_seed, 1))
     (err0, hw0), runs0 = _error_trials(protocol, close, config.trials, derive_seed(point_seed, 2))

@@ -33,23 +33,62 @@ such parameter sets are flagged ``trivial_mode``.
 
 Batch scoring
 -------------
-The Monte Carlo batch hook scores in two stages.  The head stage sums the
+The Monte Carlo batch hook decides a close pair (distance d <= close_bound)
+by proof, without drawing: ``sketch_protocol`` computes once a float that is
+at least Bob's float64 statistic on every close pair and every draw, and
+when that float is not above the threshold, every trial of a close pair is
+scored 0.  The bound is derived in exact rational arithmetic and rounded up
+to a float.  With u = 2**-53, gamma_k = k u / (1 - k u), a = block_length and
+B = block_count, it follows each rounding of Bob's float64 computation.  A
+float sum of k + 1 terms, in any order, is within gamma_k times the sum of
+their magnitudes of the exact sum (Higham, "The accuracy of floating point
+summation", SIAM J. Sci. Comput. 14, 1993).
+
+* Unit vectors.  A row is fl(g_j / fl(sqrt(sum of fl(g_j**2)))).  A nonzero
+  Box-Muller coordinate exceeds 2**-81 in magnitude, so no square or
+  quotient underflows, and the row's Euclidean norm is at most
+  c = (1 + u) / ((1 - gamma_a) (1 - u)).
+* Projections.  A block's projection is the float sum of the vector entries
+  at its 1 bits (each product with a bit is exact).  It is within
+  gamma_{a-1} sqrt(a) c of that sum taken exactly, and at most
+  A = sqrt(a) c (1 + gamma_{a-1}) in magnitude.
+* Quantization.  Alice sends q = rint(fl(p * n**3)) and Bob reads
+  r = fl(q / n**3), which is within 1/(2 n**3) + u A + u (A (1 + u) +
+  1/(2 n**3)) + 2**-1074 of p (the last term covers an underflowing
+  product).
+* Cauchy-Schwarz.  The exact projections of the two blocks differ by at most
+  sqrt(d_i) c, so Bob's difference is at most sqrt(d_i) c + e, where e sums
+  the two projection errors and the quantization error.
+* Subtraction and square.  Each rounds once, so a term is at most
+  (1 + u)**3 (sqrt(d_i) c + e)**2 + 2**-1074.
+* Block sum.  The terms are nonnegative, so their float sum is at most
+  (1 + gamma_{B-1}) times their exact sum, and sum_i (sqrt(d_i) c + e)**2 <=
+  c**2 d + 2 c e sqrt(d B) + B e**2, since sum_i sqrt(d_i) <= sqrt(d B).
+
+The bound grows with d, so its value at d = close_bound covers every close
+pair.  Its excess over d = close_bound is about (d (B + 2a) + 4 a sqrt(d B)) u,
+against the threshold's margin of 5/n.  Derivation keeps sqrt(a) n**3 below
+2**53, which keeps the excess below the margin at every accepted parameter
+set: the largest share, about a fifth, is at n = 208,063, where only block
+length 1 is accepted, and at the largest accepted block length (36,178, one
+block) it is under a hundredth.  Real runs, the audited trials among them,
+still draw.
+
+Every other pair is scored in two stages.  The head stage sums the
 statistic's terms over the first ``ceil(block_count / 16)`` blocks, and the
 full stage sums every block, as Bob does, for the trials the head stage left
 open.  A trial is decided far on its head when its head sum times
 ``1 - 2**-30`` exceeds the threshold.  That decision is Bob's: the terms are
-nonnegative and bit-identical to his, and a float sum of m nonnegative terms,
-in any order, lies within a factor ``(1 +- 2**-53)**(m - 1)`` of their exact
-sum (Higham, "The accuracy of floating point summation", SIAM J. Sci.
-Comput. 14, 1993).  With B = ``block_count``, Bob's statistic is at least
-``(1 - 2**-53)**(B - 1) / (1 + 2**-53)**(B - 1)`` times the head sum, and the
-rounded product of the head sum and ``1 - 2**-30`` is at most
+nonnegative and bit-identical to his, and by the summation bound above a
+float sum of m nonnegative terms lies within a factor
+``(1 +- 2**-53)**(m - 1)`` of their exact sum.  So Bob's statistic is at
+least ``(1 - 2**-53)**(B - 1) / (1 + 2**-53)**(B - 1)`` times the head sum,
+and the rounded product of the head sum and ``1 - 2**-30`` is at most
 ``(1 - 2**-30) * (1 + 2**-53)`` times it.  So Bob's statistic is at least
 that product whenever ``(1 - 2**-53)**(B - 1) / (1 + 2**-53)**B >=
 1 - 2**-30``, which holds for every B <= n < 2**(53/3), the n that
 derivation accepts (grid indices stay below 2**53).  A deflated head sum
-above the threshold thus proves Bob's statistic is above it.  The close
-class never clears the threshold, so its trials always reach the full stage.
+above the threshold thus proves Bob's statistic is above it.
 """
 
 from __future__ import annotations
@@ -57,6 +96,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -299,6 +339,35 @@ def _decides_far(params: SketchParams, statistic):
     return statistic > params.threshold
 
 
+def _gamma(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u) for u = 2**-53."""
+    return Fraction(k, 2**53 - k)
+
+
+def _sqrt_up(value: int) -> Fraction:
+    """A rational at least sqrt(value), within 2**-64 of it."""
+    return Fraction(math.isqrt(value << 128) + 1, 1 << 64)
+
+
+def _close_statistic_bound(params: SketchParams) -> float:
+    """A float at least Bob's float64 statistic on every pair at distance <= close_bound.
+
+    Exact in ``Fraction`` arithmetic, then rounded up; the module docstring
+    (Batch scoring) derives each term.
+    """
+    u, tiny = Fraction(1, 2**53), Fraction(1, 2**1074)
+    length, count, distance = params.block_length, params.block_count, params.close_bound
+    half_step = Fraction(1, 2 * params.grid_denominator)
+    norm = (1 + u) / ((1 - _gamma(length)) * (1 - u))
+    projection = _gamma(length - 1) * _sqrt_up(length) * norm
+    largest = _sqrt_up(length) * norm + projection
+    e = 2 * projection + half_step + u * largest + u * (largest * (1 + u) + half_step) + tiny
+    terms = norm**2 * distance + 2 * norm * e * _sqrt_up(distance * count) + count * e**2
+    bound = (1 + _gamma(count - 1)) * ((1 + u) ** 3 * terms + count * tiny)
+    rounded = float(bound)  # correctly rounded, so at most one step below
+    return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
+
+
 def _projections_and_statistic(
     x: BitString, y: BitString, params: SketchParams, vectors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -412,11 +481,18 @@ def sketch_protocol(params: SketchParams) -> Protocol:
         yield Send(decision, 1)
         return decision
 
+    # Bob's statistic on a close pair is at most the bound, whatever the draws
+    close_certified = not _decides_far(params, _close_statistic_bound(params))
+
     def batch_outputs(x: BitString, y: BitString, seeds: np.ndarray) -> np.ndarray:
-        # Bob's decision for each seed: the two strategies on a leading seed
-        # axis, first on the head blocks, then on every block for the trials
-        # the head left open (module docstring, Batch scoring).
+        # Bob's decision for each seed: 0 on a certified close pair, else the
+        # two strategies on a leading seed axis, first on the head blocks,
+        # then on every block for the trials the head left open (module
+        # docstring, Batch scoring).
         _check_inputs(params, x, y)
+        if close_certified and (x.value ^ y.value).bit_count() <= params.close_bound:
+            _log.debug("decided %d of %d close trials by the one-sided bound", len(seeds), len(seeds))
+            return np.zeros(len(seeds), dtype=np.int64)
         count, length = params.block_count, params.block_length
         head = -(-count // _HEAD_DIVISOR)
 

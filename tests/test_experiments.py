@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ghd import bits, covering, experiments, sampling
+from ghd import bits, covering, experiments, runtime, sampling
 from ghd.experiments import (
     COLUMNS,
     ExperimentConfig,
@@ -586,6 +586,29 @@ def test_sampling_faults_skip_one_row_before_any_draw(monkeypatch, settings, poi
     config = parse_config(f"protocol = sampling\ntrials = 5\n{settings}point {point}\n")
     (record,) = run_experiment(config).records
     assert record["status"] == "skipped" and reason in record["reason"]
+
+
+def test_sampling_point_over_the_working_set_is_skipped(monkeypatch):
+    # m = 2 * 10**12 samples pass the 64 n**2 bit budget, but their indices
+    # would take 16 TB; the valid point after the refused one still runs
+    def bounded(draw):
+        def checked(seeds, bound, count, start=0):
+            assert count <= 10**6, "a point over the working-set limit drew its indices"
+            return draw(seeds, bound, count, start)
+
+        return checked
+
+    monkeypatch.setattr(runtime, "_indices_below_values", bounded(runtime._indices_below_values))
+    monkeypatch.setattr(sampling, "_indices_below_values", bounded(sampling._indices_below_values))
+    text = "protocol = sampling\ntrials = 5\npoint n=1000000 L=0 U=1 s=1\npoint n=64 L=2 U=40 s=1\n"
+    refused, valid = run_experiment(parse_config(text)).records
+    limit = experiments._WORKING_SET_LIMIT
+    assert (refused["status"], refused["reason"]) == (
+        "skipped",
+        f"index working set {16 * 10**12} bytes exceeds the limit {limit} bytes",
+    )
+    assert valid["status"] == "ok"
+    assert [valid] == run_experiment(parse_config(text.replace("point n=1000000", "# point n=1000000"))).records
 
 
 def test_contract_violations_still_raise(monkeypatch):

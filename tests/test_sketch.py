@@ -583,7 +583,9 @@ def test_batch_redraws_a_zero_norm_row_like_a_run(monkeypatch):
 @given(st.data())
 def test_head_decisions_are_full_decisions(data):
     # s runs from about 3e-8 to far / 64, so block_length runs from 1 to 40:
-    # past 8, where numpy sums each row pairwise
+    # past 8, where numpy sums each row pairwise.  Pairs at d <= close are
+    # scored by the close-pair certificate, so they check its bound too; at
+    # d = close + 1 a certificate that covered it would score far trials 0.
     n = data.draw(st.integers(8, 600), label="n")
     far = data.draw(st.integers(1, n), label="far")
     close = data.draw(st.integers(0, far - 1), label="close")
@@ -591,10 +593,11 @@ def test_head_decisions_are_full_decisions(data):
     s = far * ((-(-n // length) - 0.5) / (4 * n)) ** 3
     params = derive_sketch_params(n, close, far, s, allow_void_guarantee=True)
     assume(not params.trivial_mode)
-    d = data.draw(st.sampled_from([close, close + 1, far]), label="d")
+    d = data.draw(st.sampled_from([0, close, close + 1, far]), label="d")
     x, y = random_pair_at_distance(n, d, seed=d)
     seeds = _seeds(n + d, 40)
     count = params.block_count
+    proto = sketch_protocol(params)
 
     def statistics(rows):
         vectors = runtime._unit_vector_values(seeds, rows, params.block_length, count)
@@ -602,10 +605,14 @@ def test_head_decisions_are_full_decisions(data):
 
     full = statistics(count)
     head = statistics(-(-count // sketch._HEAD_DIVISOR)) * sketch._HEAD_DEFLATION
-    outputs = sketch_protocol(params).batch_outputs(x, y, seeds)
+    outputs = proto.batch_outputs(x, y, seeds)
     assert outputs.tolist() == _decides_far(params, full).astype(np.int64).tolist()
+    assert outputs.tolist() == [proto.run(x, y, int(seed)).output for seed in seeds]
     assert (head <= full).all()
     assert _decides_far(params, full[_decides_far(params, head)]).all()
+    bound = sketch._close_statistic_bound(params)
+    assert not _decides_far(params, bound)  # every accepted parameter set is certified
+    assert d > close or (full <= bound).all()
 
 
 def test_head_deflation_covers_every_accepted_block_count():
@@ -625,6 +632,60 @@ def test_head_deflation_covers_every_accepted_block_count():
     assert (1 - u) ** (largest - 1) >= Fraction(sketch._HEAD_DEFLATION) * (1 + u) ** largest
 
 
+def _params_at(n, close, far, length):
+    """Parameters of block length ``length`` at (n, close, far), guarantee waived."""
+    s = far * ((-(-n // length) - 0.5) / (4 * n)) ** 3
+    params = derive_sketch_params(n, close, far, s, allow_void_guarantee=True)
+    assert params.block_length == length and not params.trivial_mode
+    return params
+
+
+def test_close_certificate_holds_at_the_extremes():
+    # The largest n (block length 1 only, n blocks) and the largest block
+    # length any n accepts (36,178: one block), each at L = U - 1 = n - 1.
+    widest = 36_178
+    assert math.isqrt(widest**7) < 2**53 <= math.isqrt((widest + 1) ** 7)
+    points = [(208_063, 208_062, 208_063, 1), (208_063, 0, 1, 1), (widest, widest - 1, widest, widest)]
+    shares = []
+    for n, close, far, length in points:
+        params = _params_at(n, close, far, length)
+        bound = Fraction(sketch._close_statistic_bound(params))
+        assert close < bound and not _decides_far(params, float(bound))
+        shares.append((bound - close) / Fraction(5, n))  # of the threshold's margin
+    assert Fraction(1, 6) < shares[0] < Fraction(1, 4) and shares[1] < 2**-60 and shares[2] < Fraction(1, 100)
+    # beyond derivation (n = 2**20, n**3 > 2**53) the margin no longer covers it
+    largest_n = _params_at(208_063, 208_062, 208_063, 1)
+    beyond = dataclasses.replace(largest_n, n=2**20, close_bound=2**20 - 1, far_bound=2**20, block_count=2**20)
+    assert _decides_far(beyond, sketch._close_statistic_bound(beyond))
+
+
+def test_uncertified_close_pairs_draw_and_change_nothing(monkeypatch):
+    # With the certificate forced to "not certified", close pairs go through
+    # the draws: no report and no error rate may move.
+    points = "".join(f"point {point}\n" for point in ("n=512 L=4 U=256 s=2", "n=512 L=4 U=256 s=3", "n=2048 L=8 U=1024 s=2"))
+    configs = [parse_config(f"protocol = sketch\ntrials = 30\nseed = {seed}\n{points}") for seed in (1, 2, 3)]
+    certified = [run_experiment(config) for config in configs]
+    close = [GhdInstance.at_distance(512, 4, 256, d, seed=d) for d in (0, 4)]
+
+    def rates(proto):
+        return [estimate_error_rate(proto, instance, 30, 5) for instance in close]
+
+    proto = sketch_protocol(reference_params())
+    assert rates(proto) == rates(dataclasses.replace(proto, batch_outputs=None)) == [(0.0, 0.0)] * 2
+    draws = []
+    monkeypatch.setattr(sketch, "_close_statistic_bound", lambda params: math.inf)
+    monkeypatch.setattr(
+        sketch, "_unit_vector_values", lambda *args: draws.append(args[1:]) or runtime._unit_vector_values(*args)
+    )
+    for config, report in zip(configs, certified):
+        drawn = run_experiment(config)
+        assert drawn.to_csv() == report.to_csv() and drawn.to_json() == report.to_json()
+    draws.clear()
+    assert rates(sketch_protocol(reference_params())) == [(0.0, 0.0)] * 2
+    count = reference_params().block_count
+    assert (count, 2, count) in draws  # the close pairs reached the full stage
+
+
 def test_batch_logs_its_head_decisions_and_leaves_reports_alone(caplog):
     config = parse_config("protocol = sketch\ntrials = 40\nseed = 3\npoint n=512 L=4 U=256 s=2\n")
     quiet = run_experiment(config)
@@ -634,8 +695,10 @@ def test_batch_logs_its_head_decisions_and_leaves_reports_alone(caplog):
     assert logged.to_csv() == quiet.to_csv() and logged.to_json() == quiet.to_json()
     messages = [r.getMessage() for r in caplog.records if r.name == "ghd.sketch"]
     assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2  # one batch a class
-    close, far = (re.fullmatch(r"decided (\d+) of 40 trials on the first 26 of 407 blocks", m) for m in messages)
-    assert close[1] == "0" and int(far[1]) > 30
+    close, far = messages
+    assert close == "decided 40 of 40 close trials by the one-sided bound"
+    far = re.fullmatch(r"decided (\d+) of 40 trials on the first 26 of 407 blocks", far)
+    assert int(far[1]) > 30
     assert logging.getLogger("ghd.sketch").handlers == []
 
 
