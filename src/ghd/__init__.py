@@ -33,7 +33,6 @@ from .runtime import (
     SharedRandomness,
     derive_seed,
     estimate_error_rate,
-    measure_worst_case_cost,
     run_protocol,
 )
 from .sampling import SamplingParams, derive_sampling_params, sampling_protocol
@@ -55,9 +54,7 @@ from .covering import (
     det_protocol,
     det_protocol_params,
     greedy_covering_code,
-    nearest_codeword,
     random_covering_code,
-    set_diameter,
 )
 from .streaming import (
     ExactBitmapF0,

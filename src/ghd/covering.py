@@ -107,7 +107,7 @@ import random
 
 import numpy as np
 
-from .bits import BitString, _check_lengths, _check_limb_pairs, _limb_matrix, _limb_value, _decode_text, _parse_decimal, ball_volume, hamming_distance, log2_ball_volume
+from .bits import BitString, _check_lengths, _check_limb_pairs, _limb_matrix, _limb_value, _decode_text, _parse_decimal, log2_ball_volume
 from .runtime import RECV, ContractViolationError, Protocol, Send, StreamReader, _in_batches
 
 __all__ = [
@@ -116,14 +116,11 @@ __all__ = [
     "CodeConstructionError",
     "greedy_covering_code",
     "random_covering_code",
-    "greedy_size_bound",
     "audit_covering",
-    "nearest_codeword",
     "det_protocol_params",
     "det_protocol",
     "det_complexity_bounds",
     "ComplexityBounds",
-    "set_diameter",
     "save_code",
     "load_code",
 ]
@@ -288,7 +285,7 @@ class CoveringCode:
             return int(table[word])
         return int(np.bitwise_count(self._limbs ^ _limb_matrix([word], self.n)).sum(axis=1).argmin())
 
-    def nearest_indices(self, words: Sequence[int]) -> np.ndarray:
+    def nearest_indices(self, words: Iterable[int]) -> np.ndarray:
         """:meth:`nearest_index` of each word, as an int64 array.
 
         A table lookup where :meth:`_table_for` gives a table (always up to
@@ -297,6 +294,7 @@ class CoveringCode:
         codeword stays within the batch working set.  A word wider than n
         bits raises ``ValueError``.
         """
+        words = list(words)  # read twice: the width check, then the limbs
         self._check_width(reduce(or_, words, 0))
         return self._nearest_rows(_limb_matrix(words, self.n))
 
@@ -334,16 +332,12 @@ def _resume_argmax(gain: np.ndarray, start: int, best: int) -> int:
     return int(gain.argmax())
 
 
-def greedy_size_bound(n: int, radius: int) -> float:
-    """Greedy set-cover guarantee ``(0.694 n + 1) * 2**n / V2(n, r)``."""
-    return (0.694 * n + 1.0) * float((1 << n) / ball_volume(n, radius))
-
-
 def greedy_covering_code(n: int, radius: int) -> CoveringCode:
     """Greedy max-coverage covering code over the exhaustive cube (n <= 22).
 
     Deterministic: maximum-gain ties go to the lowest word.  The resulting
-    size satisfies :func:`greedy_size_bound`.  After each pick the gains
+    size is at most ``(0.694 n + 1) * 2**n / V2(n, r)``, the set-cover
+    guarantee in the module docstring.  After each pick the gains
     fall by the cheaper of two exact rules (see the module docstring):
     direct decrements around each newly covered word, or a drop scattered
     over the pick's 2r-ball, counted or reused from the last count.  Both
@@ -595,14 +589,6 @@ def audit_covering(
     return bool(_within(_audit_points(n, sample_points, seed), code._limbs, r).all())
 
 
-def nearest_codeword(code: CoveringCode, x: BitString) -> tuple[BitString, int]:
-    """Closest codeword and its distance; ties go to the lowest index."""
-    _check_lengths(code.n, x)
-    index = code.nearest_index(x.value)
-    word = code.codewords[index]
-    return BitString(code.n, word), (word ^ x.value).bit_count()
-
-
 @dataclass(frozen=True)
 class DetProtocolParams:
     """Parameters of the deterministic protocol for one (n, gap) promise."""
@@ -714,20 +700,6 @@ def det_complexity_bounds(n: int, gap: int) -> ComplexityBounds:
     lower = n - log2_ball_volume(n, gap // 2)
     upper = n - log2_ball_volume(n, radius) + math.log2(n) + 2.0
     return ComplexityBounds(lower, upper)
-
-
-def set_diameter(points: Iterable[BitString]) -> int:
-    """Exact maximum pairwise Hamming distance of a nonempty set."""
-    items = list(points)
-    if not items:
-        raise ValueError("diameter of an empty set is undefined")
-    best = 0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            d = hamming_distance(items[i], items[j])
-            if d > best:
-                best = d
-    return best
 
 
 def save_code(code: CoveringCode, path: str | Path) -> None:

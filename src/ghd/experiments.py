@@ -50,7 +50,8 @@ cost and every run's ledger must equal it, and every bitmap snapshot is
 ``capacity_bits`` wide, so every stream run sends ``(2p - 1) * 2n + 1`` bits.
 A stream point whose bitmap cost exceeds the run budget ``64 n**2`` is
 skipped before any run, and so is a sampling point whose m sample indices,
-8 m bytes, would exceed 256 MiB.
+8 m bytes, would exceed 256 MiB, or a det or stream point whose classes,
+estimated at ``32 * trials * ceil(n / 64)`` bytes, would.
 
 Both exact sweeps draw their instances from one ``random.Random`` per point:
 per trial a close word x = y, a distance in [gap, n] and a 63-bit pair seed.
@@ -310,16 +311,15 @@ def _check_budget(n: int, expected: int) -> None:
         )
 
 
-# Largest index working set, in bytes, of one real run: a sampling run draws
-# its m sample indices as one int64 array (8 m bytes).
+# Largest working set, in bytes, of one point's draws: a sampling run draws
+# its m sample indices as one int64 array (8 m bytes), and an exact sweep
+# holds its classes as words and limb matrices.
 _WORKING_SET_LIMIT = 1 << 28
 
 
-def _check_working_set(estimate: int) -> None:
+def _check_working_set(what: str, estimate: int) -> None:
     if estimate > _WORKING_SET_LIMIT:
-        raise ValueError(
-            f"index working set {estimate} bytes exceeds the limit {_WORKING_SET_LIMIT} bytes"
-        )
+        raise ValueError(f"{what} {estimate} bytes exceeds the limit {_WORKING_SET_LIMIT} bytes")
 
 
 def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: int) -> tuple[dict, int]:
@@ -330,7 +330,7 @@ def _run_monte_carlo_point(config: ExperimentConfig, point: dict, point_seed: in
     record.update(fields, expected_bits=expected)
     _check_budget(n, expected)
     if config.protocol == "sampling":
-        _check_working_set(8 * fields["m"])
+        _check_working_set("index working set", 8 * fields["m"])
     close = GhdInstance.at_distance(n, lo, hi, lo, derive_seed(point_seed, 0))
     far = GhdInstance.at_distance(n, lo, hi, hi, derive_seed(point_seed, 1))
     (err0, hw0), runs0 = _error_trials(protocol, close, config.trials, derive_seed(point_seed, 2))
@@ -397,8 +397,11 @@ def _exact_classes(config: ExperimentConfig, record: dict, point_seed: int, n: i
     which takes ``BitString`` inputs and returns an object with ``output``
     and ``ledger``, makes the audited runs.  Fills the record's error
     columns (exact: zero halfwidths and bound) and ``measured_bits``, the
-    largest audited ledger total, and returns the audited runs.
+    largest audited ledger total, and returns the audited runs.  A point
+    whose classes would exceed ``_WORKING_SET_LIMIT`` is refused first.
     """
+    # the close words as ints and as limbs, and the far xs and ys as limbs
+    _check_working_set("class working set", 4 * config.trials * 8 * ((n + 63) // 64))
     rng = random.Random(derive_seed(point_seed, 0))
     close, distances, seeds = [], [], []
     for _ in range(config.trials):

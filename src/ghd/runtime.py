@@ -78,7 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Generator, Iterable, NamedTuple, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,7 +100,6 @@ __all__ = [
     "ContractViolationError",
     "BudgetExceededError",
     "run_protocol",
-    "measure_worst_case_cost",
     "estimate_error_rate",
     "ErrorEstimate",
     "DEFAULT_BUDGET_FACTOR",
@@ -299,10 +298,6 @@ class StreamReader:
         value = mix64((self.seed + (self.position + 1) * _GOLDEN) & MASK64)
         self.position += 1
         return value
-
-    def next_unit(self) -> float:
-        """Uniform float in (0, 1] from the top 53 bits of one position."""
-        return ((self.next_raw() >> 11) + 1) * 2.0**-53
 
     def index_below(self, bound: int) -> int:
         """Near-uniform integer in [0, bound) via 64-bit multiply-shift."""
@@ -572,26 +567,6 @@ def run_protocol(
             f"ledger total {total_bits} bits differs from the declared cost {cost_bits} bits"
         )
     return ProtocolOutcome(output=outputs[0], ledger=ChannelLedger(messages))
-
-
-def measure_worst_case_cost(
-    protocol: Protocol,
-    instances: Iterable[GhdInstance | tuple[BitString, BitString]],
-    shared: SharedRandomness | int = 0,
-) -> int:
-    """Max ledger total over an instance set (the measured protocol depth)."""
-    worst = None
-    for instance in instances:
-        if isinstance(instance, GhdInstance):
-            x, y = instance.x, instance.y
-        else:
-            x, y = instance
-        cost = protocol.run(x, y, shared).ledger.total_bits
-        if worst is None or cost > worst:
-            worst = cost
-    if worst is None:
-        raise ValueError("instance set must be nonempty")
-    return worst
 
 
 class ErrorEstimate(NamedTuple):

@@ -26,13 +26,10 @@ from ghd.covering import (
     det_protocol,
     det_protocol_params,
     greedy_covering_code,
-    greedy_size_bound,
     load_code,
-    nearest_codeword,
     popcount_table,
     random_covering_code,
     save_code,
-    set_diameter,
 )
 
 
@@ -144,7 +141,7 @@ def test_greedy_bounds_full_sweep_small():
             code = greedy_covering_code(n, r)
             assert audit_covering(code)
             assert code.size * ball_volume(n, r) >= 2**n
-            assert code.size <= greedy_size_bound(n, r)
+            assert code.size <= (0.694 * n + 1.0) * (1 << n) / ball_volume(n, r)
 
 
 @pytest.mark.parametrize("n, r", [(14, 5), (17, 3)])
@@ -525,24 +522,23 @@ def test_load_rejects_a_code_that_the_old_probes_pass_at_n21(tmp_path):
 # ------------------------------------------------------------ decoding
 
 
-def test_nearest_codeword_identity_cases():
+def test_nearest_index_identity_cases():
     code = greedy_covering_code(7, 1)
     for c in code.codewords[:5]:
-        word, distance = nearest_codeword(code, BitString(7, c))
-        assert word.value == c and distance == 0
+        word = code.codewords[code.nearest_index(c)]
+        assert word == c and (word ^ c).bit_count() == 0
     zero_radius = greedy_covering_code(5, 0)
     for v in range(32):
-        word, distance = nearest_codeword(zero_radius, BitString(5, v))
-        assert word.value == v and distance == 0
+        word = zero_radius.codewords[zero_radius.nearest_index(v)]
+        assert word == v and (word ^ v).bit_count() == 0
 
 
-def test_nearest_codeword_within_radius_randomized():
+def test_nearest_index_within_radius_randomized():
     code = greedy_covering_code(7, 1)
     rng = random.Random(6)
     for _ in range(500):
-        x = BitString.random(7, rng)
-        _, distance = nearest_codeword(code, x)
-        assert distance <= 1
+        x = rng.getrandbits(7)
+        assert (code.codewords[code.nearest_index(x)] ^ x).bit_count() <= 1
 
 
 def test_nearest_index_tie_breaks_to_lowest():
@@ -796,6 +792,17 @@ def test_batch_decode_rejects_words_wider_than_n(n):
         code.nearest_indices([3, 1 << n])
 
 
+@pytest.mark.parametrize("n", [12, 70])
+def test_batch_decode_reads_a_one_shot_iterable_once(n):
+    rng = random.Random(n)
+    code = CoveringCode(n, 3, tuple(rng.getrandbits(n) for _ in range(30)))
+    words = [rng.getrandbits(n) for _ in range(40)]
+    expected = code.nearest_indices(words).tolist()
+    assert expected == [code.nearest_index(w) for w in words]
+    assert code.nearest_indices(w for w in words).tolist() == expected
+    assert code.nearest_indices(iter(words)).tolist() == expected
+
+
 # ------------------------------------------------------------ the protocol
 
 
@@ -883,12 +890,11 @@ def test_bounds_report_n_before_the_gap(n, gap):
 
 
 def test_worst_case_cost_is_index_width_plus_answer():
-    from ghd.runtime import measure_worst_case_cost
-
     params = det_protocol_params(10, 4)
     pairs = [random_pair_at_distance(10, 0, seed=s) for s in range(10)]
     pairs += [random_pair_at_distance(10, d, seed=d) for d in range(4, 11)]
-    cost = measure_worst_case_cost(det_protocol(params), pairs)
+    protocol = det_protocol(params)
+    cost = max(protocol.run(x, y, 0).ledger.total_bits for x, y in pairs)
     assert cost == params.code.index_width + 1 == params.cost_bits
 
 
@@ -903,26 +909,25 @@ def test_measured_cost_within_bounds_sweep():
             assert lower <= cost <= upper, (n, gap, cost, lower, upper)
 
 
-# -------------------------------------------------------------- diameter
+# ---------------------------------------------------------- anticodes
 
 
-def test_diameter_examples():
-    assert set_diameter([BitString.from_text("0101")]) == 0
-    assert set_diameter([BitString.zeros(9), BitString.ones(9)]) == 9
-    with pytest.raises(ValueError):
-        set_diameter([])
+def diameter(words):
+    """Largest pairwise Hamming distance of a nonempty set of words."""
+    return max((a ^ b).bit_count() for a in words for b in words)
 
 
 def test_ball_diameter_and_anticode_saturation():
     # a radius-r ball has diameter <= 2r and exactly V2(n, r) points
     n, r = 9, 2
-    ball = [BitString(n, z) for z in range(2**n) if z.bit_count() <= r]
+    ball = [z for z in range(2**n) if z.bit_count() <= r]
     assert len(ball) == ball_volume(n, r)
-    assert set_diameter(ball) <= 2 * r
+    assert diameter(ball) <= 2 * r
 
 
 def test_anticode_bound_falsification_harness():
-    # random sets: whenever diam <= 2r and n >= 2r+1, size <= V2(n, r)
+    # random sets: whenever diam <= 2r and n >= 2r+1, size <= V2(n, r), the
+    # bound behind det_complexity_bounds' lower bound
     rng = random.Random(12)
     n = 8
     checked = 0
@@ -936,12 +941,10 @@ def test_anticode_bound_falsification_harness():
             for pos in rng.sample(range(n), rng.randint(0, radius)):
                 offset |= 1 << pos
             points.add(center ^ offset)
-        items = [BitString(n, p) for p in points]
-        diameter = set_diameter(items)
-        r_eff = (diameter + 1) // 2
+        r_eff = (diameter(points) + 1) // 2
         if n >= 2 * r_eff + 1:
             checked += 1
-            assert len(items) <= ball_volume(n, r_eff)
+            assert len(points) <= ball_volume(n, r_eff)
     assert checked > 1000
 
 

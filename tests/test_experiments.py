@@ -611,6 +611,50 @@ def test_sampling_point_over_the_working_set_is_skipped(monkeypatch):
     assert [valid] == run_experiment(parse_config(text.replace("point n=1000000", "# point n=1000000"))).records
 
 
+def _no_class_draws(monkeypatch):
+    """Make any exact-sweep class draw fail at once, before it allocates."""
+
+    def no_draw(*args):
+        raise AssertionError("a point over the working-set limit drew its classes")
+
+    monkeypatch.setattr(experiments, "random", SimpleNamespace(Random=no_draw))
+
+
+def test_exact_points_over_the_working_set_are_skipped(monkeypatch):
+    # 20 trials hold 4 * 20 * 8 = 640 bytes per limb of a word: 1,280 at
+    # n = 100 and 640 at n = 60 and at every det point
+    stream = "protocol = stream\ntrials = 20\nseed = 4\npoint n=100 c=1.5 p=2\npoint n=60 c=1.5 p=2\n"
+    det = "protocol = det\ntrials = 20\nseed = 4\npoint n=12 t=5\n"
+    valid = run_experiment(parse_config(stream.replace("point n=100", "# point n=100"))).records
+    monkeypatch.setattr(experiments, "_WORKING_SET_LIMIT", 1000)
+    refused, after = run_experiment(parse_config(stream)).records
+    assert (refused["status"], refused["reason"]) == (
+        "skipped",
+        "class working set 1280 bytes exceeds the limit 1000 bytes",
+    )
+    assert [after] == valid and after["status"] == "ok"
+    monkeypatch.setattr(experiments, "_WORKING_SET_LIMIT", 600)
+    _no_class_draws(monkeypatch)
+    (record,) = run_experiment(parse_config(det)).records
+    assert (record["status"], record["reason"]) == (
+        "skipped",
+        "class working set 640 bytes exceeds the limit 600 bytes",
+    )
+
+
+def test_ten_million_bit_stream_point_is_refused_before_any_draw(monkeypatch):
+    # at the default 1,000 trials its classes would hold 4 * 1000 * 8 *
+    # 156,250 bytes, about 5 GB; the guard fails the first draw if the
+    # refusal ever goes
+    assert 4 * 1000 * 8 * math.ceil(10**7 / 64) == 5 * 10**9 > experiments._WORKING_SET_LIMIT
+    _no_class_draws(monkeypatch)
+    (record,) = run_experiment(parse_config("protocol = stream\npoint n=10000000 c=1.5 p=1\n")).records
+    assert (record["status"], record["reason"]) == (
+        "skipped",
+        f"class working set {5 * 10**9} bytes exceeds the limit {experiments._WORKING_SET_LIMIT} bytes",
+    )
+
+
 def test_contract_violations_still_raise(monkeypatch):
     def violate(*args):
         raise ContractViolationError("parties disagree")

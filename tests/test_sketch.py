@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ghd import runtime, sketch
 from ghd.bits import BitString, GhdInstance, random_pair_at_distance
+from ghd.covering import det_protocol, det_protocol_params
 from ghd.experiments import parse_config, run_experiment
 from ghd.runtime import (
     SharedRandomness,
@@ -21,6 +22,7 @@ from ghd.runtime import (
     estimate_error_rate,
     run_protocol,
 )
+from ghd.sampling import derive_sampling_params, sampling_protocol
 from ghd.sketch import (
     GuaranteeFloorError,
     SketchMessage,
@@ -37,6 +39,7 @@ from ghd.sketch import (
     sketch_protocol,
     sketch_statistics,
 )
+from ghd.streaming import ExactBitmapF0, streaming_protocol
 
 REFERENCE = dict(n=512, close_bound=4, far_bound=256)
 
@@ -423,9 +426,8 @@ def test_instrumented_rejects_trivial_mode():
         alice_sketch(x, params, SharedRandomness(0).reader())
 
 
-def test_parties_read_the_same_stream_positions():
-    params = reference_params()
-    proto = sketch_protocol(params)
+def run_recording_ends(proto, x, y, seed):
+    """``proto``'s run on (x, y) and the stream position each party's reader ends at."""
     ends = {}
 
     def recording(side, strategy):
@@ -436,12 +438,43 @@ def test_parties_read_the_same_stream_positions():
 
         return run
 
+    outcome = run_protocol(recording("a", proto.alice), recording("b", proto.bob), x, y, seed)
+    return outcome, ends
+
+
+def test_parties_read_the_same_stream_positions():
+    params = reference_params()
+    proto = sketch_protocol(params)
     x, y = random_pair_at_distance(512, 200, seed=33)
-    outcome = run_protocol(recording("a", proto.alice), recording("b", proto.bob), x, y, 34)
+    outcome, ends = run_recording_ends(proto, x, y, 34)
     plain = StreamReader(34)
     plain.unit_vectors(params.block_count, params.block_length)
     assert ends["a"] == ends["b"] == plain.position == 2 * params.padded_length
     assert outcome.ledger.dump() == proto.run(x, y, 34).ledger.dump()
+
+
+def _position_cases():
+    sampling = derive_sampling_params(64, 2, 40, 1.0)
+    trivial = derive_sketch_params(200, 0, 3, 1)
+    assert trivial.trivial_mode
+    # (protocol, n, the position both readers end at): sampling reads one
+    # position per sample, and the rest draw nothing
+    return {
+        "sampling": (sampling_protocol(sampling), 64, sampling.trial_count),
+        "trivial sketch": (sketch_protocol(trivial), 200, 0),
+        "det": (det_protocol(det_protocol_params(10, 4)), 10, 0),
+        "stream": (streaming_protocol(lambda: ExactBitmapF0(40, passes=2), 1.5), 20, 0),
+    }
+
+
+@pytest.mark.parametrize("name", ["sampling", "trivial sketch", "det", "stream"])
+def test_every_protocol_s_parties_read_the_same_stream_positions(name):
+    proto, n, end = _position_cases()[name]
+    for d in (0, n // 2, n):
+        x, y = random_pair_at_distance(n, d, seed=d)
+        outcome, ends = run_recording_ends(proto, x, y, 35)
+        assert ends == {"a": end, "b": end}
+        assert outcome.ledger.dump() == proto.run(x, y, 35).ledger.dump()
 
 
 # sha256 of the outputs, rounds and ledger dumps of 21 runs, computed before
