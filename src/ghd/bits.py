@@ -349,13 +349,15 @@ def random_pair_at_distance(n: int, d: int, seed: int) -> tuple[BitString, BitSt
     """A uniformly random x and a y at Hamming distance exactly d from it.
 
     The d flipped positions are a uniform size-d subset; fully deterministic
-    given the seed.
+    given the seed.  They are set in one bit vector, which becomes the mask
+    in a single conversion.
     """
     _check_pair_args(n, (d,))
     rng = random.Random(seed)
     x = BitString.random(n, rng)
-    y = x.flip(rng.sample(range(n), d))
-    return x, y
+    mask = np.zeros(n, dtype=np.uint8)
+    mask[rng.sample(range(n), d)] = 1
+    return x, BitString(n, x.value ^ _bits_int(mask))
 
 
 # The lanes of random_pairs_at_distances: the raw outputs one lockstep step

@@ -8,6 +8,9 @@ Subcommands::
     ghd bench PROTOCOL --config FILE   run a sweep, write csv/json records
                                        (--timings FILE: per-point wall times as JSON;
                                         --progress: one line per finished point on stderr)
+    ghd trace sketch N L U S --distance D --seed K
+                                       one sketch run: its ledger, rounds, cost, Bob's
+                                       statistics, threshold, close certificate and output
     ghd demo stream                    worked example of the streaming reduction
 
 Exit codes: 0 on success, 2 when a bench run produced any bound-violation
@@ -26,6 +29,8 @@ from pathlib import Path
 from .bits import ball_volume, hamming_distance, log2_ball_volume, random_pair_at_distance
 from .covering import det_complexity_bounds
 from .experiments import load_config, normalize_protocol, run_experiment
+from .runtime import derive_seed
+from .sketch import _close_statistic_bound, _decides_far, derive_sketch_params, sketch_protocol, sketch_statistics
 from .streaming import ExactBitmapF0, encode_streams, exact_f0, ghd_via_streaming, space_lower_bound, stream_gap, write_stream_fixture
 
 __all__ = ["main"]
@@ -67,6 +72,18 @@ def _build_parser() -> _Parser:
         "--timings", help="also write per-point wall time, trials, runs/s and audited runs here (JSON)"
     )
     bench.add_argument("--progress", action="store_true", help="log each finished point to stderr")
+
+    trace = sub.add_parser("trace", help="run one instance and show why it decided")
+    trace_sub = trace.add_subparsers(dest="protocol", required=True)
+    trace_sketch = trace_sub.add_parser("sketch", help="one sketch run")
+    trace_sketch.add_argument("n", type=int)
+    trace_sketch.add_argument("close_bound", type=int, metavar="L")
+    trace_sketch.add_argument("far_bound", type=int, metavar="U")
+    trace_sketch.add_argument("s", type=float)
+    trace_sketch.add_argument("--distance", type=int, required=True, help="Hamming distance of the pair")
+    trace_sketch.add_argument(
+        "--seed", type=int, required=True, help="pair from derive_seed(K, 0), shared seed derive_seed(K, 1)"
+    )
 
     demo = sub.add_parser("demo", help="worked examples")
     demo_sub = demo.add_subparsers(dest="what", required=True)
@@ -155,6 +172,29 @@ def _cmd_bench(args) -> int:
     return 2 if report.has_violation else 0
 
 
+def _cmd_trace(args) -> int:
+    """One sketch run on a seeded pair, and the quantities Bob decided on."""
+    params = derive_sketch_params(args.n, args.close_bound, args.far_bound, args.s)
+    x, y = random_pair_at_distance(args.n, args.distance, derive_seed(args.seed, 0))
+    shared = derive_seed(args.seed, 1)
+    protocol = sketch_protocol(params)
+    outcome = protocol.run(x, y, shared)
+    print(outcome.ledger.dump())
+    if not params.trivial_mode:
+        statistics = sketch_statistics(x, y, params, shared)
+        bound = _close_statistic_bound(params)
+        print(f"rounds {outcome.ledger.rounds}")
+        print(f"declared_bits {protocol.cost_bits}")
+        print(f"ledger_bits {outcome.ledger.total_bits}")
+        print(f"received_statistic {statistics.received_statistic!r}")
+        print(f"exact_statistic {statistics.exact_statistic!r}")
+        print(f"threshold {params.threshold!r}")
+        print(f"close_certificate {bound!r}")
+        print(f"close_certified {'no' if _decides_far(params, bound) else 'yes'}")
+    print(f"output {outcome.output}")
+    return 0
+
+
 def _cmd_demo_stream(args) -> int:
     n, c, passes = args.n, args.c, args.passes
     gap = stream_gap(n, c)
@@ -191,7 +231,13 @@ def _cmd_demo_stream(args) -> int:
     return 0
 
 
-_COMMANDS = {"volume": _cmd_volume, "bounds": _cmd_bounds, "bench": _cmd_bench, "demo": _cmd_demo_stream}
+_COMMANDS = {
+    "volume": _cmd_volume,
+    "bounds": _cmd_bounds,
+    "bench": _cmd_bench,
+    "trace": _cmd_trace,
+    "demo": _cmd_demo_stream,
+}
 
 
 def main(argv: list[str] | None = None) -> int:

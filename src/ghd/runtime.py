@@ -151,12 +151,12 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 _BATCH_COORDINATES = 1 << 13
 
 
-def _raw_values(seeds: np.ndarray, start: int, count: int, step: int = 1) -> np.ndarray:
-    """Stream values at positions start + 1, start + 1 + step, ... of each uint64 seed.
+def _raw_values(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Stream values at positions start + 1, ..., start + count of each uint64 seed.
 
-    Shape ``(len(seeds), count)``; ``count`` positions per seed.
+    Shape ``(len(seeds), count)``.
     """
-    positions = np.arange(start + 1, start + step * count + 1, step, dtype=np.uint64)
+    positions = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     return _mix64_array(seeds[:, None] + positions * np.uint64(_GOLDEN))
 
 
@@ -164,17 +164,20 @@ def _gaussian_values(seeds: np.ndarray, start: int, count: int) -> np.ndarray:
     """Box-Muller Gaussians (cosine branch) of each seed from position ``start``.
 
     Coordinate k uses positions (start + 2k, start + 2k + 1); shape
-    ``(len(seeds), count)``.  The two positions of every coordinate are
-    mixed as two contiguous arrays, and each factor is formed in place in
-    the order ``sqrt(-2 log u1) * cos(2 pi u2)`` takes.
+    ``(len(seeds), count)``.  All 2 * count positions are mixed and shifted
+    as one array; its even and odd columns become two contiguous arrays, and
+    each factor is formed in place in the order
+    ``sqrt(-2 log u1) * cos(2 pi u2)`` takes.
     """
-    u1 = (_raw_values(seeds, start, count, 2) >> np.uint64(11)).astype(np.float64)
+    raw = _raw_values(seeds, start, 2 * count)
+    raw >>= np.uint64(11)
+    u1 = raw[:, 0::2].astype(np.float64)
     u1 += 1.0
     u1 *= 2.0**-53
     np.log(u1, out=u1)
     u1 *= -2.0
     np.sqrt(u1, out=u1)
-    u2 = (_raw_values(seeds, start + 1, count, 2) >> np.uint64(11)).astype(np.float64)
+    u2 = raw[:, 1::2].astype(np.float64)
     u2 *= 2.0**-53
     u2 *= 2.0 * np.pi
     np.cos(u2, out=u2)

@@ -37,9 +37,15 @@ The Monte Carlo batch hook decides a close pair (distance d <= close_bound)
 by proof, without drawing: ``sketch_protocol`` computes once a float that is
 at least Bob's float64 statistic on every close pair and every draw, and
 when that float is not above the threshold, every trial of a close pair is
-scored 0.  The bound is derived in exact rational arithmetic and rounded up
-to a float.  With u = 2**-53, gamma_k = k u / (1 - k u), a = block_length and
-B = block_count, it follows each rounding of Bob's float64 computation.  A
+scored 0.  With u = 2**-53, gamma_k = k u / (1 - k u), a = block_length and
+B = block_count, the bound follows each rounding of Bob's float64
+computation.  It is evaluated in 60-digit decimal arithmetic that rounds
+every operation up, and the result is rounded up to a float.  Every
+operation is a sum, product or quotient of positive quantities, and every
+divisor is an exact integer, so no rounding can lower the result: the
+decimal value is at least the exact bound.  For that, its differences are
+written as integer ratios: 1 / (1 - gamma_a) = (2**53 - a) / (2**53 - 2a),
+1 / (1 - u) = 2**53 / (2**53 - 1) and 1 + gamma_k = 2**53 / (2**53 - k).  A
 float sum of k + 1 terms, in any order, is within gamma_k times the sum of
 their magnitudes of the exact sum (Higham, "The accuracy of floating point
 summation", SIAM J. Sci. Comput. 14, 1993).
@@ -96,6 +102,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +142,9 @@ _log = logging.getLogger(__name__)
 # docstring, Batch scoring).
 _HEAD_DIVISOR = 16
 _HEAD_DEFLATION = 1.0 - 2.0**-30
+# The close certificate's arithmetic: every decimal operation rounds toward
+# +inf (module docstring, Batch scoring).
+_UPWARD = Context(prec=60, rounding=ROUND_CEILING)
 
 
 class GuaranteeFloorError(ValueError):
@@ -142,7 +152,10 @@ class GuaranteeFloorError(ValueError):
 
 
 def guarantee_floor(n: int, close_bound: int, far_bound: int) -> float:
-    """Smallest error exponent for which the one-sided bound is guaranteed."""
+    """Smallest error exponent for which the one-sided bound is guaranteed, as a float.
+
+    :func:`derive_sketch_params` compares the exponent with the exact value.
+    """
     return (close_bound + 10.0 / n) ** 3 / far_bound**2
 
 
@@ -194,16 +207,19 @@ def derive_sketch_params(
     ``block_count = ceil(4 * n * (s / far_bound)**(1/3))``; when that exceeds
     n the parameters are flagged trivial.  Exponents below
     :func:`guarantee_floor` are rejected unless ``allow_void_guarantee`` is
-    set (the error bound is then void, for experimentation only).  Raises
+    set (the error bound is then void, for experimentation only); the test
+    is exact, ``Fraction(str(s)) < ((n L + 10) / n)**3 / U**2``, reading s as
+    the decimal string it was written as.  Raises
     ``ValueError`` when grid indices would reach 2**53 (from about
     n = 2**17), beyond the integers float64 holds exactly.
     """
     _check_promise(n, close_bound, far_bound, error_exponent)
-    floor = guarantee_floor(n, close_bound, far_bound)
-    if error_exponent < floor and not allow_void_guarantee:
+    exact_floor = Fraction(n * close_bound + 10, n) ** 3 / far_bound**2
+    if Fraction(str(error_exponent)) < exact_floor and not allow_void_guarantee:
         raise GuaranteeFloorError(
             f"error exponent {error_exponent} is below the guaranteed regime "
-            f"(needs >= {floor:.6g}); pass allow_void_guarantee=True to proceed"
+            f"(needs >= {guarantee_floor(n, close_bound, far_bound):.6g}); "
+            "pass allow_void_guarantee=True to proceed"
         )
     block_count = math.ceil(4 * n * (error_exponent / far_bound) ** (1.0 / 3.0))
     trivial_mode = block_count > n
@@ -339,33 +355,37 @@ def _decides_far(params: SketchParams, statistic):
     return statistic > params.threshold
 
 
-def _gamma(k: int) -> Fraction:
-    """Higham's gamma_k = k u / (1 - k u) for u = 2**-53."""
-    return Fraction(k, 2**53 - k)
+def _ratio(numerator: int, denominator: int) -> Decimal:
+    """``numerator / denominator`` in the current decimal context."""
+    return Decimal(numerator) / Decimal(denominator)
 
 
-def _sqrt_up(value: int) -> Fraction:
-    """A rational at least sqrt(value), within 2**-64 of it."""
-    return Fraction(math.isqrt(value << 128) + 1, 1 << 64)
+def _sqrt_up(value: int) -> Decimal:
+    """At least sqrt(value): ``(isqrt(value * 2**128) + 1) / 2**64``, rounded up."""
+    return _ratio(math.isqrt(value << 128) + 1, 1 << 64)
 
 
 def _close_statistic_bound(params: SketchParams) -> float:
     """A float at least Bob's float64 statistic on every pair at distance <= close_bound.
 
-    Exact in ``Fraction`` arithmetic, then rounded up; the module docstring
-    (Batch scoring) derives each term.
+    Every operation rounds up in :data:`_UPWARD`, then the result is rounded
+    up to a float; the module docstring (Batch scoring) derives each term.
     """
-    u, tiny = Fraction(1, 2**53), Fraction(1, 2**1074)
-    length, count, distance = params.block_length, params.block_count, params.close_bound
-    half_step = Fraction(1, 2 * params.grid_denominator)
-    norm = (1 + u) / ((1 - _gamma(length)) * (1 - u))
-    projection = _gamma(length - 1) * _sqrt_up(length) * norm
-    largest = _sqrt_up(length) * norm + projection
-    e = 2 * projection + half_step + u * largest + u * (largest * (1 + u) + half_step) + tiny
-    terms = norm**2 * distance + 2 * norm * e * _sqrt_up(distance * count) + count * e**2
-    bound = (1 + _gamma(count - 1)) * ((1 + u) ** 3 * terms + count * tiny)
+    with localcontext(_UPWARD):
+        one = 2**53  # 1 / u
+        u, tiny = _ratio(1, one), _ratio(1, 2**1074)
+        length, count, distance = params.block_length, params.block_count, params.close_bound
+        half_step = _ratio(1, 2 * params.grid_denominator)
+        # (1 + u) / ((1 - gamma_a) (1 - u)) and gamma_{a-1}
+        norm = (1 + u) * _ratio(one - length, one - 2 * length) * _ratio(one, one - 1)
+        projection = _ratio(length - 1, one - (length - 1)) * _sqrt_up(length) * norm
+        largest = _sqrt_up(length) * norm + projection
+        e = 2 * projection + half_step + u * largest + u * (largest * (1 + u) + half_step) + tiny
+        terms = norm * norm * distance + 2 * norm * e * _sqrt_up(distance * count) + count * e * e
+        # 1 + gamma_{B-1}
+        bound = _ratio(one, one - (count - 1)) * ((1 + u) * (1 + u) * (1 + u) * terms + count * tiny)
     rounded = float(bound)  # correctly rounded, so at most one step below
-    return rounded if Fraction(rounded) >= bound else math.nextafter(rounded, math.inf)
+    return rounded if Decimal(rounded) >= bound else math.nextafter(rounded, math.inf)
 
 
 def _projections_and_statistic(

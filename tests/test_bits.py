@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghd import bits
@@ -300,6 +300,22 @@ def test_random_pair_distance_distribution():
         seen.update(i for i in range(16) if (diff >> i) & 1)
         assert hamming_distance(x, y) == 3
     assert seen == set(range(16))
+
+
+def reference_pair_at_distance(n, d, seed):
+    """The pair as one seeded generator draws it: x, then d flips of x."""
+    rng = random.Random(seed)
+    x = BitString.random(n, rng)
+    return x, x.flip(rng.sample(range(n), d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**63 - 1))
+@example(n=1, seed=0)
+@example(n=300, seed=2**63 - 1)  # small d takes Random.sample's set branch, large d its pool
+def test_random_pair_equals_the_flip_reference(n, seed):
+    for d in range(n + 1):
+        assert random_pair_at_distance(n, d, seed) == reference_pair_at_distance(n, d, seed)
 
 
 def test_instance_promise_classes():

@@ -5,7 +5,11 @@ import math
 
 import pytest
 
+from ghd.bits import random_pair_at_distance
 from ghd.cli import main
+from ghd.experiments import parse_config, run_experiment
+from ghd.runtime import derive_seed
+from ghd.sketch import derive_sketch_params, sketch_protocol, sketch_statistics
 
 
 def test_volume_command(capsys):
@@ -217,3 +221,53 @@ def test_demo_stream_output_is_pinned(argv, digest, capsys):
     # the walkthrough's text, byte for byte
     assert main(["demo", "stream", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _trace_lines(capsys, *argv):
+    assert main(["trace", "sketch", *argv]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("distance", [0, 4, 5, 256])
+def test_trace_sketch_prints_the_run_it_traces(capsys, distance):
+    params = derive_sketch_params(512, 4, 256, 2.0)
+    x, y = random_pair_at_distance(512, distance, derive_seed(7, 0))
+    outcome = sketch_protocol(params).run(x, y, derive_seed(7, 1))
+    statistics = sketch_statistics(x, y, params, derive_seed(7, 1))
+    lines = _trace_lines(capsys, "512", "4", "256", "2", "--distance", str(distance), "--seed", "7")
+    dump = outcome.ledger.dump().splitlines()
+    assert lines[: len(dump)] == dump
+    out = dict(line.split() for line in lines[len(dump) :])
+    assert out["rounds"] == "2"
+    assert out["declared_bits"] == out["ledger_bits"] == str(outcome.ledger.total_bits)
+    assert out["received_statistic"] == repr(statistics.received_statistic)
+    assert out["exact_statistic"] == repr(statistics.exact_statistic)
+    assert out["threshold"] == repr(params.threshold)
+    assert float(out["close_certificate"]) < params.threshold and out["close_certified"] == "yes"
+    assert out["output"] == str(outcome.output) == str(statistics.decision)
+    assert lines[-1] == f"output {outcome.output}"
+
+
+def test_trace_sketch_in_trivial_mode_prints_the_ledger_and_output(capsys):
+    params = derive_sketch_params(16, 0, 16, 16.0)
+    assert params.trivial_mode
+    x, y = random_pair_at_distance(16, 3, derive_seed(2, 0))
+    outcome = sketch_protocol(params).run(x, y, derive_seed(2, 1))
+    lines = _trace_lines(capsys, "16", "0", "16", "16", "--distance", "3", "--seed", "2")
+    assert lines == outcome.ledger.dump().splitlines() + [f"output {outcome.output}"]
+
+
+def test_trace_sketch_is_repeatable_and_leaves_sweeps_alone(capsys):
+    config = parse_config("protocol = sketch\ntrials = 20\nseed = 4\npoint n=512 L=4 U=256 s=2\n")
+    before = run_experiment(config)
+    argv = ("512", "4", "256", "2", "--distance", "256", "--seed", "3")
+    assert _trace_lines(capsys, *argv) == _trace_lines(capsys, *argv)
+    after = run_experiment(config)
+    assert after.to_csv() == before.to_csv() and after.to_json() == before.to_json()
+
+
+def test_trace_sketch_refuses_a_distance_beyond_n(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["trace", "sketch", "512", "4", "256", "2", "--distance", "513", "--seed", "1"])
+    assert info.value.code == 64
+    assert "distance must satisfy 0 <= d <= n, got 513" in capsys.readouterr().err

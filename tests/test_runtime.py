@@ -145,7 +145,7 @@ def test_draw_kernels_leave_their_seeds_unchanged():
     # the array mix works in place, so a kernel must hand it a temporary
     seeds = _KERNEL_SEEDS.copy()
     runtime._raw_values(seeds, 0, 9)
-    runtime._raw_values(seeds, 2, 9, 2)
+    runtime._raw_values(seeds, 2, 9)
     runtime._gaussian_values(seeds, 3, 7)
     runtime._unit_vector_values(seeds, 4, 2, 4)
     assert seeds.tobytes() == _KERNEL_SEEDS.tobytes()

@@ -75,6 +75,23 @@ def test_guarantee_floor_example():
     derive_sketch_params(512, 4, 256, 0.001)  # admissible
 
 
+@pytest.mark.parametrize(
+    "n, close, far, s, admitted",
+    [
+        (15, 0, 4, 0.018518518518518514, False),  # just below the floor 1/54
+        (3, 0, 2, 9.25925925925926, True),  # just above the floor 250/27
+    ],
+)
+def test_exponent_is_compared_with_the_exact_floor(n, close, far, s, admitted):
+    exact = Fraction(n * close + 10, n) ** 3 / far**2
+    assert (Fraction(str(s)) >= exact) == admitted
+    if admitted:
+        derive_sketch_params(n, close, far, s)
+    else:
+        with pytest.raises(GuaranteeFloorError):
+            derive_sketch_params(n, close, far, s)
+
+
 def test_exponent_below_floor_rejected_and_overridable():
     with pytest.raises(GuaranteeFloorError):
         derive_sketch_params(512, 200, 256, 0.5)
@@ -665,6 +682,52 @@ def test_head_deflation_covers_every_accepted_block_count():
     assert (1 - u) ** (largest - 1) >= Fraction(sketch._HEAD_DEFLATION) * (1 + u) ** largest
 
 
+def _reference_close_bound(params):
+    """The close certificate's bound in exact rational arithmetic (module
+    docstring, Batch scoring), before any rounding."""
+
+    def gamma(k):
+        return Fraction(k, 2**53 - k)
+
+    def sqrt_up(value):
+        return Fraction(math.isqrt(value << 128) + 1, 1 << 64)
+
+    u, tiny = Fraction(1, 2**53), Fraction(1, 2**1074)
+    length, count, distance = params.block_length, params.block_count, params.close_bound
+    half_step = Fraction(1, 2 * params.grid_denominator)
+    norm = (1 + u) / ((1 - gamma(length)) * (1 - u))
+    projection = gamma(length - 1) * sqrt_up(length) * norm
+    largest = sqrt_up(length) * norm + projection
+    e = 2 * projection + half_step + u * largest + u * (largest * (1 + u) + half_step) + tiny
+    terms = norm**2 * distance + 2 * norm * e * sqrt_up(distance * count) + count * e**2
+    return (1 + gamma(count - 1)) * ((1 + u) ** 3 * terms + count * tiny)
+
+
+def _float_up(value):
+    """The least float at least the rational ``value``."""
+    rounded = float(value)
+    return rounded if Fraction(rounded) >= value else math.nextafter(rounded, math.inf)
+
+
+def _assert_certificate_matches_the_reference(params):
+    bound, exact = sketch._close_statistic_bound(params), _reference_close_bound(params)
+    assert Fraction(bound) >= exact and bound == _float_up(exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decimal_certificate_equals_the_rational_reference(data):
+    # parameters drawn as in test_head_decisions_are_full_decisions
+    n = data.draw(st.integers(8, 600), label="n")
+    far = data.draw(st.integers(1, n), label="far")
+    close = data.draw(st.integers(0, far - 1), label="close")
+    length = data.draw(st.integers(1, 40), label="block_length")
+    s = far * ((-(-n // length) - 0.5) / (4 * n)) ** 3
+    params = derive_sketch_params(n, close, far, s, allow_void_guarantee=True)
+    assume(not params.trivial_mode)
+    _assert_certificate_matches_the_reference(params)
+
+
 def _params_at(n, close, far, length):
     """Parameters of block length ``length`` at (n, close, far), guarantee waived."""
     s = far * ((-(-n // length) - 0.5) / (4 * n)) ** 3
@@ -682,6 +745,7 @@ def test_close_certificate_holds_at_the_extremes():
     shares = []
     for n, close, far, length in points:
         params = _params_at(n, close, far, length)
+        _assert_certificate_matches_the_reference(params)
         bound = Fraction(sketch._close_statistic_bound(params))
         assert close < bound and not _decides_far(params, float(bound))
         shares.append((bound - close) / Fraction(5, n))  # of the threshold's margin
@@ -689,6 +753,7 @@ def test_close_certificate_holds_at_the_extremes():
     # beyond derivation (n = 2**20, n**3 > 2**53) the margin no longer covers it
     largest_n = _params_at(208_063, 208_062, 208_063, 1)
     beyond = dataclasses.replace(largest_n, n=2**20, close_bound=2**20 - 1, far_bound=2**20, block_count=2**20)
+    _assert_certificate_matches_the_reference(beyond)
     assert _decides_far(beyond, sketch._close_statistic_bound(beyond))
 
 
