@@ -365,11 +365,11 @@ def _sqrt_up(value: int) -> Decimal:
     return _ratio(math.isqrt(value << 128) + 1, 1 << 64)
 
 
-def _close_statistic_bound(params: SketchParams) -> float:
-    """A float at least Bob's float64 statistic on every pair at distance <= close_bound.
+def _close_statistic_decimal(params: SketchParams) -> Decimal:
+    """The close certificate's bound, every operation rounded up in :data:`_UPWARD`.
 
-    Every operation rounds up in :data:`_UPWARD`, then the result is rounded
-    up to a float; the module docstring (Batch scoring) derives each term.
+    At least the bound's exact value; the module docstring (Batch scoring)
+    derives each term.
     """
     with localcontext(_UPWARD):
         one = 2**53  # 1 / u
@@ -383,7 +383,12 @@ def _close_statistic_bound(params: SketchParams) -> float:
         e = 2 * projection + half_step + u * largest + u * (largest * (1 + u) + half_step) + tiny
         terms = norm * norm * distance + 2 * norm * e * _sqrt_up(distance * count) + count * e * e
         # 1 + gamma_{B-1}
-        bound = _ratio(one, one - (count - 1)) * ((1 + u) * (1 + u) * (1 + u) * terms + count * tiny)
+        return _ratio(one, one - (count - 1)) * ((1 + u) * (1 + u) * (1 + u) * terms + count * tiny)
+
+
+def _close_statistic_bound(params: SketchParams) -> float:
+    """A float at least Bob's float64 statistic on every pair at distance <= close_bound."""
+    bound = _close_statistic_decimal(params)
     rounded = float(bound)  # correctly rounded, so at most one step below
     return rounded if Decimal(rounded) >= bound else math.nextafter(rounded, math.inf)
 

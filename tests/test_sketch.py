@@ -710,8 +710,10 @@ def _float_up(value):
 
 
 def _assert_certificate_matches_the_reference(params):
-    bound, exact = sketch._close_statistic_bound(params), _reference_close_bound(params)
-    assert Fraction(bound) >= exact and bound == _float_up(exact)
+    # every decimal rounding went up, and the float is the exact bound's
+    exact = _reference_close_bound(params)
+    assert Fraction(sketch._close_statistic_decimal(params)) >= exact
+    assert sketch._close_statistic_bound(params) == _float_up(exact)
 
 
 @settings(max_examples=200, deadline=None)
