@@ -8,23 +8,8 @@ first, between a word and its bit vector, words and limb rows, and limb rows
 and bit rows.
 
 Random pairs at a given distance come from :func:`random_pair_at_distance`,
-one seeded ``random.Random`` per pair.  :func:`random_pairs_at_distances`
-returns the same pairs for many seeds at once, as two limb matrices (rows
-of big-endian 64-bit limbs, the format the batch hooks read).  It
-reproduces CPython's ``Random.sample`` pool branch (a partial Fisher-Yates
-shuffle) and ``_randbelow``'s rejection loop in numpy lanes over each
-seed's raw Mersenne Twister outputs.  One generator seeds and draws every
-lane through its C-level ``seed`` and ``getrandbits``, the methods
-``Random.seed`` runs for an int seed; the lanes' bytes are joined once
-into one buffer, and the limbs are assembled straight from it.  At each
-lockstep step a lane reads its window of outputs as one row of a
-sliding-window view of that buffer, and records its decisions as it makes
-them: the picked position's bit of ``x ^ y``, and a failure flag for a
-draw past the bound.  A pair whose seed is not an int (``Random.seed``
-hashes a str or bytes seed first), and every pair the lanes cannot
-reproduce, go to the per-pair function and are written into the matrices.
-The tests compare the two pair for pair, so they fail if a Python release
-changes either method.
+one seeded ``random.Random`` per pair; the exact sweeps draw theirs for a
+whole class at once from the runtime's counter-based stream instead.
 """
 
 from __future__ import annotations
@@ -46,7 +31,6 @@ __all__ = [
     "log2_ball_volume",
     "log2_exact",
     "random_pair_at_distance",
-    "random_pairs_at_distances",
 ]
 
 
@@ -337,14 +321,6 @@ def log2_ball_volume(n: int, r: int) -> float:
     return log2_exact(ball_volume(n, r))
 
 
-def _check_pair_args(n: int, distances) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    for d in distances:
-        if not 0 <= d <= n:
-            raise ValueError(f"distance must satisfy 0 <= d <= n, got {d}")
-
-
 def random_pair_at_distance(n: int, d: int, seed: int) -> tuple[BitString, BitString]:
     """A uniformly random x and a y at Hamming distance exactly d from it.
 
@@ -352,140 +328,12 @@ def random_pair_at_distance(n: int, d: int, seed: int) -> tuple[BitString, BitSt
     given the seed.  They are set in one bit vector, which becomes the mask
     in a single conversion.
     """
-    _check_pair_args(n, (d,))
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= d <= n:
+        raise ValueError(f"distance must satisfy 0 <= d <= n, got {d}")
     rng = random.Random(seed)
     x = BitString.random(n, rng)
     mask = np.zeros(n, dtype=np.uint8)
     mask[rng.sample(range(n), d)] = 1
     return x, BitString(n, x.value ^ _bits_int(mask))
-
-
-# The lanes of random_pairs_at_distances: the raw outputs one lockstep step
-# reads per lane, the raw words and pool slots one slice of lanes may hold,
-# and the fewest lanes worth a lockstep pass (each step costs tens of
-# microseconds whatever the lane count).
-_LANE_WINDOW = 16
-_LANE_CELLS = 1 << 18
-_MIN_LANES = 64
-
-
-def _sample_setsize(k: int) -> int:
-    """CPython's ``Random.sample(range(n), k)`` shuffles a pool when
-    ``n <= _sample_setsize(k)`` and tracks a set of picks otherwise."""
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    return setsize
-
-
-def random_pairs_at_distances(n: int, distances, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """``random_pair_at_distance(n, d, s)`` for each d, s in ``zip(distances, seeds)``, drawn in lanes.
-
-    Returns the x words and the y words as two :func:`_limb_matrix` arrays,
-    row i from pair i.  Pair for pair equal to the per-pair function, which
-    stays the oracle; ``distances`` and ``seeds`` must have one entry per
-    pair.  Each pair with an int seed whose d takes the pool branch of
-    CPython's ``Random.sample`` (``n <= _sample_setsize(d)``) becomes a
-    lane: its seed goes through the C-level seeding that
-    ``random.Random.seed`` runs for an int, and one ``getrandbits`` call
-    takes all of its raw Mersenne Twister outputs, from which x is the
-    first ``ceil(n / 32)``.  The lanes then run the pool's partial
-    Fisher-Yates shuffle in lockstep, and each lane finds ``_randbelow``'s
-    accepted draw as the first one below the bound in a window of its
-    outputs.  A lane whose window or output budget runs out, a pair on the
-    set branch, a pair whose seed is not an int (``Random.seed`` hashes a
-    str or bytes seed first), and every pair when there are too few lanes
-    or a slice could not hold enough of them, go to the oracle.  The
-    equality tests fail if CPython changes either method.
-    """
-    distances, seeds = list(distances), list(seeds)
-    if len(distances) != len(seeds):
-        raise ValueError(f"{len(distances)} distances but {len(seeds)} seeds")
-    _check_pair_args(n, distances)
-    xs = np.zeros((len(distances), (n + 63) // 64), dtype=np.uint64)
-    ys = np.zeros_like(xs)
-    drawn = np.zeros(len(distances), dtype=bool)
-    pool_branch = {d: n <= _sample_setsize(d) for d in set(distances)}
-    lanes = [i for i, d in enumerate(distances) if pool_branch[d] and type(seeds[i]) is int]
-    lanes.sort(key=lambda i: -distances[i])
-    capacity = _LANE_CELLS // (_lane_outputs(n, distances[lanes[0]]) + 2 * n) if lanes else 0
-    if len(lanes) >= _MIN_LANES and capacity >= _MIN_LANES:
-        slices = -(-len(lanes) // capacity)
-        size = -(-len(lanes) // slices)  # slices of equal size, give or take one
-        for start in range(0, len(lanes), size):
-            chunk = lanes[start : start + size]
-            lane_xs, lane_ys, failed = _pool_lanes(n, [distances[i] for i in chunk], [seeds[i] for i in chunk])
-            done = np.array(chunk)[~failed]
-            xs[done], ys[done], drawn[done] = lane_xs[~failed], lane_ys[~failed], True
-    rest = np.flatnonzero(~drawn).tolist()
-    if rest:
-        pairs = [random_pair_at_distance(n, distances[i], seeds[i]) for i in rest]
-        xs[rest] = _limb_matrix([x.value for x, _ in pairs], n)
-        ys[rest] = _limb_matrix([y.value for _, y in pairs], n)
-    return xs, ys
-
-
-def _lane_outputs(n: int, max_distance: int) -> int:
-    """Raw outputs drawn per lane: x's words, two per pick, and one window."""
-    return (n + 31) // 32 + 2 * max_distance + _LANE_WINDOW
-
-
-def _pool_lanes(n: int, distances: list[int], seeds: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x and y limb matrices of pool-branch lanes sorted by descending
-    distance, and a bool array that flags each lane whose accepted draw was
-    not in its window or past its outputs (its rows are then meaningless)."""
-    count, words, steps = len(distances), (n + 31) // 32, distances[0]
-    outputs = _lane_outputs(n, steps)
-    # Row `lane` of one buffer holds that lane's getrandbits result, so its
-    # output k is bits 32k..32k+31 of it.  A window may read past the lane's
-    # row (a cursor moves at most one window a step, and the zero tail keeps
-    # the last lane in range); only a lane whose cursor ends past its row
-    # consumed what it did not draw.
-    row = 4 * outputs
-    generator = random.Random()
-    # the C-level methods that Random.seed and Random.getrandbits run for an int seed
-    seed, draw = super(random.Random, generator).seed, generator.getrandbits
-    rows = []
-    for lane_seed in seeds:
-        seed(lane_seed)
-        rows.append(draw(32 * outputs).to_bytes(row, "little"))
-    rows.append(bytes(4 * _LANE_WINDOW * (steps + 1)))
-    flat = np.frombuffer(b"".join(rows), dtype="<u4")
-    windows = np.lib.stride_tricks.sliding_window_view(flat, _LANE_WINDOW)  # row k: the window from output k
-    lanes = np.arange(count)
-    lane_start = lanes * outputs
-    window_start = lanes * _LANE_WINDOW
-    cursor = lane_start + words  # in flat; _randbelow's draws follow x's words
-    # pool[slot, lane] holds a position p as n - 1 - p, its bit of x ^ y; a
-    # draw past the bound (a failed lane) reads and writes slots above it,
-    # which no later step reads
-    pool = np.zeros((2 * n, count), dtype=np.int16)
-    pool[:n] = np.arange(n - 1, -1, -1, dtype=np.int16)[:, None]
-    flat_pool = pool.ravel()
-    # each step sets its pick's bit q of x ^ y and flags a draw past the bound
-    limbs = (n + 63) // 64
-    flipped = np.zeros((count, 64 * limbs), dtype=bool)
-    flat_flipped, flipped_row = flipped.ravel(), lanes * (64 * limbs)  # lane's bit q at row + q
-    failed = np.zeros(count, dtype=bool)
-    # distances descend, so the lanes still picking at step i are a prefix
-    live = np.searchsorted(-np.array(distances), -np.arange(steps), side="left")
-    for i, active in enumerate(live.tolist()):
-        bound = n - i
-        at = cursor[:active]
-        values = windows[at] >> (32 - bound.bit_length())
-        first = (values < bound).argmax(axis=1)
-        at += first + 1
-        j = values.ravel()[window_start[:active] + first]
-        failed[:active] |= j >= bound
-        slot = j * count + lanes[:active]
-        flat_flipped[flipped_row[:active] + flat_pool[slot]] = True
-        flat_pool[slot] = pool[bound - 1, :active]
-    failed |= cursor - lane_start > outputs
-    # x's 32-bit words, least significant first, padded to whole limbs; the
-    # little-endian pairs are 64-bit limbs, least significant first
-    x_words = np.zeros((count, 2 * limbs), dtype="<u4")
-    x_words[:, :words] = flat[: count * outputs].reshape(count, outputs)[:, :words]
-    x_words[:, words - 1] >>= 32 * words - n  # getrandbits(n) drops the top word's low bits
-    xs = x_words.view("<u8")[:, ::-1].astype(np.uint64)
-    flips = _bits_limbs(flipped[:, ::-1])  # column q of flipped is bit q
-    return xs, xs ^ flips, failed

@@ -11,6 +11,13 @@ Subcommands::
     ghd trace sketch N L U S --distance D --seed K
                                        one sketch run: its ledger, rounds, cost, Bob's
                                        statistics, threshold, close certificate and output
+    ghd trace det N T --distance D --seed K
+                                       one det run: its ledger, rounds, cost, the codeword
+                                       index, its distance to x and to y, the radius, output
+    ghd trace stream N C P --distance D --seed K
+                                       one stream run: its ledger, rounds, cost, each pass's
+                                       snapshot widths, Bob's estimate, the threshold n + gap
+                                       and the output
     ghd demo stream                    worked example of the streaming reduction
 
 Exit codes: 0 on success, 2 when a bench run produced any bound-violation
@@ -24,10 +31,11 @@ import argparse
 import json
 import logging
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from .bits import ball_volume, hamming_distance, log2_ball_volume, random_pair_at_distance
-from .covering import det_complexity_bounds
+from .covering import det_complexity_bounds, det_protocol, det_protocol_params
 from .experiments import load_config, normalize_protocol, run_experiment
 from .runtime import derive_seed
 from .sketch import _close_statistic_bound, _decides_far, derive_sketch_params, sketch_protocol, sketch_statistics
@@ -80,10 +88,20 @@ def _build_parser() -> _Parser:
     trace_sketch.add_argument("close_bound", type=int, metavar="L")
     trace_sketch.add_argument("far_bound", type=int, metavar="U")
     trace_sketch.add_argument("s", type=float)
-    trace_sketch.add_argument("--distance", type=int, required=True, help="Hamming distance of the pair")
-    trace_sketch.add_argument(
-        "--seed", type=int, required=True, help="pair from derive_seed(K, 0), shared seed derive_seed(K, 1)"
-    )
+    trace_det = trace_sub.add_parser("det", help="one deterministic covering-code run")
+    trace_det.add_argument("n", type=int)
+    trace_det.add_argument("t", type=int)
+    trace_stream = trace_sub.add_parser("stream", help="one streaming-reduction run")
+    trace_stream.add_argument("n", type=int)
+    trace_stream.add_argument("c", type=float)
+    trace_stream.add_argument("p", type=int)
+    for traced, seeds in (
+        (trace_sketch, "pair from derive_seed(K, 0), shared seed derive_seed(K, 1)"),
+        (trace_det, "pair from derive_seed(K, 0)"),
+        (trace_stream, "pair from derive_seed(K, 0)"),
+    ):
+        traced.add_argument("--distance", type=int, required=True, help="Hamming distance of the pair")
+        traced.add_argument("--seed", type=int, required=True, help=seeds)
 
     demo = sub.add_parser("demo", help="worked examples")
     demo_sub = demo.add_subparsers(dest="what", required=True)
@@ -101,7 +119,8 @@ def _cmd_volume(args) -> int:
     if args.log2:
         print(repr(log2_ball_volume(args.n, args.r)))
     else:
-        print(ball_volume(args.n, args.r))
+        # exact, and free of the interpreter's int-to-str digit limit
+        print(Decimal(ball_volume(args.n, args.r)))
     return 0
 
 
@@ -172,25 +191,71 @@ def _cmd_bench(args) -> int:
     return 2 if report.has_violation else 0
 
 
-def _cmd_trace(args) -> int:
-    """One sketch run on a seeded pair, and the quantities Bob decided on."""
+def _trace_pair(args):
+    """The traced pair: x uniform, y at ``--distance`` from it, from ``derive_seed(K, 0)``."""
+    return random_pair_at_distance(args.n, args.distance, derive_seed(args.seed, 0))
+
+
+def _trace_sketch(args):
     params = derive_sketch_params(args.n, args.close_bound, args.far_bound, args.s)
-    x, y = random_pair_at_distance(args.n, args.distance, derive_seed(args.seed, 0))
+    x, y = _trace_pair(args)
     shared = derive_seed(args.seed, 1)
     protocol = sketch_protocol(params)
     outcome = protocol.run(x, y, shared)
+    if params.trivial_mode:
+        return outcome, protocol.cost_bits, None
+    statistics = sketch_statistics(x, y, params, shared)
+    bound = _close_statistic_bound(params)
+    return outcome, protocol.cost_bits, [
+        ("received_statistic", repr(statistics.received_statistic)),
+        ("exact_statistic", repr(statistics.exact_statistic)),
+        ("threshold", repr(params.threshold)),
+        ("close_certificate", repr(bound)),
+        ("close_certified", "no" if _decides_far(params, bound) else "yes"),
+    ]
+
+
+def _trace_det(args):
+    params = det_protocol_params(args.n, args.t)
+    x, y = _trace_pair(args)
+    protocol = det_protocol(params)
+    outcome = protocol.run(x, y, 0)
+    code = params.code
+    index = code.nearest_index(x.value)  # the index Alice sends
+    return outcome, protocol.cost_bits, [
+        ("codeword_index", index),
+        ("codeword_distance_x", (code.codewords[index] ^ x.value).bit_count()),
+        ("codeword_distance_y", (code.codewords[index] ^ y.value).bit_count()),
+        ("radius", params.decision_radius),
+    ]
+
+
+def _trace_stream(args):
+    make = lambda: ExactBitmapF0(2 * args.n, passes=args.p)
+    x, y = _trace_pair(args)
+    _, run = ghd_via_streaming(make, args.c, x, y)
+    # 2p - 1 snapshots of the whole bitmap and Bob's decision bit
+    declared = (2 * args.p - 1) * make().capacity_bits + 1
+    # pass i hands off Alice's snapshot, then Bob's unless it is the last pass
+    widths = [str(message.width) for message in run.ledger.messages[:-1]]
+    passes = [(f"pass_{i + 1}_snapshot_bits", " ".join(widths[2 * i : 2 * i + 2])) for i in range(run.passes)]
+    return run, declared, passes + [("estimate", run.estimate), ("threshold", args.n + run.gap)]
+
+
+_TRACES = {"sketch": _trace_sketch, "det": _trace_det, "stream": _trace_stream}
+
+
+def _cmd_trace(args) -> int:
+    """One run on a seeded pair: its ledger, rounds and declared cost against
+    the ledger total, what its protocol decided on, and its output."""
+    outcome, declared, details = _TRACES[args.protocol](args)
     print(outcome.ledger.dump())
-    if not params.trivial_mode:
-        statistics = sketch_statistics(x, y, params, shared)
-        bound = _close_statistic_bound(params)
+    if details is not None:
         print(f"rounds {outcome.ledger.rounds}")
-        print(f"declared_bits {protocol.cost_bits}")
+        print(f"declared_bits {declared}")
         print(f"ledger_bits {outcome.ledger.total_bits}")
-        print(f"received_statistic {statistics.received_statistic!r}")
-        print(f"exact_statistic {statistics.exact_statistic!r}")
-        print(f"threshold {params.threshold!r}")
-        print(f"close_certificate {bound!r}")
-        print(f"close_certified {'no' if _decides_far(params, bound) else 'yes'}")
+        for name, value in details:
+            print(f"{name} {value}")
     print(f"output {outcome.output}")
     return 0
 

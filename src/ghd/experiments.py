@@ -53,13 +53,14 @@ skipped before any run, and so is a sampling point whose m sample indices,
 8 m bytes, would exceed 256 MiB, or a det or stream point whose classes,
 estimated at ``32 * trials * ceil(n / 64)`` bytes, would.
 
-Both exact sweeps draw their instances from one ``random.Random`` per point:
-per trial a close word x = y, a distance in [gap, n] and a 63-bit pair seed.
-The far pairs are then drawn all at once by
-:func:`ghd.bits.random_pairs_at_distances`, which reproduces
-``random_pair_at_distance`` pair for pair (CPython's ``Random.sample`` pool
-branch and ``_randbelow``, run in numpy lanes), so every report is the one
-the per-pair draws give.  Each class is held as limb matrices (rows of
+Both exact sweeps read their instances from the runtime's counter-based
+stream: trial k's close word x = y, its far pair and the far distance, in
+[gap, n], come from the k-th trial seed of the point
+(:func:`ghd.runtime._exact_class_values`, whose docstring gives the stream
+layout and the bounds on its bias), drawn for a whole class at once.  A det
+or stream row depends on the pairs only through its error counts, zero for
+both protocols on the promise, and its audited ledger totals, which do not
+depend on the input.  Each class is held as limb matrices (rows of
 big-endian 64-bit limbs), which ``pair_outputs(n, xs, ys)`` reads as they
 are; ``BitString`` inputs are built only for the audited runs.
 
@@ -76,7 +77,6 @@ import io
 import json
 import logging
 import math
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -84,8 +84,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from .bits import BitString, GhdInstance, _limb_matrix, _limb_value, _read_text, random_pairs_at_distances
-from .runtime import DEFAULT_BUDGET_FACTOR, _audited_errors, _error_trials, derive_seed
+from .bits import BitString, GhdInstance, _limb_value, _read_text
+from .runtime import DEFAULT_BUDGET_FACTOR, _audited_errors, _error_trials, _exact_class_values, _trial_seeds, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_protocol
 from .covering import (
@@ -390,8 +390,8 @@ def prepare_codes(config: ExperimentConfig) -> None:
 def _exact_classes(config: ExperimentConfig, record: dict, point_seed: int, n: int, gap: int, protocol, run) -> list:
     """Score ``config.trials`` pairs x = y and distance in [gap, n].
 
-    The far pairs are ``random_pair_at_distance``'s, drawn in lanes after
-    the class RNG has drawn every trial's close word, distance and seed.
+    Trial k of both classes is read from the k-th trial seed of
+    ``derive_seed(point_seed, 0)`` by :func:`ghd.runtime._exact_class_values`.
     Each class is a pair of limb matrices (the close class passes one matrix
     twice), which ``protocol.pair_outputs(n, xs, ys)`` scores; ``run(x, y)``,
     which takes ``BitString`` inputs and returns an object with ``output``
@@ -400,16 +400,11 @@ def _exact_classes(config: ExperimentConfig, record: dict, point_seed: int, n: i
     largest audited ledger total, and returns the audited runs.  A point
     whose classes would exceed ``_WORKING_SET_LIMIT`` is refused first.
     """
-    # the close words as ints and as limbs, and the far xs and ys as limbs
+    # the three classes' limb matrices, and the rows they are copied from
     _check_working_set("class working set", 4 * config.trials * 8 * ((n + 63) // 64))
-    rng = random.Random(derive_seed(point_seed, 0))
-    close, distances, seeds = [], [], []
-    for _ in range(config.trials):
-        close.append(rng.getrandbits(n))
-        distances.append(rng.randint(gap, n))
-        seeds.append(rng.getrandbits(63))
-    words = _limb_matrix(close, n)
-    classes = (("close", words, words, 0), ("far", *random_pairs_at_distances(n, distances, seeds), 1))
+    seeds = _trial_seeds(derive_seed(point_seed, 0), config.trials)
+    words, xs, ys = _exact_class_values(seeds, n, gap).transpose(1, 0, 2).copy()
+    classes = (("close", words, words, 0), ("far", xs, ys, 1))
     errors, audited = [], []
     for name, xs, ys, truth in classes:
         count, runs = _audited_errors(

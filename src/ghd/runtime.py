@@ -44,7 +44,9 @@ draw kernels take an array of seeds, so one call computes the same values for
 many streams at once; a reader's array draws call them with its one seed from
 its cursor.  The array mix (``_mix64_array``) works in place on a temporary
 its caller builds, and the Gaussians are formed in place, one operation at a
-time in the order of ``sqrt(-2 log u1) * cos(2 pi u2)``.
+time in the order of ``sqrt(-2 log u1) * cos(2 pi u2)``.  The exact sweeps
+read their instance pairs from the stream too, one seed per trial
+(:func:`_exact_class_values`).
 
 Batched trials
 --------------
@@ -82,7 +84,7 @@ from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bits import BitString, GhdInstance
+from .bits import BitString, GhdInstance, _bits_limbs
 
 __all__ = [
     "MASK64",
@@ -248,6 +250,43 @@ def _indices_below_values(seeds: np.ndarray, bound: int, count: int, start: int 
     """``indices_below(bound, count)`` of a reader of each seed at position ``start``."""
     _check_bound(bound)
     return _indices_below(_raw_values(seeds, start, count), bound)
+
+
+def _exact_class_values(seeds: np.ndarray, n: int, gap: int) -> np.ndarray:
+    """One exact-sweep trial per uint64 seed: its close word, far x and far y.
+
+    Shape ``(len(seeds), 3, ceil(n / 64))``: each word a :func:`_limb_matrix`
+    row.  With L = ceil(n / 64), a trial reads positions 1 .. 2L + 1 + n of
+    its seed, in this order: the close word's L limbs and then far x's, most
+    significant first (each top limb masked to its n - 64 (L - 1) bits); one
+    value v giving the far distance d = gap + ``_indices_below(v, n - gap +
+    1)``; and n position keys.  Key p is ``(raw >> b << b) | p`` with
+    b = (n - 1).bit_length(), so the keys are distinct, and y flips x at the
+    d positions of smallest key.
+
+    Given d, the flip set is a uniform d-subset except where two positions'
+    top 64 - b key bits tie (the lower position then wins): that bias is
+    below C(n, 2) * 2**-(64 - b).  d is uniform on [gap, n] up to the
+    multiply-high bias, below (n - gap + 1) / 2**64.  Needs 1 <= gap <= n.
+    Rows depend only on their seed, so the slices of :func:`_in_batches` do
+    not change the output.
+    """
+    limbs = (n + 63) // 64
+    top = np.uint64((1 << (n - 64 * (limbs - 1))) - 1)
+    b = np.uint64((n - 1).bit_length())
+    positions = np.arange(n, dtype=np.uint64)
+
+    def draw(part: np.ndarray) -> np.ndarray:
+        raw = _raw_values(part, 0, 2 * limbs + 1 + n)
+        words = raw[:, : 2 * limbs].reshape(len(part), 2, limbs)
+        words[:, :, 0] &= top
+        distances = gap + _indices_below(raw[:, 2 * limbs], n - gap + 1)
+        keys = raw[:, 2 * limbs + 1 :] >> b << b | positions
+        thresholds = np.sort(keys, axis=1)[np.arange(len(part)), distances - 1]
+        flips = _bits_limbs(keys <= thresholds[:, None])
+        return np.concatenate((words, (words[:, 1] ^ flips)[:, None]), axis=1)
+
+    return _in_batches(seeds, 2 * limbs + 1 + n, draw)
 
 
 def _in_batches(rows: Sequence, coordinates: int, kernel) -> np.ndarray:

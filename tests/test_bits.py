@@ -20,7 +20,6 @@ from ghd.bits import (
     log2_ball_volume,
     log2_exact,
     random_pair_at_distance,
-    random_pairs_at_distances,
 )
 
 
@@ -344,166 +343,6 @@ def test_instance_at_distance_promise():
     inst = GhdInstance.at_distance(50, 10, 30, 30, seed=4)
     assert inst.promise is Promise.FAR
     assert inst.truth_bit() == 1
-
-
-# ------------------------------------------------------------ pair lanes
-
-
-def assert_pairs_match_oracle(n, distances, seeds):
-    """The lanes' two limb matrices hold the oracle's pairs, row by row."""
-    xs, ys = random_pairs_at_distances(n, distances, seeds)
-    pairs = [random_pair_at_distance(n, d, s) for d, s in zip(distances, seeds)]
-    limbs = (n + 63) // 64
-    for matrix, words in ((xs, [x for x, _ in pairs]), (ys, [y for _, y in pairs])):
-        assert matrix.dtype == np.uint64 and matrix.shape == (len(pairs), limbs)
-        assert [bits._limb_value(row) for row in matrix] == [w.value for w in words]
-
-
-@pytest.fixture
-def oracle_calls(monkeypatch):
-    """A list that grows by one per call the lanes make to the oracle."""
-    calls = []
-
-    def counted(n, d, seed):
-        calls.append((n, d))
-        return random_pair_at_distance(n, d, seed)
-
-    monkeypatch.setattr(bits, "random_pair_at_distance", counted)
-    return calls
-
-
-def _sample_takes_pool(n, k):
-    """Whether CPython's ``Random.sample(range(n), k)`` shuffles a pool: its
-    second draw is then below n - 1, where the set branch draws below n."""
-    bounds = []
-
-    class Recording(random.Random):
-        def _randbelow(self, bound):
-            bounds.append(bound)
-            return super()._randbelow(bound)
-
-    Recording(0).sample(range(n), k)
-    return bounds[1] == n - 1
-
-
-@pytest.mark.parametrize("k", [2, 5, 6, 21, 22, 85, 86, 300])
-def test_sample_setsize_matches_cpython(k):
-    edge = bits._sample_setsize(k)
-    for n in (max(k, edge - 1), max(k, edge), edge + 1):
-        assert _sample_takes_pool(n, k) == (n <= edge)
-
-
-PAIR_LENGTHS = [1, 2, 16, 18, 21, 22, 31, 32, 33, 64, 65, 100, 130]
-
-
-@pytest.mark.parametrize("n", PAIR_LENGTHS)
-def test_pair_lanes_match_the_oracle(n, oracle_calls):
-    rng = random.Random(n)
-    distances = [d for d in (0, 1, 5, 6, n // 2, n) if d <= n for _ in range(80)]
-    seeds = [rng.getrandbits(63) for _ in distances]
-    assert_pairs_match_oracle(n, distances, seeds)
-    # every pool-branch d has 80 >= _MIN_LANES pairs, and they need no oracle
-    assert all(n > bits._sample_setsize(d) for _, d in oracle_calls)
-    if n <= 21:
-        assert oracle_calls == []
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 200).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.tuples(st.integers(0, n), st.integers(0, 2**64)), max_size=40),
-        )
-    )
-)
-def test_pair_lanes_property(case):
-    n, draws = case
-    distances = [d for d, _ in draws]
-    seeds = [s for _, s in draws]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bits, "_MIN_LANES", 1)
-        assert_pairs_match_oracle(n, distances, seeds)
-
-
-@pytest.mark.parametrize("tiny", ["window", "budget"])
-def test_pair_lanes_fall_back_when_window_or_budget_runs_out(monkeypatch, oracle_calls, tiny):
-    if tiny == "window":
-        monkeypatch.setattr(bits, "_LANE_WINDOW", 2)
-    else:  # one output per pick beyond x's words
-        monkeypatch.setattr(bits, "_lane_outputs", lambda n, max_distance: (n + 31) // 32 + max_distance)
-    rng = random.Random(7)
-    for n in (18, 100):
-        oracle_calls.clear()
-        distances = [rng.randint(n // 2, n) for _ in range(200)]
-        seeds = [rng.getrandbits(63) for _ in distances]
-        assert_pairs_match_oracle(n, distances, seeds)
-        assert 0 < len(oracle_calls) < len(distances)
-
-
-def test_pair_lanes_fall_back_when_a_slice_would_be_too_small(monkeypatch, oracle_calls):
-    rng = random.Random(8)
-    distances = [rng.randint(8, 16) for _ in range(100)]
-    seeds = [rng.getrandbits(63) for _ in distances]
-    monkeypatch.setattr(bits, "_LANE_CELLS", 63 * (bits._lane_outputs(16, 16) + 32))
-    assert_pairs_match_oracle(16, distances, seeds)
-    assert len(oracle_calls) == 100
-    # room for 64 lanes a slice: two balanced slices of 50
-    oracle_calls.clear()
-    monkeypatch.setattr(bits, "_LANE_CELLS", 64 * (bits._lane_outputs(16, 16) + 32))
-    assert_pairs_match_oracle(16, distances, seeds)
-    assert oracle_calls == []
-
-
-def test_pair_lanes_across_slices_at_the_default_constants(monkeypatch, oracle_calls):
-    # d up to 100 at n = 100: the default 2**18 cells hold 624 lanes a slice,
-    # so 1,300 lanes run in three slices of at most 434
-    rng = random.Random(16)
-    distances = [rng.randint(50, 100) for _ in range(1300)]
-    seeds = [rng.getrandbits(63) for _ in distances]
-    assert max(distances) == 100
-    assert bits._LANE_CELLS // (bits._lane_outputs(100, 100) + 200) == 624
-    sizes = []
-    pool_lanes = bits._pool_lanes
-
-    def recorded(n, distances, seeds):
-        sizes.append(len(distances))
-        return pool_lanes(n, distances, seeds)
-
-    monkeypatch.setattr(bits, "_pool_lanes", recorded)
-    assert_pairs_match_oracle(100, distances, seeds)
-    assert sizes == [434, 434, 432]
-    assert len(oracle_calls) == 1  # the one lane of this seed that fails
-
-
-@pytest.mark.parametrize("n", [18, 100])
-def test_pair_lanes_at_edge_int_seeds_and_text_seeds(n, oracle_calls):
-    # ints around the 32- and 64-bit limbs of the seeding key, and beyond it
-    int_seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 12345, 3**50] * 10
-    # Random.seed hashes a str or bytes seed before seeding, so those pairs take the oracle
-    text_seeds = ["ghd", "", b"ghd", bytes(9)]
-    rng = random.Random(n)
-    seeds = int_seeds + text_seeds
-    distances = [rng.randint(n // 2, n) for _ in seeds]
-    assert_pairs_match_oracle(n, distances, seeds)
-    assert len(int_seeds) >= bits._MIN_LANES
-    assert oracle_calls == [(n, d) for d in distances[len(int_seeds) :]]
-
-
-def test_pair_lanes_edge_inputs(oracle_calls):
-    xs, ys = random_pairs_at_distances(16, [], [])
-    assert xs.shape == ys.shape == (0, 1) and xs.dtype == ys.dtype == np.uint64
-    # fewer than _MIN_LANES pairs go to the oracle
-    assert_pairs_match_oracle(16, [3, 4], [1, 2])
-    assert len(oracle_calls) == 2
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        random_pairs_at_distances(0, [0], [1])
-    with pytest.raises(ValueError, match="0 <= d <= n"):
-        random_pairs_at_distances(8, [3, 9], [1, 2])
-    with pytest.raises(ValueError, match="0 <= d <= n"):
-        random_pairs_at_distances(8, [-1], [1])
-    with pytest.raises(ValueError, match="2 distances but 1 seeds"):
-        random_pairs_at_distances(8, [3, 4], [1])
 
 
 @pytest.mark.parametrize(

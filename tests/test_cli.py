@@ -2,14 +2,18 @@ import hashlib
 import json
 import logging
 import math
+import sys
+from decimal import Decimal
 
 import pytest
 
-from ghd.bits import random_pair_at_distance
+from ghd.bits import ball_volume, random_pair_at_distance
 from ghd.cli import main
+from ghd.covering import det_protocol, det_protocol_params
 from ghd.experiments import parse_config, run_experiment
 from ghd.runtime import derive_seed
 from ghd.sketch import derive_sketch_params, sketch_protocol, sketch_statistics
+from ghd.streaming import ExactBitmapF0, ghd_via_streaming, stream_gap
 
 
 def test_volume_command(capsys):
@@ -17,6 +21,20 @@ def test_volume_command(capsys):
     assert capsys.readouterr().out.strip() == "176"
     assert main(["volume", "5", "5", "--log2"]) == 0
     assert float(capsys.readouterr().out.strip()) == 5.0
+
+
+def test_volume_prints_a_volume_past_the_int_digit_limit(capsys):
+    # 4,335 digits: str() of the int raises at CPython's default limit of
+    # 4,300.  The process-wide limit must stay as it was (Python before
+    # 3.10.7 has none).
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = digit_limit()
+    assert main(["volume", "14400", "7200"]) == 0
+    out = capsys.readouterr().out
+    digits = out.rstrip("\n")
+    assert out == digits + "\n" and digits.isdigit() and len(digits) == 4335
+    assert Decimal(digits) == ball_volume(14400, 7200)
+    assert digit_limit() == limit
 
 
 def test_bounds_det_command(capsys):
@@ -223,9 +241,15 @@ def test_demo_stream_output_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-def _trace_lines(capsys, *argv):
-    assert main(["trace", "sketch", *argv]) == 0
+def _trace_lines(capsys, *argv, protocol="sketch"):
+    assert main(["trace", protocol, *argv]) == 0
     return capsys.readouterr().out.splitlines()
+
+
+def _traced_fields(lines, dump):
+    """The lines after a ledger dump, which they must start with, as a dict."""
+    assert lines[: len(dump)] == dump
+    return dict(line.split(" ", 1) for line in lines[len(dump) :])
 
 
 @pytest.mark.parametrize("distance", [0, 4, 5, 256])
@@ -271,3 +295,86 @@ def test_trace_sketch_refuses_a_distance_beyond_n(capsys):
         main(["trace", "sketch", "512", "4", "256", "2", "--distance", "513", "--seed", "1"])
     assert info.value.code == 64
     assert "distance must satisfy 0 <= d <= n, got 513" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, gap, distance", [(16, 5, 0), (16, 5, 5), (16, 5, 16), (10, 4, 2), (18, 7, 9)])
+def test_trace_det_prints_the_run_it_traces(capsys, n, gap, distance):
+    params = det_protocol_params(n, gap)
+    x, y = random_pair_at_distance(n, distance, derive_seed(4, 0))
+    outcome = det_protocol(params).run(x, y, 0)
+    lines = _trace_lines(capsys, str(n), str(gap), "--distance", str(distance), "--seed", "4", protocol="det")
+    out = _traced_fields(lines, outcome.ledger.dump().splitlines())
+    index = int(out["codeword_index"])
+    # Alice's message is the codeword index, and Bob's bit compares his distance to the radius
+    assert outcome.ledger.messages[0].payload == index
+    codeword = params.code.codewords[index]
+    assert out == {
+        "rounds": "2",
+        "declared_bits": str(params.cost_bits),
+        "ledger_bits": str(outcome.ledger.total_bits),
+        "codeword_index": str(index),
+        "codeword_distance_x": str((codeword ^ x.value).bit_count()),
+        "codeword_distance_y": str((codeword ^ y.value).bit_count()),
+        "radius": str((gap - 1) // 2),
+        "output": str(outcome.output),
+    }
+    assert int(out["codeword_distance_x"]) <= (gap - 1) // 2
+    assert outcome.output == int(int(out["codeword_distance_y"]) > (gap - 1) // 2)
+    assert lines[-1] == f"output {outcome.output}"
+
+
+@pytest.mark.parametrize("n, c, p, distance", [(100, 1.5, 2, 50), (100, 1.5, 2, 0), (40, 1.2, 3, 7), (8, 1.5, 1, 8)])
+def test_trace_stream_prints_the_run_it_traces(capsys, n, c, p, distance):
+    x, y = random_pair_at_distance(n, distance, derive_seed(5, 0))
+    output, run = ghd_via_streaming(lambda: ExactBitmapF0(2 * n, passes=p), c, x, y)
+    argv = (str(n), str(c), str(p), "--distance", str(distance), "--seed", "5")
+    lines = _trace_lines(capsys, *argv, protocol="stream")
+    out = _traced_fields(lines, run.ledger.dump().splitlines())
+    # 2p - 1 snapshots of the 2n-bit bitmap, two a pass but the last, and the decision bit
+    snapshots = {f"pass_{i}_snapshot_bits": f"{2 * n} {2 * n}" for i in range(1, p)}
+    snapshots[f"pass_{p}_snapshot_bits"] = str(2 * n)
+    assert out == {
+        "rounds": str(2 * p),
+        "declared_bits": str((2 * p - 1) * 2 * n + 1),
+        "ledger_bits": str(run.ledger.total_bits),
+        **snapshots,
+        "estimate": str(run.estimate),
+        "threshold": str(n + stream_gap(n, c)),
+        "output": str(output),
+    }
+    assert run.estimate == n + distance  # the exact bitmap counts every distinct token
+    assert output == int(run.estimate >= n + stream_gap(n, c))
+
+
+@pytest.mark.parametrize(
+    "protocol, argv, config",
+    [
+        ("det", ("16", "5", "--distance", "5", "--seed", "1"), "protocol = det\ntrials = 20\nseed = 4\npoint n=16 t=5\n"),
+        (
+            "stream",
+            ("100", "1.5", "2", "--distance", "50", "--seed", "1"),
+            "protocol = stream\ntrials = 20\nseed = 4\npoint n=100 c=1.5 p=2\n",
+        ),
+    ],
+)
+def test_exact_traces_are_repeatable_and_leave_sweeps_alone(capsys, protocol, argv, config):
+    before = run_experiment(parse_config(config))
+    assert _trace_lines(capsys, *argv, protocol=protocol) == _trace_lines(capsys, *argv, protocol=protocol)
+    after = run_experiment(parse_config(config))
+    assert after.to_csv() == before.to_csv() and after.to_json() == before.to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["det", "16", "0", "--distance", "3", "--seed", "1"], "gap must satisfy 1 <= gap <= n, got 0"),
+        (["det", "16", "5", "--distance", "17", "--seed", "1"], "distance must satisfy 0 <= d <= n, got 17"),
+        (["stream", "100", "2.5", "2", "--distance", "3", "--seed", "1"], "c must lie strictly between 1 and 2"),
+        (["stream", "100", "1.5", "0", "--distance", "3", "--seed", "1"], "passes must be >= 1"),
+    ],
+)
+def test_exact_traces_refuse_bad_arguments(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(["trace", *argv])
+    assert info.value.code == 64
+    assert f"error: {message}" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import io
 import json
 import logging
 import math
-import random
 import re
 from collections import OrderedDict
 from types import SimpleNamespace
@@ -24,7 +23,7 @@ from ghd.experiments import (
     parse_config,
     run_experiment,
 )
-from ghd.bits import BitString, random_pair_at_distance
+from ghd.bits import BitString
 from ghd.covering import CoveringCode
 from ghd.runtime import ContractViolationError, StreamReader, derive_seed
 from ghd.sampling import derive_sampling_params
@@ -357,28 +356,36 @@ def test_csv_rows_read_back_as_the_columns(tmp_path, name):
 # --------------------------------------------------- batched exact sweeps
 
 
+def _trial_rows(trials, point_seed, n, gap):
+    """Trial k's close word, far x and far y, each drawn by the kernel on its own seed."""
+    seeds = runtime._trial_seeds(derive_seed(point_seed, 0), trials)
+    for k in range(trials):
+        yield [bits._limb_value(row) for row in runtime._exact_class_values(seeds[k : k + 1], n, gap)[0]]
+
+
 def _looped_classes(trials, point_seed, n, gap, run):
-    """Every trial of both classes through ``run``, in the sweep's draw order."""
-    errors0 = errors1 = 0
-    rng = random.Random(derive_seed(point_seed, 0))
-    for _ in range(trials):
-        x = BitString.random(n, rng)
-        errors0 += run(x, x).output != 0
-        d = rng.randint(gap, n)
-        errors1 += run(*random_pair_at_distance(n, d, rng.getrandbits(63))).output != 1
+    """Each class's error trials, every trial run through ``run`` one at a time."""
+    errors0, errors1 = [], []
+    for trial, (close, x, y) in enumerate(_trial_rows(trials, point_seed, n, gap)):
+        word = BitString(n, close)
+        if run(word, word).output != 0:
+            errors0.append(trial)
+        if run(BitString(n, x), BitString(n, y)).output != 1:
+            errors1.append(trial)
     return errors0, errors1
 
 
-@pytest.mark.parametrize("point_seed, audited_far", [(1, 2), (2, 1)])
-def test_exact_classes_audit_trial_zero_and_the_first_error(point_seed, audited_far):
-    # a 17-bit bitmap at n = 9 drops token 18, so far pairs at distance 5 err
+@pytest.mark.parametrize("point_seed, first_far_error", [(3, 0), (6, 41)])
+def test_exact_classes_audit_trial_zero_and_the_first_error(point_seed, first_far_error):
+    # a 17-bit bitmap at n = 9 drops token 18, so far pairs at distance 5 err;
+    # point seed 3 first errs on far trial 0, point seed 6 on far trial 41
     n, c = 9, 1.5
     gap = stream_gap(n, c)
     make = lambda: TruncatedBitmapF0(2 * n, capacity_bits=17, passes=2)
     runs = []
 
     def run(x, y):
-        runs.append(x)
+        runs.append((x, y))
         return ghd_via_streaming(make, c, x, y, check_determinism=False)[1]
 
     config = parse_config("protocol = stream\ntrials = 60\n")
@@ -386,14 +393,18 @@ def test_exact_classes_audit_trial_zero_and_the_first_error(point_seed, audited_
     audited = experiments._exact_classes(
         config, record, point_seed, n, gap, streaming_protocol(make, c), run
     )
-    assert len(runs) == len(audited) == 1 + audited_far
+    rows = list(_trial_rows(60, point_seed, n, gap))
+    # close trial 0, far trial 0, and the first far error when it comes later
+    expected = [(rows[0][0], rows[0][0])] + [tuple(rows[k][1:]) for k in sorted({0, first_far_error})]
+    assert [(x.value, y.value) for x, y in runs] == expected
+    assert len(audited) == len(expected)
     errors0, errors1 = _looped_classes(60, point_seed, n, gap, run)
-    assert errors0 == 0 < errors1
+    assert errors0 == [] and errors1[0] == first_far_error
     # 3 snapshots of the 17-bit bitmap and the decision bit
     assert record == {
         "err_close": 0.0,
         "err_close_hw": 0.0,
-        "err_far": errors1 / 60,
+        "err_far": len(errors1) / 60,
         "err_far_hw": 0.0,
         "error_bound": 0.0,
         "bound_ok": False,
@@ -402,15 +413,8 @@ def test_exact_classes_audit_trial_zero_and_the_first_error(point_seed, audited_
 
 
 @pytest.mark.parametrize("n, gap", [(16, 5), (18, 7), (100, stream_gap(100, 1.5))])
-def test_exact_classes_draw_far_pairs_in_lanes(monkeypatch, n, gap):
+def test_exact_classes_match_the_per_trial_kernel(n, gap):
     # the exact_sweep points: det (16, t = 5), det (18, t = 7), stream (100, c = 1.5)
-    oracle_calls = []
-
-    def counted(*args):
-        oracle_calls.append(args)
-        return random_pair_at_distance(*args)
-
-    monkeypatch.setattr(bits, "random_pair_at_distance", counted)
     scored = []
 
     def pair_outputs(width, xs, ys):
@@ -426,20 +430,13 @@ def test_exact_classes_draw_far_pairs_in_lanes(monkeypatch, n, gap):
     )
     assert len(audited) == 2  # trial 0 of each class: no errors
     assert (record["err_close"], record["err_far"], record["bound_ok"]) == (0.0, 0.0, True)
-    assert len(oracle_calls) <= 5
-    # the class RNG draws close word, distance, pair seed, trial by trial
-    rng = random.Random(derive_seed(3, 0))
-    close, far = [], []
-    for _ in range(500):
-        close.append(BitString.random(n, rng))
-        d = rng.randint(gap, n)
-        far.append(random_pair_at_distance(n, d, rng.getrandbits(63)))
-    assert record["measured_bits"] == max(close[0].value % 1000, far[0][1].value % 1000)
+    rows = list(_trial_rows(500, 3, n, gap))
+    assert record["measured_bits"] == max(rows[0][0] % 1000, rows[0][2] % 1000)
     (close_xs, close_ys), (far_xs, far_ys) = scored
     assert close_xs is close_ys  # the close class passes one matrix twice
-    for matrix, words in ((close_xs, close), (far_xs, [x for x, _ in far]), (far_ys, [y for _, y in far])):
+    for column, matrix in enumerate((close_xs, far_xs, far_ys)):
         assert matrix.dtype == np.uint64 and matrix.shape == (500, (n + 63) // 64)
-        assert [bits._limb_value(row) for row in matrix] == [w.value for w in words]
+        assert [bits._limb_value(row) for row in matrix] == [words[column] for words in rows]
 
 
 def _doctor(factory, name, trial):
@@ -617,7 +614,7 @@ def _no_class_draws(monkeypatch):
     def no_draw(*args):
         raise AssertionError("a point over the working-set limit drew its classes")
 
-    monkeypatch.setattr(experiments, "random", SimpleNamespace(Random=no_draw))
+    monkeypatch.setattr(experiments, "_exact_class_values", no_draw)
 
 
 def test_exact_points_over_the_working_set_are_skipped(monkeypatch):

@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
+from collections import Counter
+from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghd import runtime
-from ghd.bits import BitString, GhdInstance, random_pair_at_distance
+from ghd.bits import BitString, GhdInstance, _limb_value, random_pair_at_distance
 from ghd.runtime import (
     RECV,
     BudgetExceededError,
@@ -253,6 +258,71 @@ def test_shared_randomness_equality_ignores_the_memo():
     assert drawn == SharedRandomness(37) and hash(drawn) == hash(SharedRandomness(37))
     assert drawn != SharedRandomness(38)
     assert repr(drawn) == "SharedRandomness(seed=37)"
+
+
+# ------------------------------------------------------- exact-sweep draws
+
+
+def _class_words(values, n):
+    """The close words, far xs and far ys of a kernel output, as three int lists."""
+    return [[_limb_value(row) for row in values[:, column]] for column in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(1, 40),
+    st.integers(0, 2**64 - 1),
+)
+@example((1, 1), 1, 0)
+@example((64, 1), 40, 2**64 - 1)
+@example((65, 65), 7, 5)
+@example((128, 64), 40, 3)
+def test_exact_class_values_property(case, trials, seed):
+    n, gap = case
+    limbs = (n + 63) // 64
+    seeds = runtime._trial_seeds(seed, trials)
+    values = runtime._exact_class_values(seeds, n, gap)
+    assert values.dtype == np.uint64 and values.shape == (trials, 3, limbs)
+    close, xs, ys = _class_words(values, n)
+    assert all(word < 1 << n for word in close + xs + ys)
+    # positions 1 .. 2L hold the close word's limbs and then far x's, and
+    # position 2L + 1 gives the far distance
+    raw = runtime._raw_values(seeds, 0, 2 * limbs + 1)
+    assert close == [_limb_value(row[:limbs]) % (1 << n) for row in raw]
+    assert xs == [_limb_value(row[limbs : 2 * limbs]) % (1 << n) for row in raw]
+    distances = gap + runtime._indices_below(raw[:, 2 * limbs], n - gap + 1)
+    assert all(gap <= d <= n for d in distances.tolist())
+    assert [(x ^ y).bit_count() for x, y in zip(xs, ys)] == distances.tolist()
+    for k in range(trials):
+        assert values[k].tobytes() == runtime._exact_class_values(seeds[k : k + 1], n, gap)[0].tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        for cap in (1, 1 << 20):
+            patch.setattr(runtime, "_BATCH_COORDINATES", cap)
+            assert runtime._exact_class_values(seeds, n, gap).tobytes() == values.tobytes()
+
+
+def _chi_square_sf(counts):
+    """The chance that uniform counts show a chi-square statistic at least this large."""
+    expected = sum(counts) / len(counts)
+    statistic = sum((count - expected) ** 2 for count in counts) / expected
+    return float(mpmath.gammainc((len(counts) - 1) / 2, statistic / 2, mpmath.inf, regularized=True))
+
+
+def test_exact_class_distances_and_flip_sets_are_uniform():
+    # a fixed seed, so the bounds below hold or fail the same way every run
+    n, gap, trials = 5, 2, 20_000
+    _, xs, ys = _class_words(runtime._exact_class_values(runtime._trial_seeds(2026, trials), n, gap), n)
+    flips = [x ^ y for x, y in zip(xs, ys)]
+    by_distance = {d: Counter() for d in range(gap, n + 1)}
+    for mask in flips:
+        by_distance[mask.bit_count()][mask] += 1
+    assert _chi_square_sf([sum(sets.values()) for sets in by_distance.values()]) > 1e-6
+    for d, sets in by_distance.items():
+        masks = [sum(1 << p for p in chosen) for chosen in combinations(range(n), d)]
+        assert set(sets) == set(masks)
+        if len(masks) > 1:
+            assert _chi_square_sf([sets[mask] for mask in masks]) > 1e-6
 
 
 # ------------------------------------------------------------- the runtime
