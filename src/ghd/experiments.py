@@ -400,7 +400,7 @@ def _exact_classes(config: ExperimentConfig, record: dict, point_seed: int, n: i
     largest audited ledger total, and returns the audited runs.  A point
     whose classes would exceed ``_WORKING_SET_LIMIT`` is refused first.
     """
-    # the three classes' limb matrices, and the rows they are copied from
+    # the classes' three limb matrices, and room for drawing them
     _check_working_set("class working set", 4 * config.trials * 8 * ((n + 63) // 64))
     seeds = _trial_seeds(derive_seed(point_seed, 0), config.trials)
     words, xs, ys = _exact_class_values(seeds, n, gap).transpose(1, 0, 2).copy()
