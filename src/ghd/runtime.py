@@ -271,7 +271,11 @@ def _exact_class_values(seeds: np.ndarray, n: int, gap: int) -> np.ndarray:
     Rows depend only on their seed, so the slices of :func:`_in_batches` do
     not change the output.
     """
+    if not 1 <= gap <= n:
+        raise ValueError(f"gap must satisfy 1 <= gap <= n, got gap = {gap} for n = {n}")
     limbs = (n + 63) // 64
+    if not len(seeds):
+        return np.zeros((0, 3, limbs), dtype=np.uint64)
     top = np.uint64((1 << (n - 64 * (limbs - 1))) - 1)
     b = np.uint64((n - 1).bit_length())
     positions = np.arange(n, dtype=np.uint64)

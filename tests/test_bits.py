@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghd import bits
+from ghd import bits, runtime
 from ghd.bits import (
     BitString,
     GhdInstance,
@@ -343,6 +343,91 @@ def test_instance_at_distance_promise():
     inst = GhdInstance.at_distance(50, 10, 30, 30, seed=4)
     assert inst.promise is Promise.FAR
     assert inst.truth_bit() == 1
+
+
+# ------------------------------------------------------------ pair lanes
+# The exact sweeps draw a whole class of pairs in numpy lanes, one lane per
+# trial seed (runtime._exact_class_values).  The oracle below reads the same
+# stream positions one Python int at a time.
+
+
+def _trial_pair_oracle(seed, n, gap):
+    """One trial's close word, far x and far y, from the stream layout in Python ints."""
+    limbs = (n + 63) // 64
+    raw = [runtime.mix64(seed + position * runtime._GOLDEN) for position in range(1, 2 * limbs + 2 + n)]
+
+    def word(values):  # limbs most significant first, cut to n bits
+        return sum(value << 64 * (len(values) - 1 - i) for i, value in enumerate(values)) % (1 << n)
+
+    close, x = word(raw[:limbs]), word(raw[limbs : 2 * limbs])
+    d = gap + (raw[2 * limbs] * (n - gap + 1) >> 64)
+    b = (n - 1).bit_length()
+    keys = sorted((value >> b << b | p, p) for p, value in enumerate(raw[2 * limbs + 1 :]))
+    # position p is bit n - 1 - p of the word: the d positions of smallest key flip
+    return close, x, x ^ sum(1 << (n - 1 - p) for _, p in keys[:d])
+
+
+def assert_pairs_match_oracle(n, gap, seeds):
+    """The lanes' three limb matrices hold the oracle's words, row by row."""
+    values = runtime._exact_class_values(np.array(seeds, dtype=np.uint64), n, gap)
+    assert values.dtype == np.uint64 and values.shape == (len(seeds), 3, (n + 63) // 64)
+    lanes = [tuple(bits._limb_value(word) for word in row) for row in values]
+    expected = [_trial_pair_oracle(seed, n, gap) for seed in seeds]
+    assert lanes == expected
+    assert all(gap <= (x ^ y).bit_count() <= n for _, x, y in expected)
+
+
+# lengths around the limb edges and where the key shift (n - 1).bit_length() grows
+PAIR_LENGTHS = [1, 2, 16, 18, 21, 22, 31, 32, 33, 64, 65, 100, 130]
+
+
+@pytest.mark.parametrize("n", PAIR_LENGTHS)
+def test_pair_lanes_match_the_oracle(n):
+    seeds = runtime._trial_seeds(n, 80).tolist()
+    for gap in sorted({1, 2, 5, n // 2, n} & set(range(1, n + 1))):
+        assert_pairs_match_oracle(n, gap, seeds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 200).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n), st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    )
+)
+def test_pair_lanes_property(case):
+    n, gap, seeds = case
+    assert_pairs_match_oracle(n, gap, seeds)
+
+
+def test_pair_lanes_across_slices_at_the_default_constants(monkeypatch):
+    # 2 * 2 + 1 + 100 stream values a trial at n = 100: the default cap of
+    # 2**13 coordinates holds 78 lanes a slice, so 1,300 lanes run in 17 slices
+    assert runtime._BATCH_COORDINATES // (2 * 2 + 1 + 100) == 78
+    sizes = []
+    raw_values = runtime._raw_values
+
+    def recorded(seeds, start, count):
+        sizes.append(len(seeds))
+        return raw_values(seeds, start, count)
+
+    monkeypatch.setattr(runtime, "_raw_values", recorded)
+    assert_pairs_match_oracle(100, 50, runtime._trial_seeds(16, 1300).tolist())
+    assert sizes == [78] * 16 + [52]
+
+
+def test_pair_lanes_edge_inputs():
+    for n in (16, 65):
+        values = runtime._exact_class_values(np.zeros(0, dtype=np.uint64), n, 3)
+        assert values.shape == (0, 3, (n + 63) // 64) and values.dtype == np.uint64
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+    assert_pairs_match_oracle(1, 1, seeds)
+    for n in (16, 65):  # gap = n flips every bit
+        assert_pairs_match_oracle(n, n, seeds)
+        values = runtime._exact_class_values(np.array(seeds, dtype=np.uint64), n, n)
+        assert all(bits._limb_value(x) ^ bits._limb_value(y) == (1 << n) - 1 for _, x, y in values)
+    for n, gap in ((8, 0), (8, 9), (8, -1)):
+        with pytest.raises(ValueError, match="1 <= gap <= n"):
+            runtime._exact_class_values(np.array([1], dtype=np.uint64), n, gap)
 
 
 @pytest.mark.parametrize(

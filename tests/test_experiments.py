@@ -413,7 +413,7 @@ def test_exact_classes_audit_trial_zero_and_the_first_error(point_seed, first_fa
 
 
 @pytest.mark.parametrize("n, gap", [(16, 5), (18, 7), (100, stream_gap(100, 1.5))])
-def test_exact_classes_match_the_per_trial_kernel(n, gap):
+def test_exact_classes_draw_far_pairs_in_lanes(n, gap):
     # the exact_sweep points: det (16, t = 5), det (18, t = 7), stream (100, c = 1.5)
     scored = []
 
