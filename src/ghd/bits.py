@@ -97,8 +97,7 @@ class BitString:
 
 def hamming_distance(x: BitString, y: BitString) -> int:
     """Number of positions where two equal-length bit strings differ."""
-    if x.length != y.length:
-        raise ValueError(f"length mismatch: {x.length} != {y.length}")
+    _check_equal_lengths(x, y)
     return (x.value ^ y.value).bit_count()
 
 
@@ -126,8 +125,7 @@ class GhdInstance:
 
     def __post_init__(self) -> None:
         _check_promise(self.n, self.close_bound, self.far_bound)
-        if self.x.length != self.n or self.y.length != self.n:
-            raise ValueError("input lengths do not match n")
+        _check_lengths(self.n, self.x.length, self.y.length)
 
     @property
     def distance(self) -> int:
@@ -180,11 +178,26 @@ def _check_promise(
         raise ValueError("error_exponent must be finite")
 
 
-def _check_lengths(n: int, *inputs: BitString) -> None:
-    """Reject an input whose length is not n."""
-    for x in inputs:
-        if x.length != n:
-            raise ValueError(f"input length {x.length} does not match n = {n}")
+def _check_lengths(n: int, *lengths: int) -> None:
+    """Reject an input length that is not n."""
+    for length in lengths:
+        if length != n:
+            raise ValueError(f"input length {length} does not match n = {n}")
+
+
+def _check_equal_lengths(x: BitString, y: BitString) -> None:
+    if x.length != y.length:
+        raise ValueError(f"inputs of unequal length: {x.length} and {y.length} bits")
+
+
+def _check_gap(n: int, gap: int) -> None:
+    if not 1 <= gap <= n:
+        raise ValueError(f"gap must satisfy 1 <= gap <= n, got {gap}")
+
+
+def _check_radius(n: int, r: int, prefix: str = "") -> None:
+    if not 0 <= r <= n:
+        raise ValueError(f"{prefix}radius must satisfy 0 <= r <= n, got r={r}, n={n}")
 
 
 def _int_bits(value: int, count: int) -> np.ndarray:
@@ -290,8 +303,7 @@ def ball_volume(n: int, r: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= r <= n:
-        raise ValueError(f"radius must satisfy 0 <= r <= n, got r={r}, n={n}")
+    _check_radius(n, r)
     if r == n:
         return 1 << n
     if 2 * r > n:
@@ -303,14 +315,15 @@ def ball_volume(n: int, r: int) -> int:
 def log2_exact(value: int) -> float:
     """log2 of a positive integer, computed from its exact representation.
 
-    Uses the bit length plus a correction from the top 64 significant bits,
-    so the result is accurate to well under 1e-9 even when the integer is
-    far too large for float conversion.
+    Up to 64 bits this is ``math.log2(value)``.  Wider integers use the bit
+    length plus a correction from the top 64 significant bits, so the result
+    is accurate to well under 1e-9 even when the integer is far too large
+    for float conversion.
     """
     if value <= 0:
         raise ValueError("value must be positive")
     bit_length = value.bit_length()
-    if bit_length <= 53:
+    if bit_length <= 64:
         return math.log2(value)
     shift = bit_length - 64
     return math.log2(value >> shift) + shift

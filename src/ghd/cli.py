@@ -39,7 +39,7 @@ from .covering import det_complexity_bounds, det_protocol, det_protocol_params
 from .experiments import load_config, normalize_protocol, run_experiment
 from .runtime import derive_seed
 from .sketch import _close_statistic_bound, _decides_far, derive_sketch_params, sketch_protocol, sketch_statistics
-from .streaming import ExactBitmapF0, encode_streams, exact_f0, ghd_via_streaming, space_lower_bound, stream_gap, write_stream_fixture
+from .streaming import ExactBitmapF0, _bitmap_run_bits, encode_streams, exact_f0, ghd_via_streaming, space_lower_bound, stream_gap, write_stream_fixture
 
 __all__ = ["main"]
 
@@ -234,8 +234,7 @@ def _trace_stream(args):
     make = lambda: ExactBitmapF0(2 * args.n, passes=args.p)
     x, y = _trace_pair(args)
     _, run = ghd_via_streaming(make, args.c, x, y)
-    # 2p - 1 snapshots of the whole bitmap and Bob's decision bit
-    declared = (2 * args.p - 1) * make().capacity_bits + 1
+    declared = _bitmap_run_bits(make().capacity_bits, args.p)
     # pass i hands off Alice's snapshot, then Bob's unless it is the last pass
     widths = [str(message.width) for message in run.ledger.messages[:-1]]
     passes = [(f"pass_{i + 1}_snapshot_bits", " ".join(widths[2 * i : 2 * i + 2])) for i in range(run.passes)]

@@ -107,7 +107,7 @@ import random
 
 import numpy as np
 
-from .bits import BitString, _check_lengths, _check_limb_pairs, _limb_matrix, _limb_value, _decode_text, _parse_decimal, log2_ball_volume
+from .bits import BitString, _check_gap, _check_lengths, _check_limb_pairs, _check_radius, _limb_matrix, _limb_value, _decode_text, _parse_decimal, log2_ball_volume
 from .runtime import RECV, ContractViolationError, Protocol, Send, StreamReader, _in_batches
 
 __all__ = [
@@ -201,8 +201,7 @@ class CoveringCode:
     codewords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.radius <= self.n:
-            raise ValueError("radius out of range")
+        _check_radius(self.n, self.radius)
         if not self.codewords:
             raise ValueError("a code must contain at least one codeword")
         if any(not 0 <= c < (1 << self.n) for c in self.codewords):
@@ -348,8 +347,7 @@ def greedy_covering_code(n: int, radius: int) -> CoveringCode:
             f"n = {n} exceeds the exhaustive-construction limit {GREEDY_MAX_N}; "
             "use random_covering_code instead"
         )
-    if not 0 <= radius <= n:
-        raise ValueError("radius out of range")
+    _check_radius(n, radius)
     if radius == n:
         # word 0's ball is the whole cube: greedy picks it and stops
         return CoveringCode(n, n, (0,))
@@ -618,8 +616,7 @@ class DetProtocolParams:
 def _det_radius(n: int, gap: int) -> int:
     """The det protocol's covering and decision radius, ``(gap - 1) // 2``;
     a gap outside ``[1, n]`` raises ``ValueError``."""
-    if not 1 <= gap <= n:
-        raise ValueError(f"gap must satisfy 1 <= gap <= n, got {gap}")
+    _check_gap(n, gap)
     return (gap - 1) // 2
 
 
@@ -646,7 +643,7 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         return distance > radius
 
     def alice(x: BitString, reader: StreamReader):
-        _check_lengths(code.n, x)
+        _check_lengths(code.n, x.length)
         index = code.nearest_index(x.value)
         check_cover(x.value, (code.codewords[index] ^ x.value).bit_count())
         if width > 0:
@@ -655,7 +652,7 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         return answer
 
     def bob(y: BitString, reader: StreamReader):
-        _check_lengths(code.n, y)
+        _check_lengths(code.n, y.length)
         index = 0
         if width > 0:
             index, _ = yield RECV
@@ -664,8 +661,7 @@ def det_protocol(params: DetProtocolParams) -> Protocol:
         return decision
 
     def pair_outputs(n: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        if n != code.n:
-            raise ValueError(f"input length {n} does not match n = {code.n}")
+        _check_lengths(code.n, n)
         _check_limb_pairs(n, xs, ys)
         chosen = code._limbs[code._nearest_rows(xs)]
         reach = np.bitwise_count(chosen ^ xs).sum(axis=1)
@@ -751,8 +747,7 @@ def _parse_code(path: str | Path, data: bytes) -> CoveringCode:
         n, radius, size = (_parse_decimal(v) for v in header)
     except ValueError:
         raise ValueError(f"{path}, line 1: malformed header {lines[0]!r}") from None
-    if not 0 <= radius <= n:
-        raise ValueError(f"{path}, line 1: radius out of range: {lines[0]!r}")
+    _check_radius(n, radius, f"{path}, line 1: ")
     if size < 1:
         raise ValueError(f"{path}, line 1: a code must contain at least one codeword")
     rows = [(lineno, row.strip()) for lineno, row in enumerate(lines[1:], start=2) if row.strip()]

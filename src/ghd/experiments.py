@@ -47,11 +47,14 @@ and the first trial the batch scores as an error (see :mod:`ghd.runtime`).
 Every sweep's ``measured_bits`` (and the stream's ``state_bits``) comes from
 the audited ledgers, which is exact: sampling, sketch and det declare their
 cost and every run's ledger must equal it, and every bitmap snapshot is
-``capacity_bits`` wide, so every stream run sends ``(2p - 1) * 2n + 1`` bits.
-A stream point whose bitmap cost exceeds the run budget ``64 n**2`` is
+``capacity_bits`` wide, so every stream run sends ``(2p - 1) * 2n + 1`` bits
+(:func:`ghd.streaming._bitmap_run_bits`).  A stream point whose bitmap cost
+exceeds the run budget ``64 n**2`` (:func:`ghd.runtime._bit_budget`) is
 skipped before any run, and so is a sampling point whose m sample indices,
 8 m bytes, would exceed 256 MiB, or a det or stream point whose classes,
-estimated at ``32 * trials * ceil(n / 64)`` bytes, would.
+estimated at ``32 * trials * ceil(n / 64)`` bytes, would, or whose single
+trial, at 48 bytes per bit of n, would.  The classes are drawn into one
+array a slice of trials at a time, so the draw holds them and one slice.
 
 Both exact sweeps read their instances from the runtime's counter-based
 stream: trial k's close word x = y, its far pair and the far distance, in
@@ -85,7 +88,7 @@ from itertools import repeat
 from pathlib import Path
 
 from .bits import BitString, GhdInstance, _limb_value, _read_text
-from .runtime import DEFAULT_BUDGET_FACTOR, _audited_errors, _error_trials, _exact_class_values, _trial_seeds, derive_seed
+from .runtime import DEFAULT_BUDGET_FACTOR, _audited_errors, _bit_budget, _error_trials, _exact_class_values, _trial_seeds, derive_seed
 from .sampling import derive_sampling_params, sampling_protocol
 from .sketch import derive_sketch_params, sketch_protocol
 from .covering import (
@@ -98,7 +101,7 @@ from .covering import (
     load_code,
     save_code,
 )
-from .streaming import ExactBitmapF0, ghd_via_streaming, space_lower_bound, stream_gap, streaming_protocol
+from .streaming import ExactBitmapF0, _bitmap_run_bits, ghd_via_streaming, space_lower_bound, stream_gap, streaming_protocol
 
 __all__ = [
     "ExperimentConfig",
@@ -303,7 +306,7 @@ _MONTE_CARLO_SETUPS = {"sampling": _sampling_setup, "sketch": _sketch_setup}
 
 
 def _check_budget(n: int, expected: int) -> None:
-    budget = DEFAULT_BUDGET_FACTOR * n * n
+    budget = _bit_budget(n)
     if expected > budget:
         raise ValueError(
             f"expected cost {expected} bits exceeds the run budget "
@@ -315,6 +318,12 @@ def _check_budget(n: int, expected: int) -> None:
 # its m sample indices as one int64 array (8 m bytes), and an exact sweep
 # holds its classes as words and limb matrices.
 _WORKING_SET_LIMIT = 1 << 28
+# Bytes per input bit that one exact-sweep trial holds at its peak.  The
+# stream batch hook's presence matrix and tokens peak at 42.3 bytes a bit,
+# the class draw's stream values, keys and their sort at 32.8 and an audited
+# stream run at 26.8 (tracemalloc, one trial at n = 10**5 and 10**6, numpy
+# 2.4 on x86-64).
+_TRIAL_BYTES_PER_BIT = 48
 
 
 def _check_working_set(what: str, estimate: int) -> None:
@@ -398,12 +407,16 @@ def _exact_classes(config: ExperimentConfig, record: dict, point_seed: int, n: i
     and ``ledger``, makes the audited runs.  Fills the record's error
     columns (exact: zero halfwidths and bound) and ``measured_bits``, the
     largest audited ledger total, and returns the audited runs.  A point
-    whose classes would exceed ``_WORKING_SET_LIMIT`` is refused first.
+    whose classes would exceed ``_WORKING_SET_LIMIT`` is refused first, and
+    then one whose single trial would, in the draw, the batch hook or an
+    audited run.
     """
     # the classes' three limb matrices, and room for drawing them
     _check_working_set("class working set", 4 * config.trials * 8 * ((n + 63) // 64))
+    _check_working_set("trial working set", _TRIAL_BYTES_PER_BIT * n)
     seeds = _trial_seeds(derive_seed(point_seed, 0), config.trials)
-    words, xs, ys = _exact_class_values(seeds, n, gap).transpose(1, 0, 2).copy()
+    values = _exact_class_values(seeds, n, gap)
+    words, xs, ys = values[:, 0], values[:, 1], values[:, 2]
     classes = (("close", words, words, 0), ("far", xs, ys, 1))
     errors, audited = [], []
     for name, xs, ys, truth in classes:
@@ -456,8 +469,7 @@ def _run_stream_point(config: ExperimentConfig, point: dict, point_seed: int) ->
     gap = stream_gap(n, c)
     if p < 1:
         raise ValueError("p must be >= 1")
-    # 2p - 1 snapshots of the 2n-bit bitmap and Bob's decision bit
-    _check_budget(n, (2 * p - 1) * 2 * n + 1)
+    _check_budget(n, _bitmap_run_bits(2 * n, p))
 
     make = lambda: ExactBitmapF0(2 * n, passes=p)
     run = lambda x, y: ghd_via_streaming(make, c, x, y, check_determinism=False)[1]

@@ -24,10 +24,11 @@ either party starts, and a protocol built for a fixed n refuses an input of
 another length the same way.  A strategy sees only
 its own input, its reader, and the bits it receives, so input isolation holds
 by construction; the runtime additionally rejects deadlocks, disagreeing
-outputs, and runs that exceed the bit budget (default ``64 * n**2``).  A
-protocol may declare its exact cost (``Protocol.cost_bits``): a declared cost
-above the budget is refused before either party starts, and a ledger total
-that differs from it is a contract violation.
+outputs, and runs that exceed the bit budget ``64 * n**2`` (:func:`_bit_budget`,
+which the sweeps of :mod:`ghd.experiments` also read).  A protocol may
+declare its exact cost (``Protocol.cost_bits``): a declared cost above the
+budget is refused before either party starts, and a ledger total that
+differs from it is a contract violation.
 
 Shared randomness is a counter-based pseudorandom stream: position ``i`` holds
 a 64-bit value computed by a splitmix-style mix of ``seed`` and ``i``, so both
@@ -69,7 +70,8 @@ and the first trial the batch scores as an error.  A batch output that
 differs from its audited run is a contract violation.  A protocol without a
 batch hook goes through the same scorer (:func:`_audited_errors`), which
 then runs every trial.  Each batch kernel works through its trials in
-slices of bounded size (:func:`_in_batches`).
+slices of bounded size (:func:`_in_batches`), writing each slice's outputs
+into one array.
 
 Transcript dump format (debugging): one line per message,
 ``direction bitcount hex-payload``, e.g. ``a->b 4 c``.
@@ -84,7 +86,7 @@ from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bits import BitString, GhdInstance, _bits_limbs
+from .bits import BitString, GhdInstance, _bits_limbs, _check_equal_lengths, _check_gap
 
 __all__ = [
     "MASK64",
@@ -113,6 +115,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 DEFAULT_BUDGET_FACTOR = 64
+
+
+def _bit_budget(n: int) -> int:
+    """The most bits a run on n-bit inputs may send: ``64 * n**2``."""
+    return DEFAULT_BUDGET_FACTOR * n * n
 
 
 def mix64(z: int) -> int:
@@ -271,11 +278,8 @@ def _exact_class_values(seeds: np.ndarray, n: int, gap: int) -> np.ndarray:
     Rows depend only on their seed, so the slices of :func:`_in_batches` do
     not change the output.
     """
-    if not 1 <= gap <= n:
-        raise ValueError(f"gap must satisfy 1 <= gap <= n, got gap = {gap} for n = {n}")
+    _check_gap(n, gap)
     limbs = (n + 63) // 64
-    if not len(seeds):
-        return np.zeros((0, 3, limbs), dtype=np.uint64)
     top = np.uint64((1 << (n - 64 * (limbs - 1))) - 1)
     b = np.uint64((n - 1).bit_length())
     positions = np.arange(n, dtype=np.uint64)
@@ -294,15 +298,25 @@ def _exact_class_values(seeds: np.ndarray, n: int, gap: int) -> np.ndarray:
 
 
 def _in_batches(rows: Sequence, coordinates: int, kernel) -> np.ndarray:
-    """``kernel`` over consecutive slices of ``rows``, outputs concatenated.
+    """``kernel`` over consecutive slices of ``rows``, outputs in one array.
 
     ``rows`` holds one trial per entry (a seed, a word, or a pair of inputs).
     Each slice holds ``max(1, _BATCH_COORDINATES // coordinates)`` trials,
-    where ``coordinates`` is the working set of one trial.
+    where ``coordinates`` is the working set of one trial.  The first slice's
+    output sets the shape of a trial's output and its dtype; the kernel runs
+    on it even when ``rows`` is empty, and each later slice is written into
+    place, so no slice outlives its step.
     """
     step = max(1, _BATCH_COORDINATES // coordinates)
-    parts = [kernel(rows[i : i + step]) for i in range(0, len(rows), step)]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    first = kernel(rows[:step])
+    if len(rows) <= step:
+        return first
+    out = np.empty((len(rows),) + first.shape[1:], dtype=first.dtype)
+    out[:step] = first
+    del first
+    for i in range(step, len(rows), step):
+        out[i : i + step] = kernel(rows[i : i + step])
+    return out
 
 
 @dataclass(frozen=True)
@@ -495,16 +509,8 @@ class Protocol:
     batch_outputs: Callable[[BitString, BitString, np.ndarray], np.ndarray] | None = None
     pair_outputs: Callable[[int, np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def run(
-        self,
-        x: BitString,
-        y: BitString,
-        shared: "SharedRandomness | int",
-        bit_budget: int | None = None,
-    ) -> ProtocolOutcome:
-        return run_protocol(
-            self.alice, self.bob, x, y, shared, bit_budget=bit_budget, cost_bits=self.cost_bits
-        )
+    def run(self, x: BitString, y: BitString, shared: "SharedRandomness | int") -> ProtocolOutcome:
+        return run_protocol(self.alice, self.bob, x, y, shared, cost_bits=self.cost_bits)
 
 
 def _as_shared(shared: SharedRandomness | int) -> SharedRandomness:
@@ -525,7 +531,6 @@ def run_protocol(
     x: BitString,
     y: BitString,
     shared: SharedRandomness | int,
-    bit_budget: int | None = None,
     *,
     cost_bits: int | None = None,
 ) -> ProtocolOutcome:
@@ -534,16 +539,14 @@ def run_protocol(
     Fully deterministic given (x, y, shared seed).  Raises
     :class:`ContractViolationError` on deadlock, malformed messages,
     disagreeing outputs, or a ledger total other than a declared
-    ``cost_bits``, and :class:`BudgetExceededError` once more than
-    ``bit_budget`` bits have been sent (default ``64 * n**2``), or before
-    either party starts when ``cost_bits`` exceeds the budget.  Inputs of
-    unequal length raise ``ValueError`` before either party starts.
+    ``cost_bits``, and :class:`BudgetExceededError` once more than the bit
+    budget ``64 * n**2`` bits have been sent, or before either party starts
+    when ``cost_bits`` exceeds it.  Inputs of unequal length raise
+    ``ValueError`` before either party starts.
     """
-    if x.length != y.length:
-        raise ValueError(f"inputs of unequal length: {x.length} and {y.length} bits")
+    _check_equal_lengths(x, y)
     shared = _as_shared(shared)
-    if bit_budget is None:
-        bit_budget = DEFAULT_BUDGET_FACTOR * x.length * x.length
+    bit_budget = _bit_budget(x.length)
     if cost_bits is not None and cost_bits > bit_budget:
         raise BudgetExceededError(
             f"declared cost {cost_bits} bits exceeds the bit budget {bit_budget} bits"

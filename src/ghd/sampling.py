@@ -101,13 +101,13 @@ def sampling_protocol(params: SamplingParams) -> Protocol:
     m = params.trial_count
 
     def alice(x: BitString, reader: StreamReader):
-        _check_lengths(params.n, x)
+        _check_lengths(params.n, x.length)
         yield Send(_bits_int(x.bit_array()[reader.indices_below(params.n, m)]), m)
         answer, _ = yield RECV
         return answer
 
     def bob(y: BitString, reader: StreamReader):
-        _check_lengths(params.n, y)
+        _check_lengths(params.n, y.length)
         indices = reader.indices_below(params.n, m)
         payload, _ = yield RECV
         mismatches = int((_int_bits(payload, m) ^ y.bit_array()[indices]).sum())
@@ -117,7 +117,7 @@ def sampling_protocol(params: SamplingParams) -> Protocol:
 
     def batch_outputs(x: BitString, y: BitString, seeds: np.ndarray) -> np.ndarray:
         # Bob's decision for each seed: the two strategies on a leading seed axis.
-        _check_lengths(params.n, x, y)
+        _check_lengths(params.n, x.length, y.length)
         differ = x.bit_array() ^ y.bit_array()
 
         def decide(chunk: np.ndarray) -> np.ndarray:

@@ -410,8 +410,7 @@ def _projections_and_statistic(
 def _check_inputs(params: SketchParams, *inputs: BitString) -> None:
     if params.trivial_mode:
         raise ValueError("trivial-mode parameters have no projections: inputs go verbatim")
-    if any(x.length != params.n for x in inputs):
-        raise ValueError("input length does not match the parameters")
+    _check_lengths(params.n, *(x.length for x in inputs))
 
 
 def _shared_vectors(params: SketchParams, reader: StreamReader, *inputs: BitString) -> np.ndarray:
@@ -474,13 +473,13 @@ def sketch_protocol(params: SketchParams) -> Protocol:
     if params.trivial_mode:
 
         def alice(x: BitString, reader: StreamReader):
-            _check_lengths(params.n, x)
+            _check_lengths(params.n, x.length)
             yield Send(x.value, params.n)
             answer, _ = yield RECV
             return answer
 
         def bob(y: BitString, reader: StreamReader):
-            _check_lengths(params.n, y)
+            _check_lengths(params.n, y.length)
             payload, width = yield RECV
             distance = (payload ^ y.value).bit_count()
             decision = 1 if distance > params.close_bound else 0
@@ -529,9 +528,10 @@ def sketch_protocol(params: SketchParams) -> Protocol:
             seeds, head * length, lambda chunk: _decides_far(params, statistics(chunk, head) * _HEAD_DEFLATION)
         ).astype(np.int64)
         open_trials = np.flatnonzero(outputs == 0)
-        outputs[open_trials] = _in_batches(
-            seeds[open_trials], params.padded_length, lambda chunk: _decides_far(params, statistics(chunk, count))
-        )
+        if len(open_trials):  # _in_batches would project on no seeds
+            outputs[open_trials] = _in_batches(
+                seeds[open_trials], params.padded_length, lambda chunk: _decides_far(params, statistics(chunk, count))
+            )
         _log.debug(
             "decided %d of %d trials on the first %d of %d blocks",
             len(seeds) - len(open_trials), len(seeds), head, count,

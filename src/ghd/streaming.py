@@ -62,7 +62,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bits import BitString, _bits_int, _check_limb_pairs, _int_bits, _limb_bits, _parse_decimal, _read_text, hamming_distance, random_pair_at_distance
+from .bits import BitString, _bits_int, _check_lengths, _check_limb_pairs, _int_bits, _limb_bits, _parse_decimal, _read_text, hamming_distance, random_pair_at_distance
 from .covering import det_complexity_bounds
 from .runtime import (
     RECV,
@@ -239,10 +239,14 @@ class TruncatedBitmapF0(ExactBitmapF0):
         self.capacity_bits = capacity_bits
 
 
+def _bitmap_run_bits(capacity_bits: int, passes: int) -> int:
+    """A bitmap reduction run's ledger total: 2p - 1 snapshots and Bob's bit."""
+    return (2 * passes - 1) * capacity_bits + 1
+
+
 def encode_streams(x: BitString, y: BitString, n: int) -> tuple[list[int], list[int]]:
     """Token streams ``u_i = n * x_i + i`` and ``v_i = n * y_i + i`` (i from 1)."""
-    if x.length != n or y.length != n:
-        raise ValueError("input lengths do not match n")
+    _check_lengths(n, x.length, y.length)
     return _tokens(x.bit_array()).tolist(), _tokens(y.bit_array()).tolist()
 
 
@@ -373,10 +377,8 @@ def ghd_via_streaming(
     ledger.  With ``check_determinism`` the whole exchange is replayed and
     any transcript divergence raises :class:`ContractViolationError`.  A
     plug-in that declares fewer than one pass raises ``ValueError`` before
-    the run.
+    the run, as the run does for inputs of unequal length.
     """
-    if x.length != y.length:
-        raise ValueError("inputs must have equal length")
     n = x.length
     gap = stream_gap(n, approx_factor)
     # the declared p, not the ledger's: a check against the ledger always passes

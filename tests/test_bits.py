@@ -2,6 +2,7 @@ import ast
 import math
 import pickle
 import random
+import re
 from pathlib import Path
 
 import mpmath
@@ -145,6 +146,90 @@ def test_only_bits_packs_and_unpacks_bits():
     assert sorted(callers) == ["bits.py"]
 
 
+# Each input rule and cost formula of the package, found by its message
+# text (in a raise) or by the shape of its expression, and the one function
+# that may state it.  The texts include those of earlier copies.
+RULE_TEXTS = {
+    "input length": r"input lengths?\b.*\b(does|do) not match",
+    "equal lengths": r"unequal length|equal length|length mismatch",
+    "gap range": r"gap must satisfy|<= gap <=",
+    "radius range": r"radius must satisfy|radius out of range|<= r <= n",
+}
+RULE_HOMES = {
+    "input length": "bits._check_lengths",
+    "equal lengths": "bits._check_equal_lengths",
+    "gap range": "bits._check_gap",
+    "radius range": "bits._check_radius",
+    "run budget": "runtime._bit_budget",
+    "bitmap run cost": "streaming._bitmap_run_bits",
+}
+
+
+def _is_two_p_minus_one(node) -> bool:
+    # 2 * p - 1, with p any expression
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Mult)
+        and isinstance(node.left.left, ast.Constant)
+        and node.left.left.value == 2
+    )
+
+
+def _rule_sites(tree: ast.AST, module: str) -> dict:
+    """rule -> the functions (``module.outer.inner``) that state it."""
+    sites = {}
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        found = []
+        if isinstance(node, ast.Raise):
+            text = ast.unparse(node)  # an f-string's fields read as {name}
+            found += [rule for rule, pattern in RULE_TEXTS.items() if re.search(pattern, text)]
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right)
+            if any(getattr(operand, "id", getattr(operand, "attr", None)) == "DEFAULT_BUDGET_FACTOR" for operand in operands):
+                found.append("run budget")
+            if any(_is_two_p_minus_one(operand) for operand in operands):
+                found.append("bitmap run cost")
+        for rule in found:
+            sites.setdefault(rule, set()).add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, module)
+    return sites
+
+
+def test_each_input_rule_and_cost_formula_has_one_home():
+    sites = {}
+    for path in sorted(Path(bits.__file__).parent.glob("*.py")):
+        for rule, where in _rule_sites(ast.parse(path.read_text()), path.stem).items():
+            sites.setdefault(rule, set()).update(where)
+    assert sites == {rule: {home} for rule, home in RULE_HOMES.items()}
+
+
+def test_the_rule_scan_sees_a_second_copy():
+    # the copies the homes replaced, each in its old text
+    copied = """
+def run(x, y, n, gap, radius, p):
+    if x.length != y.length:
+        raise ValueError("inputs must have equal length")
+    if x.length != n or y.length != n:
+        raise ValueError("input lengths do not match n")
+    if not 1 <= gap <= n:
+        raise ValueError(f"gap must satisfy 1 <= gap <= n, got gap = {gap} for n = {n}")
+    if not 0 <= radius <= n:
+        raise ValueError("radius out of range")
+    return DEFAULT_BUDGET_FACTOR * n * n, (2 * p - 1) * 2 * n + 1
+"""
+    assert _rule_sites(ast.parse(copied), "copy") == {rule: {"copy.run"} for rule in RULE_HOMES}
+
+
 # ---------------------------------------------------------------- distance
 
 
@@ -259,6 +344,39 @@ def test_log2_matches_mpmath_at_scale():
         exact = ball_volume(n, r)
         expected = float(mpmath.log(mpmath.mpf(exact), 2))
         assert abs(log2_ball_volume(n, r) - expected) < 1e-9
+
+
+def _parent_log2_exact(value: int) -> float:
+    # the formula before widths of 54 to 63 bits went through math.log2;
+    # there it raised (a negative shift)
+    bit_length = value.bit_length()
+    if bit_length <= 53:
+        return math.log2(value)
+    shift = bit_length - 64
+    return math.log2(value >> shift) + shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda width: st.integers(1 << (width - 1), (1 << width) - 1)))
+@example((1 << 53) - 1)
+@example(1 << 53)
+@example((1 << 63) - 1)
+@example(1 << 63)
+@example((1 << 64) + 1)
+@example(ball_volume(54, 27))
+@example(ball_volume(64, 20))
+def test_log2_exact_matches_mpmath_at_every_width(value):
+    with mpmath.workdps(60):
+        expected = mpmath.log(mpmath.mpf(value), 2)
+        assert abs(mpmath.mpf(log2_exact(value)) - expected) < 1e-9
+
+
+def test_log2_exact_keeps_the_parent_bits_outside_54_to_63_bits():
+    rng = random.Random(30)
+    for width in [w for w in range(1, 301) if not 54 <= w <= 63]:
+        low, high = 1 << (width - 1), (1 << width) - 1
+        for value in {low, high, rng.randint(low, high), rng.randint(low, high)}:
+            assert log2_exact(value) == _parent_log2_exact(value), value
 
 
 def test_log2_exact_rejects_nonpositive():
@@ -426,7 +544,7 @@ def test_pair_lanes_edge_inputs():
         values = runtime._exact_class_values(np.array(seeds, dtype=np.uint64), n, n)
         assert all(bits._limb_value(x) ^ bits._limb_value(y) == (1 << n) - 1 for _, x, y in values)
     for n, gap in ((8, 0), (8, 9), (8, -1)):
-        with pytest.raises(ValueError, match="1 <= gap <= n"):
+        with pytest.raises(ValueError, match=rf"^gap must satisfy 1 <= gap <= n, got {gap}$"):
             runtime._exact_class_values(np.array([1], dtype=np.uint64), n, gap)
 
 
@@ -438,7 +556,7 @@ def test_pair_lanes_edge_inputs():
         (
             lambda: GhdInstance(8, 1, 4, BitString(8, 0), BitString(7, 0)),
             ValueError,
-            "input lengths do not match n",
+            "input length 7 does not match n = 8",
         ),
     ],
     ids=["bit", "flip", "instance-length"],

@@ -57,6 +57,24 @@ def test_bounds_stream_gap_is_exact(capsys):
     assert out["gap"] == "1"
 
 
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["bounds", "det", "64", "40"], "lower_bits", 64 - math.log2(ball_volume(64, 20))),
+        (["bounds", "stream", "64", "1.625", "1"], "state_bits_floor", (64 - math.log2(ball_volume(64, 20))) / 2),
+        (["volume", "64", "20", "--log2"], None, math.log2(ball_volume(64, 20))),
+    ],
+    ids=["bounds-det", "bounds-stream", "volume-log2"],
+)
+def test_logs_of_55_bit_volumes_print(capsys, argv, key, value):
+    # V2(64, 20) has 55 bits; these commands exited 64 with "negative shift count"
+    assert ball_volume(64, 20).bit_length() == 55
+    assert main(argv) == 0
+    out = capsys.readouterr().out.strip()
+    printed = float(out) if key is None else float(dict(line.split() for line in out.splitlines())[key])
+    assert abs(printed - value) < 1e-9
+
+
 def test_bench_sketch_csv(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text("trials = 30\nseed = 1\npoint n=128 L=2 U=64 s=1\n")

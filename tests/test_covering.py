@@ -889,6 +889,15 @@ def test_bounds_report_n_before_the_gap(n, gap):
         det_complexity_bounds(n, gap)
 
 
+def test_bounds_hold_at_every_gap_up_to_n200():
+    # 1,336 of these pairs, from (54, 54) on, raised when a ball volume of
+    # 54 to 63 bits reached log2_exact's top-64-bit path
+    for n in range(1, 201):
+        for gap in range(1, n + 1):
+            lower, upper = det_complexity_bounds(n, gap)
+            assert 0.0 <= lower <= n and lower < upper, (n, gap)
+
+
 def test_worst_case_cost_is_index_width_plus_answer():
     params = det_protocol_params(10, 4)
     pairs = [random_pair_at_distance(10, 0, seed=s) for s in range(10)]
@@ -1177,7 +1186,7 @@ def _load_empty(tmp_path):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda tmp: CoveringCode(4, 5, (0,)), "radius out of range"),
+        (lambda tmp: CoveringCode(4, 5, (0,)), "radius must satisfy 0 <= r <= n, got r=5, n=4"),
         (lambda tmp: CoveringCode(4, 1, ()), "a code must contain at least one codeword"),
         (lambda tmp: CoveringCode(4, 1, (16,)), "codeword does not fit in n bits"),
         (lambda tmp: random_covering_code(10, 2, confidence=1.0), "confidence must be in (0, 1)"),

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 from collections import OrderedDict
 from types import SimpleNamespace
 
@@ -624,6 +625,9 @@ def test_exact_points_over_the_working_set_are_skipped(monkeypatch):
     det = "protocol = det\ntrials = 20\nseed = 4\npoint n=12 t=5\n"
     valid = run_experiment(parse_config(stream.replace("point n=100", "# point n=100"))).records
     monkeypatch.setattr(experiments, "_WORKING_SET_LIMIT", 1000)
+    # the trial check reads the same limit: at one byte a bit it passes
+    # every point here, so only the class check refuses
+    monkeypatch.setattr(experiments, "_TRIAL_BYTES_PER_BIT", 1)
     refused, after = run_experiment(parse_config(stream)).records
     assert (refused["status"], refused["reason"]) == (
         "skipped",
@@ -650,6 +654,50 @@ def test_ten_million_bit_stream_point_is_refused_before_any_draw(monkeypatch):
         "skipped",
         f"class working set {5 * 10**9} bytes exceeds the limit {experiments._WORKING_SET_LIMIT} bytes",
     )
+
+
+def test_points_over_the_trial_working_set_are_skipped_after_the_class_check(monkeypatch):
+    # one trial at n = 100 holds 48 * 100 = 4,800 bytes, its classes 64; a
+    # det trial at n = 12 holds 576, its classes 32
+    monkeypatch.setattr(experiments, "_WORKING_SET_LIMIT", 1000)
+    _no_class_draws(monkeypatch)
+    stream = "protocol = stream\ntrials = 1\npoint n=100 c=1.5 p=2\npoint n=100 c=1.5 p=2000\n"
+    refused, over_budget = run_experiment(parse_config(stream)).records
+    assert (refused["status"], refused["reason"]) == (
+        "skipped",
+        "trial working set 4800 bytes exceeds the limit 1000 bytes",
+    )
+    assert over_budget["reason"].startswith("expected cost ")  # the budget is checked first
+    monkeypatch.setattr(experiments, "_WORKING_SET_LIMIT", 500)
+    (record,) = run_experiment(parse_config("protocol = det\ntrials = 1\npoint n=12 t=5\n")).records
+    assert (record["status"], record["reason"]) == (
+        "skipped",
+        "trial working set 576 bytes exceeds the limit 500 bytes",
+    )
+
+
+@pytest.mark.parametrize("trials, n", [(1000, 6400), (20000, 100), (1, 10**6)])
+def test_class_draw_peaks_within_its_refusal_estimates(trials, n):
+    # the classes, 24 bytes a trial and limb, and one slice of the draw;
+    # a slice holds one trial at n = 10**6
+    estimate = max(32 * trials * math.ceil(n / 64), experiments._TRIAL_BYTES_PER_BIT * n)
+    seeds = runtime._trial_seeds(5, trials)
+    tracemalloc.start()
+    try:
+        values = experiments._exact_class_values(seeds, n, n // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (trials, 3, math.ceil(n / 64))
+    assert peak <= estimate
+
+
+def test_stream_point_with_a_55_bit_ball_volume_runs():
+    # V2(64, 20) has 55 bits: its log once raised, which skipped this point
+    (record,) = run_experiment(parse_config("protocol = stream\ntrials = 20\npoint n=64 c=1.625 p=1\n")).records
+    assert record["status"] == "ok" and record["bound_ok"] and record["bits_ok"]
+    (det,) = run_experiment(parse_config("protocol = det\npoint n=64 t=40\n")).records
+    assert det["reason"] == "n = 64 exceeds the exhaustive-construction limit 22; use random_covering_code instead"
 
 
 def test_contract_violations_still_raise(monkeypatch):

@@ -5,17 +5,15 @@ starts, and each protocol built for a fixed n refuses inputs of another
 length, in its strategies and in its batch hook alike.
 """
 
-import re
-
 import numpy as np
 import pytest
 
-from ghd.bits import BitString, _limb_matrix
+from ghd.bits import BitString, GhdInstance, _limb_matrix, hamming_distance
 from ghd.covering import CoveringCode, det_protocol, det_protocol_params
-from ghd.runtime import RECV, Send, run_protocol
+from ghd.runtime import RECV, Send, SharedRandomness, run_protocol
 from ghd.sampling import derive_sampling_params, sampling_protocol
 from ghd.sketch import derive_sketch_params, sketch_protocol
-from ghd.streaming import ExactBitmapF0, streaming_protocol
+from ghd.streaming import ExactBitmapF0, encode_streams, ghd_via_streaming, streaming_protocol
 
 
 def _refused(n, width):
@@ -114,8 +112,63 @@ def test_trivial_sketch_refuses_inputs_of_another_length():
 def test_projecting_sketch_refuses_inputs_of_another_length():
     proto = sketch_protocol(derive_sketch_params(512, 4, 256, 2))
     x = BitString(500, 1)
-    message = re.escape("input length does not match the parameters")
-    with pytest.raises(ValueError, match=message):
+    with _refused(512, 500):
         proto.run(x, x, 0)
-    with pytest.raises(ValueError, match=message):
+    with _refused(512, 500):
         proto.batch_outputs(x, x, np.zeros(3, dtype=np.uint64))
+
+
+def _started(strategy, own, *replies):
+    """Start one strategy on ``own``, answering its receives with ``replies``."""
+    steps = strategy(own, SharedRandomness(0).reader())
+    next(steps)
+    for reply in replies:
+        steps.send(reply)
+
+
+_SKETCH_PARAMS = derive_sketch_params(512, 4, 256, 2)
+# Bob's projecting strategy checks his input once Alice's message is in
+_SKETCH_MESSAGE = (0, _SKETCH_PARAMS.block_count * _SKETCH_PARAMS.word_width)
+_SEEDS = np.zeros(3, dtype=np.uint64)
+_W500, _W512 = BitString(500, 1), BitString(512, 1)
+_sampling = lambda: sampling_protocol(derive_sampling_params(512, 4, 256, 2))
+_projecting = lambda: sketch_protocol(_SKETCH_PARAMS)
+_trivial = lambda: sketch_protocol(derive_sketch_params(64, 2, 40, 30.0))
+_det = lambda: det_protocol(det_protocol_params(12, 5))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _started(_sampling().alice, _W500), "input length 500 does not match n = 512"),
+        (lambda: _started(_sampling().bob, _W500), "input length 500 does not match n = 512"),
+        (lambda: _sampling().batch_outputs(_W512, _W500, _SEEDS), "input length 500 does not match n = 512"),
+        (lambda: _started(_projecting().alice, _W500), "input length 500 does not match n = 512"),
+        (lambda: _started(_projecting().bob, _W500, _SKETCH_MESSAGE), "input length 500 does not match n = 512"),
+        (lambda: _projecting().batch_outputs(_W500, _W512, _SEEDS), "input length 500 does not match n = 512"),
+        (lambda: _started(_trivial().alice, BitString(63, 1)), "input length 63 does not match n = 64"),
+        (lambda: _started(_trivial().bob, BitString(65, 1)), "input length 65 does not match n = 64"),
+        (lambda: _started(_det().alice, BitString(13, 1)), "input length 13 does not match n = 12"),
+        (lambda: _started(_det().bob, BitString(11, 1)), "input length 11 does not match n = 12"),
+        (lambda: _det().pair_outputs(13, *[_limb_matrix([1], 13)] * 2), "input length 13 does not match n = 12"),
+        (lambda: GhdInstance(8, 1, 4, BitString(7, 0), BitString(8, 0)), "input length 7 does not match n = 8"),
+        (lambda: encode_streams(BitString(6, 0), BitString(5, 0), 6), "input length 5 does not match n = 6"),
+        (lambda: hamming_distance(BitString(5, 0), BitString(4, 0)), "inputs of unequal length: 5 and 4 bits"),
+        (lambda: _sampling().run(_W512, _W500, 0), "inputs of unequal length: 512 and 500 bits"),
+        (
+            lambda: ghd_via_streaming(lambda: ExactBitmapF0(10), 1.5, BitString(5, 0), BitString(4, 0)),
+            "inputs of unequal length: 5 and 4 bits",
+        ),
+    ],
+    ids=[
+        "sampling-alice", "sampling-bob", "sampling-batch",
+        "sketch-alice", "sketch-bob", "sketch-batch",
+        "trivial-alice", "trivial-bob",
+        "det-alice", "det-bob", "det-batch",
+        "instance", "encode-streams", "hamming", "run", "via-streaming",
+    ],
+)
+def test_every_input_refusal_gives_its_home_s_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

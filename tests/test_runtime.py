@@ -474,8 +474,10 @@ def test_declared_cost_over_budget_raises_before_either_party_starts():
         BudgetExceededError, match="^declared cost 257 bits exceeds the bit budget 256 bits$"
     ):
         proto.run(x, x, 0)
-    with pytest.raises(BudgetExceededError, match="exceeds the bit budget 10 bits$"):
-        run_protocol(never_started, never_started, x, x, 0, bit_budget=10, cost_bits=11)
+    # the budget is fixed at 64 n**2: 64 bits at n = 1
+    one = BitString.from_text("1")
+    with pytest.raises(BudgetExceededError, match="^declared cost 65 bits exceeds the bit budget 64 bits$"):
+        run_protocol(never_started, never_started, one, one, 0, cost_bits=65)
 
 
 def test_declared_cost_must_equal_the_ledger_total():

@@ -570,10 +570,10 @@ def test_fixture_parses_or_names_the_line(tmp_path, lines):
     [
         (lambda: ExactBitmapF0(0), "universe_size must be >= 1"),
         (lambda: TruncatedBitmapF0(8, 9), "capacity must be in [1, universe_size]"),
-        (lambda: encode_streams(BitString(4, 0), BitString(4, 0), 5), "input lengths do not match n"),
+        (lambda: encode_streams(BitString(4, 0), BitString(4, 0), 5), "input length 4 does not match n = 5"),
         (
             lambda: ghd_via_streaming(lambda: ExactBitmapF0(8), 1.5, BitString(4, 0), BitString(3, 0)),
-            "inputs must have equal length",
+            "inputs of unequal length: 4 and 3 bits",
         ),
     ],
     ids=["universe", "capacity", "encode-length", "unequal-inputs"],
