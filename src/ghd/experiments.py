@@ -47,9 +47,8 @@ and the first trial the batch scores as an error (see :mod:`ghd.runtime`).
 Every sweep's ``measured_bits`` (and the stream's ``state_bits``) comes from
 the audited ledgers, which is exact: sampling, sketch and det declare their
 cost and every run's ledger must equal it, and every bitmap snapshot is
-``capacity_bits`` wide, so every stream run sends ``(2p - 1) * 2n + 1`` bits
-(:func:`ghd.streaming._bitmap_run_bits`).  A stream point whose bitmap cost
-exceeds the run budget ``64 n**2`` (:func:`ghd.runtime._bit_budget`) is
+``capacity_bits`` wide, so every stream run sends ``(2p - 1) * 2n + 1`` bits.
+A stream point whose bitmap cost exceeds the run budget ``64 n**2`` is
 skipped before any run, and so is a sampling point whose m sample indices,
 8 m bytes, would exceed 256 MiB, or a det or stream point whose classes,
 estimated at ``32 * trials * ceil(n / 64)`` bytes, would, or whose single

@@ -24,11 +24,10 @@ either party starts, and a protocol built for a fixed n refuses an input of
 another length the same way.  A strategy sees only
 its own input, its reader, and the bits it receives, so input isolation holds
 by construction; the runtime additionally rejects deadlocks, disagreeing
-outputs, and runs that exceed the bit budget ``64 * n**2`` (:func:`_bit_budget`,
-which the sweeps of :mod:`ghd.experiments` also read).  A protocol may
-declare its exact cost (``Protocol.cost_bits``): a declared cost above the
-budget is refused before either party starts, and a ledger total that
-differs from it is a contract violation.
+outputs, and runs over the bit budget ``64 * n**2`` (:func:`_bit_budget`).  A
+protocol may declare its exact cost (``Protocol.cost_bits``): a declared cost
+above the budget is refused before either party starts, and a ledger total
+that differs from it is a contract violation.
 
 Shared randomness is a counter-based pseudorandom stream: position ``i`` holds
 a 64-bit value computed by a splitmix-style mix of ``seed`` and ``i``, so both
